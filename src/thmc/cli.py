@@ -35,11 +35,16 @@ from .markov import (
     moves_from_text,
     moves_to_json_dict,
     moves_to_text,
+    verify_kernel,
 )
 from .mcmc import STATISTICS, WalkConfig, as_table, exact_test, walk
 from .normality import check_normality, s4_nonnormality_probe
 from .polytope import convex_hull, vertex_enumeration
 from .words import DEFAULT_WORD_CAP, read_words
+
+
+class InputError(Exception):
+    """Unreadable or malformed command input: `main` prints it and exits 2."""
 
 
 def _digest(path: Path) -> str:
@@ -89,6 +94,24 @@ class Run:
         return 0 if ok else 1
 
 
+def _read_input(run: Run, path: str, parse):
+    """parse(text) of an input file, with any read or parse error as InputError."""
+    try:
+        return parse(run.read_input(path))
+    except (OSError, ValueError) as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
+def _read_data(run: Run, path: str, S=None):
+    """Word multiset of a data file and its common word length."""
+    multiset = _read_input(run, path, lambda text: read_words(text.splitlines(), S=S))
+    lengths = {len(w) for w in multiset}
+    if len(lengths) != 1:
+        problem = "data words have mixed lengths" if lengths else "no data words"
+        raise InputError(f"{path}: {problem}")
+    return multiset, lengths.pop()
+
+
 def _threads(args) -> int:
     if args.threads is not None:
         return max(1, args.threads)
@@ -111,12 +134,7 @@ def cmd_gen_matrix(args) -> int:
 
 def cmd_stats(args) -> int:
     run = Run("stats", args)
-    multiset = read_words(run.read_input(args.data).splitlines())
-    T = {len(w) for w in multiset}
-    if len(T) != 1:
-        print("error: data words have mixed lengths", file=sys.stderr)
-        return 2
-    T = T.pop()
+    multiset, T = _read_data(run, args.data, S=args.S)
     S = args.S or max(max(w) for w in multiset)
     A = get_design(S, T, cap=args.word_cap)
     m = A.sufficient_statistics(multiset)
@@ -248,9 +266,7 @@ def cmd_markov(args) -> int:
         moves, A, args.n_max, multiset_cap=args.multiset_cap
     )
     basis = (
-        minimal_markov_basis(
-            A, args.max_degree, args.n_max, multiset_cap=args.multiset_cap, moves=moves
-        )
+        minimal_markov_basis(A, args.max_degree, args.n_max, multiset_cap=args.multiset_cap)
         if ok
         else []
     )
@@ -288,21 +304,20 @@ def cmd_markov(args) -> int:
 
 
 def _load_walk_inputs(run, args):
-    multiset = read_words(run.read_input(args.data).splitlines())
-    T = {len(w) for w in multiset}
-    if len(T) != 1:
-        raise SystemExit("error: data words have mixed lengths")
-    A = get_design(3, T.pop(), cap=args.word_cap)
-    if args.moves_file:
-        moves = moves_from_text(run.read_input(args.moves_file), A)
-    else:
-        moves = minimal_markov_basis(A, 2, 2, multiset_cap=args.multiset_cap)
     try:
         cfg = WalkConfig(
             seed=args.seed, steps=args.steps, burn_in=args.burn_in, thinning=args.thin
         )
     except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+        raise InputError(exc) from None
+    multiset, T = _read_data(run, args.data, S=3)
+    A = get_design(3, T, cap=args.word_cap)
+    if args.moves_file:
+        moves = _read_input(run, args.moves_file, lambda text: moves_from_text(text, A))
+        if not verify_kernel(A, moves):
+            raise InputError(f"{args.moves_file}: a move is not in the kernel of the design")
+    else:
+        moves = minimal_markov_basis(A, 2, 2, multiset_cap=args.multiset_cap)
     return A, multiset, moves, cfg
 
 
@@ -444,7 +459,11 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_test_fit)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

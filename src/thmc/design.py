@@ -10,7 +10,6 @@ where a candidate statistic can live.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from collections import Counter
 from dataclasses import dataclass
@@ -27,7 +26,6 @@ from .words import (
     enumerate_words,
     pair_list,
     transition_counts,
-    word_count,
 )
 
 
@@ -100,10 +98,6 @@ class DesignMatrix:
                 b[i] += mult * c
         return Marginal(tuple(b), n)
 
-    def data_vector(self, multiset: Counter) -> dict[int, int]:
-        """Sparse word-index representation of a data multiset."""
-        return {self.word_index[w]: m for w, m in multiset.items()}
-
     # -- membership ---------------------------------------------------------
 
     @property
@@ -164,14 +158,6 @@ class DesignMatrix:
 
     # -- export -------------------------------------------------------------
 
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(["pair"] + [w.text for w in self.words])
-        for i, (a, b) in enumerate(self.pairs):
-            writer.writerow([f"{a}{b}"] + [col[i] for col in self.columns])
-        return out.getvalue()
-
     def write_csv(self, fh) -> None:
         """Streaming CSV write (row at a time; fine for large T)."""
         writer = csv.writer(fh)
@@ -197,7 +183,3 @@ class DesignMatrix:
 def get_design(S: int, T: int, cap: int = DEFAULT_WORD_CAP) -> DesignMatrix:
     """Cached design matrices (they are immutable after construction)."""
     return DesignMatrix(S, T, cap=cap)
-
-
-def expected_column_count(S: int, T: int) -> int:
-    return word_count(S, T)

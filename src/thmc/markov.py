@@ -207,10 +207,9 @@ def _submultisets(table: tuple[int, ...]):
 def _fiber_components(
     members: Sequence[tuple[int, ...]],
     index: dict[tuple[int, ...], list[Move]],
-    active: Optional[set[Move]] = None,
-    used_moves: Optional[set] = None,
-) -> int:
-    """Union-find connectivity of one fiber under an indexed move set."""
+) -> list[tuple[int, ...]]:
+    """Least member of each component of one fiber under an indexed move set
+    (union-find; a root is always the least position in its component)."""
     pos = {u: i for i, u in enumerate(members)}
     parent = list(range(len(members)))
 
@@ -220,22 +219,13 @@ def _fiber_components(
             i = parent[i]
         return i
 
-    for u in members:
-        iu = find(pos[u])
+    for iu, u in enumerate(members):
         for s in _submultisets(u):
             for z in index.get(s, ()):
-                if active is not None and z not in active:
-                    continue
-                v = z.apply(u)
-                if v is None or v == u:
-                    continue
-                iv = find(pos[v])
-                if used_moves is not None:
-                    used_moves.add(z)
-                if iu != iv:
-                    parent[iv] = iu
-                    iu = find(iu)
-    return len({find(i) for i in range(len(members))})
+                ru, rv = find(iu), find(pos[z.apply(u)])
+                if ru != rv:
+                    parent[max(ru, rv)] = min(ru, rv)
+    return [u for i, u in enumerate(members) if find(i) == i]
 
 
 def is_markov_basis(
@@ -250,13 +240,12 @@ def is_markov_basis(
     ignored.  Bounded verification only: connectivity here does not certify
     connectivity at higher degrees.
     """
-    usable = [z for z in moves if z.degree <= n_max]
-    index = _minus_index(usable)
+    index = _minus_index(moves)
     for d in range(1, n_max + 1):
         for marginal, members in _multisets_by_marginal(A, d, multiset_cap).items():
             if len(members) < 2:
                 continue
-            if _fiber_components(members, index) != 1:
+            if len(_fiber_components(members, index)) != 1:
                 return False, {
                     "marginal": list(marginal),
                     "degree": d,
@@ -270,106 +259,28 @@ def minimal_markov_basis(
     max_degree: int,
     n_max: int,
     multiset_cap: int = DEFAULT_MULTISET_CAP,
-    moves: Optional[Sequence[Move]] = None,
 ) -> list[Move]:
-    """Greedy inclusion-minimal move subset keeping degree-<=n_max fibers
-    connected; candidates are dropped in decreasing degree, lexicographic
-    ties."""
-    if moves is None:
-        moves = enumerate_moves(A, max_degree, multiset_cap=multiset_cap)
-    usable = [z for z in moves if z.degree <= n_max]
-    # collect fibers with at least two members
-    fibers: list[tuple[tuple[int, ...], ...]] = []
+    """Minimal moves of degree <= max_degree connecting every fiber of degree
+    <= n_max, built degree by degree (Takemura & Aoki 2004).
+
+    Each degree-d fiber gets one move from its least member to the least
+    member of every other component under the lower-degree moves.  Tables in
+    different components share no word, so each move has degree exactly d and
+    applies only inside its own fiber: dropping any move disconnects that
+    fiber, so the basis is inclusion-minimal.  ValueError if a fiber of degree
+    above max_degree is disconnected.
+    """
+    basis: list[Move] = []
     for d in range(1, n_max + 1):
+        index = _minus_index(basis)
         for members in _multisets_by_marginal(A, d, multiset_cap).values():
-            if len(members) >= 2:
-                fibers.append(tuple(members))
-
-    # phase 1: drop whole degree classes, largest first; removing a block in
-    # one shot equals removing its members one at a time in the stated order
-    # (edge sets only shrink), and it avoids materializing edges for huge
-    # move sets that vanish anyway
-    active_list = list(usable)
-    idx_full = _minus_index(active_list)
-    if not all(
-        _fiber_components(members, idx_full) == 1 for members in fibers
-    ):
-        raise ValueError("move set does not connect all bounded fibers")
-    for deg in sorted({z.degree for z in active_list}, reverse=True):
-        trial = [z for z in active_list if z.degree != deg]
-        idx_trial = _minus_index(trial)
-        if all(
-            _fiber_components(members, idx_trial) == 1 for members in fibers
-        ):
-            active_list = trial
-
-    # phase 2: per-move greedy over the survivors, on materialized edges
-    index = _minus_index(active_list)
-    fiber_edges: list[dict[Move, list[tuple[int, int]]]] = []
-    move_to_fibers: dict[Move, set[int]] = defaultdict(set)
-    for fid, members in enumerate(fibers):
-        pos = {u: i for i, u in enumerate(members)}
-        edges: dict[Move, list[tuple[int, int]]] = defaultdict(list)
-        for u in members:
-            for s in _submultisets(u):
-                for z in index.get(s, ()):
-                    v = z.apply(u)
-                    if v is not None and v != u:
-                        edges[z].append((pos[u], pos[v]))
-                        move_to_fibers[z].add(fid)
-        fiber_edges.append(dict(edges))
-
-    def components(fid: int, active_set: set, forest: Optional[set] = None) -> int:
-        members = fibers[fid]
-        parent = list(range(len(members)))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for z, pairs in fiber_edges[fid].items():
-            if z not in active_set:
+            if len(members) < 2:
                 continue
-            merged = False
-            for iu, iv in pairs:
-                ru, rv = find(iu), find(iv)
-                if ru != rv:
-                    parent[rv] = ru
-                    merged = True
-            if merged and forest is not None:
-                forest.add(z)
-        return len({find(i) for i in range(len(members))})
-
-    active = set(active_list)
-    forests: list[set] = []
-    for fid in range(len(fibers)):
-        forest: set = set()
-        if components(fid, active, forest) != 1:
-            raise ValueError("move set does not connect all bounded fibers")
-        forests.append(forest)
-    # removal test only needs the fibers whose spanning certificate uses the
-    # candidate; elsewhere the certificate survives the removal untouched
-    for z in sorted(active_list, key=lambda z: (-z.degree, z.entries)):
-        if z not in active:
-            continue
-        affected = [fid for fid in move_to_fibers.get(z, ()) if z in forests[fid]]
-        active.discard(z)
-        ok = True
-        rebuilt = []
-        for fid in affected:
-            forest: set = set()
-            if components(fid, active, forest) != 1:
-                ok = False
-                break
-            rebuilt.append((fid, forest))
-        if ok:
-            for fid, forest in rebuilt:
-                forests[fid] = forest
-        else:
-            active.add(z)
-    return sorted(active, key=lambda z: (z.degree, z.entries))
+            first, *rest = _fiber_components(members, index)
+            if rest and d > max_degree:
+                raise ValueError("move set does not connect all bounded fibers")
+            basis.extend(Move.from_multisets(first, rep) for rep in rest)
+    return sorted(basis, key=lambda z: (z.degree, z.entries))
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +341,9 @@ def groebner_degree_probe(
 
     Starts from an inclusion-minimized generating set of the degree-bounded
     moves, closes under S-binomials whose lcm stays within the degree cap,
-    and reports whether the truncated set is self-stable.  Evidence for the
-    low-degree basis conjectures, never proof.
+    and reports whether the truncated set is self-stable, with the maximal
+    degree of a minimal Groebner basis (independent of the generators).
+    Evidence for the low-degree basis conjectures, never proof.
     """
     gens = minimal_markov_basis(A, max_degree, n_max=max_degree, multiset_cap=multiset_cap)
     basis: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
@@ -469,7 +381,11 @@ def groebner_degree_probe(
         basis.append((lead, trail))
         added += 1
         queue.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
-    max_basis_degree = max((len(lead) for lead, _ in basis), default=0)
+    leads = {lead for lead, _ in basis}  # a lead divisible by a shorter one is redundant
+    max_basis_degree = max(
+        (len(a) for a in leads if all(len(b) >= len(a) or _mono_sub(a, b) is None for b in leads)),
+        default=0,
+    )
     return {
         "T": A.T,
         "cap": max_degree,
@@ -499,20 +415,22 @@ def moves_to_text(moves: Iterable[Move], A: DesignMatrix) -> str:
 
 
 def moves_from_text(text: str, A: DesignMatrix) -> list[Move]:
+    """Parse the moves text format; a word outside A raises ValueError."""
+
+    def index(tok: str) -> int:
+        j = A.word_index.get(Word.from_text(tok))
+        if j is None:
+            raise ValueError(f"{tok} is not a word of the S={A.S}, T={A.T} design")
+        return j
+
     moves = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         left, _, right = line.partition("|")
-        plus = [
-            A.word_index[Word.from_text(tok.lstrip("+"))]
-            for tok in left.split()
-        ]
-        minus = [
-            A.word_index[Word.from_text(tok.lstrip("-"))]
-            for tok in right.split()
-        ]
+        plus = [index(tok.lstrip("+")) for tok in left.split()]
+        minus = [index(tok.lstrip("-")) for tok in right.split()]
         z = Move.from_multisets(plus, minus)
         if z is not None:
             moves.append(z)

@@ -198,11 +198,12 @@ def _append_two_loop(w: Word, i: int, j: int) -> Word:
     if seq[0] == j:
         return Word([j, i, j, i, j, i] + seq)
     # both endpoints avoid {i,j}: the word is a cycle; rotate it so it
-    # starts just after its (equal) endpoints, then prepend
+    # starts just after its (equal) endpoints, then prepend a block that
+    # ends on the loop state other than the new head
     assert seq[0] == seq[-1], "two distinct endpoints cannot both avoid {i,j}"
     rotated = seq[1:] + [seq[1]]
     head = rotated[0]
-    block = [i, j, i, j, i, j] if head == j else [j, i, j, i, j, i]
+    block = [j, i, j, i, j, i] if head == j else [i, j, i, j, i, j]
     return Word(block + rotated)
 
 

@@ -44,7 +44,10 @@ class Word(bytes):
 
     @classmethod
     def from_text(cls, text: str, S: Optional[int] = None) -> "Word":
-        return cls((int(ch) for ch in text.strip()), S=S)
+        text = text.strip()
+        if not (text.isascii() and text.isdigit()):
+            raise ValueError(f"word {text!r} is not a string of state digits")
+        return cls((int(ch) for ch in text), S=S)
 
     @property
     def text(self) -> str:
@@ -342,10 +345,13 @@ def decompose_into_paths(
 def read_words(lines: Iterable[str], S: Optional[int] = None) -> Counter:
     """Parse the word text format: one word per line, '#' comments, blanks skipped."""
     multiset: Counter = Counter()
-    for raw in lines:
+    for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            multiset[Word.from_text(line, S=S)] += 1
+            try:
+                multiset[Word.from_text(line, S=S)] += 1
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
     return multiset
 
 

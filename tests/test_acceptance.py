@@ -236,7 +236,6 @@ def test_criterion_10_markov_bases():
     for T, full_degree in ((3, 6), (4, 3), (5, 3)):
         A = get_design(3, T)
         moves = enumerate_moves(A, full_degree)
-        usable = [z for z in moves if z.degree <= 3]
         high = [z for z in moves if z.degree > 3]
         for z in high[:20]:
             for members in list(
@@ -245,12 +244,15 @@ def test_criterion_10_markov_bases():
                 assert all(z.apply(u) is None for u in members)
         connected, ce = is_markov_basis(moves, A, 3)
         ok &= connected
-        basis = minimal_markov_basis(A, 3, 3, moves=usable)
+        basis = minimal_markov_basis(A, 3, 3)
+        basis_connected, _ = is_markov_basis(basis, A, 3)
+        ok &= basis_connected
         maxdeg = max(z.degree for z in basis)
         details.append(
             f"T={T}: deg<={full_degree} enumeration ({len(moves)} moves, acts "
             f"as the full deg<=6 set on deg<=3 fibers) connects all of them; "
-            f"minimal basis {len(basis)} moves, max degree {maxdeg} "
+            f"minimal basis {len(basis)} moves (connected={basis_connected}), "
+            f"max degree {maxdeg} "
             f"(degree-2 claim {'consistent' if maxdeg <= 2 else 'exceeded'})"
         )
     elapsed = time.time() - t0

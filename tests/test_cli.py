@@ -141,6 +141,44 @@ class TestEnv:
         assert main(["stats", str(p), "--out-dir", str(tmp_path)]) == 2
 
 
+class TestInputErrors:
+    """Input errors exit 2 with a one-line message on stderr."""
+
+    @pytest.mark.parametrize(
+        "words, moves, extra",
+        [
+            ("12a21\n", None, ()),
+            ("12132\n12321\n", "+12132 +12321 | -99999 -13212\n", ()),
+            ("12132\n12321\n", "+1213 | -1231\n", ()),
+            ("12132\n12321\n", "+12132 | -12321\n", ()),
+            ("121\n1212\n", None, ()),
+            ("12132\n12321\n", None, ("--steps", 5, "--burn-in", 10)),
+            ("12132\n12321\n", None, ("--thin", 0)),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["walk", "test-fit"])
+    def test_walk_inputs(self, tmp_path, capsys, command, words, moves, extra):
+        data = tmp_path / "data.words"
+        data.write_text(words)
+        argv = [command, data, "--steps", 50, "--burn-in", 0, *extra]
+        if moves is not None:
+            (tmp_path / "bad.moves").write_text(moves)
+            argv += ["--moves-file", tmp_path / "bad.moves"]
+        rc, _ = run(tmp_path, *argv, "--out-dir", tmp_path)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ["12a21\n", "121\n1212\n", ""])
+    def test_stats(self, tmp_path, capsys, text):
+        data = tmp_path / "data.words"
+        data.write_text(text)
+        rc, _ = run(tmp_path, "stats", data, "--out-dir", tmp_path)
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestNewFormats:
     def test_moves_json_format(self, tmp_path):
         rc, _ = run(tmp_path, "markov", "-T", 3, "--max-degree", 2, "--n-max", 2,

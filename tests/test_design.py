@@ -161,7 +161,10 @@ class TestModelProbabilities:
 class TestExport:
     def test_csv_header_and_rows(self):
         A = get_design(3, 4)
-        rows = list(csv.reader(io.StringIO(A.to_csv())))
+        out = io.StringIO()
+        A.write_csv(out)
+        out.seek(0)
+        rows = list(csv.reader(out))
         assert rows[0][0] == "pair" and rows[0][1] == "1212"
         assert [r[0] for r in rows[1:]] == ["12", "13", "21", "23", "31", "32"]
         assert rows[1][1] == "2"

@@ -176,17 +176,32 @@ class TestMarkovBasis:
         assert ok
 
     def test_minimal_basis_is_inclusion_minimal(self):
-        A = get_design(3, 3)
-        mb = minimal_markov_basis(A, 6, 3)
-        for i in range(len(mb)):
-            reduced = mb[:i] + mb[i + 1 :]
-            ok, _ = is_markov_basis(reduced, A, 3)
-            assert not ok, f"move {mb[i]} is redundant"
+        for T, max_degree in ((3, 6), (4, 3)):
+            A = get_design(3, T)
+            mb = minimal_markov_basis(A, max_degree, 3)
+            for i in range(len(mb)):
+                reduced = mb[:i] + mb[i + 1 :]
+                ok, _ = is_markov_basis(reduced, A, 3)
+                assert not ok, f"T={T}: move {mb[i]} is redundant"
 
     def test_minimal_basis_T4_degree2(self):
         A = get_design(3, 4)
         mb = minimal_markov_basis(A, 3, 3)
         assert max(z.degree for z in mb) == 2
+
+    @pytest.mark.parametrize(
+        "T, profile", [(3, {1: 3, 2: 3}), (4, {1: 4, 2: 72}), (5, {1: 18, 2: 210})]
+    )
+    def test_minimal_basis_degree_profile(self, T, profile):
+        A = get_design(3, T)
+        mb = minimal_markov_basis(A, 2, 2)
+        assert Counter(z.degree for z in mb) == profile
+        assert is_markov_basis(mb, A, 2)[0]
+
+    def test_minimal_basis_rejects_too_low_max_degree(self):
+        # degree-2 fibers at T=4 need degree-2 moves
+        with pytest.raises(ValueError):
+            minimal_markov_basis(get_design(3, 4), 1, 2)
 
 
 class TestGroebnerProbe:
@@ -194,7 +209,7 @@ class TestGroebnerProbe:
         A = get_design(3, 3)
         rep = groebner_degree_probe(A, 3)
         assert rep["status"] == "closed"
-        assert rep["max_basis_degree"] <= 3
+        assert rep["max_basis_degree"] == 2
         assert rep["order"].startswith("grevlex")
 
     def test_T4_closes_at_degree_3(self):

@@ -7,6 +7,7 @@ import pytest
 from thmc.design import get_design
 from thmc.normality import (
     SaturationPoint,
+    _append_two_loop,
     check_normality,
     s4_nonnormality_probe,
     saturation_points,
@@ -120,6 +121,23 @@ class TestWitnessByInduction:
         x3 = transition_counts(w, 3)
         x = tuple(b + 3 * e for b, e in zip(x3, (1, 0, 1, 0, 0, 0)))
         out = witness_by_induction(x, 13)
+        assert state_graph(out, 3) == x
+
+    @pytest.mark.parametrize("text", ["3123123", "3213213"])
+    def test_two_loop_glued_onto_cycle(self, text):
+        # both endpoints avoid the loop states 1, 2; the rotated word starts
+        # with 1 or 2, and the glued block must not end on that state
+        w = Word.from_text(text)
+        out = _append_two_loop(w, 1, 2)
+        assert len(out) == len(w) + 6
+        before, after = transition_counts(w, 3), transition_counts(out, 3)
+        assert tuple(a - b for a, b in zip(after, before)) == (3, 0, 3, 0, 0, 0)
+
+    def test_seeded_point_through_cycle_branch(self):
+        # peeling at T=17 glues a two-loop onto a cycle word of the T=11 witness
+        x = (7, 10, 6, 8, 10, 7)
+        out = witness_by_induction(x, 17)
+        assert len(out) == 3 and all(len(w) == 17 for w in out)
         assert state_graph(out, 3) == x
 
     def test_multiword(self):
