@@ -57,7 +57,6 @@ class Run:
     def __init__(self, command: str, args: argparse.Namespace):
         self.command = command
         self.out_dir = Path(args.out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.params = {
             k: v for k, v in vars(args).items() if k not in ("func",) and v is not None
         }
@@ -70,8 +69,14 @@ class Run:
         self.inputs[str(p)] = _digest(p)
         return p.read_text()
 
+    def file(self, name: str) -> Path:
+        """Path of a file in the output directory, made on the first write so
+        that a run stopped by bad input leaves nothing behind."""
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        return self.out_dir / name
+
     def write(self, name: str, payload: str) -> Path:
-        p = self.out_dir / name
+        p = self.file(name)
         p.write_text(payload)
         self.outputs.append(str(p))
         return p
@@ -89,7 +94,7 @@ class Run:
             "outputs": self.outputs,
             "ok": ok,
         }
-        path = self.out_dir / f"{self.command}-manifest.json"
+        path = self.file(f"{self.command}-manifest.json")
         path.write_text(json.dumps(manifest, indent=1, default=str) + "\n")
         return 0 if ok else 1
 
@@ -123,7 +128,7 @@ def cmd_gen_matrix(args) -> int:
     A = get_design(args.S, args.T, cap=args.word_cap)
     stem = f"design-S{args.S}-T{args.T}"
     if args.format in ("csv", "both"):
-        path = run.out_dir / f"{stem}.csv"
+        path = run.file(f"{stem}.csv")
         with open(path, "w", newline="") as fh:
             A.write_csv(fh)
         run.outputs.append(str(path))
@@ -202,11 +207,6 @@ def cmd_facets(args) -> int:
         ok = all(
             rep["ok"] or "published_system" in rep for rep in reports
         )
-    elif args.action == "hull":
-        return cmd_hull(args)
-    elif args.action == "lemmas":
-        args.max_k = getattr(args, "max_k", 3)
-        return cmd_lemmas(args)
     return run.finish(ok)
 
 
@@ -400,7 +400,7 @@ def main(argv=None) -> int:
     p.add_argument("-T", type=int, default=7)
     p.add_argument(
         "--action",
-        choices=("certify", "verify24", "appendix", "hull", "lemmas"),
+        choices=("certify", "verify24", "appendix"),
         default="certify",
     )
     common(p)

@@ -131,11 +131,7 @@ class DesignMatrix:
                 sum(Fraction(c) * Fraction(e) for c, e in zip(normal, x)) >= rhs
                 for normal, rhs in facets
             )
-        cols = self.distinct_columns()
-        np_cols = np.array(
-            [[col[i] for col in cols] for i in range(self.dim)], dtype=np.int64
-        )
-        return in_cone(cols, x, np_cols=np_cols) is not None
+        return in_cone(self.distinct_columns(), x) is not None
 
     def model_probabilities(
         self, theta: Sequence[int | Fraction]

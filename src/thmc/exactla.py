@@ -1,9 +1,9 @@
 """Exact rational and integer linear algebra.
 
 Everything here is arbitrary precision: rationals are `fractions.Fraction`,
-matrices are plain lists of rows.  No floating point.  A numpy int64 matrix
-may be supplied to the simplex as a pricing accelerator; it is only ever used
-for integer dot products and falls back to Python ints on overflow risk.
+matrices are plain lists of rows.  No floating point.  Every linear program
+(cone and convex-hull membership, loop-coefficient maxima) goes through
+`simplex_standard`, a fraction-free integer tableau simplex.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
 
 Vec = Sequence[int | Fraction]
 
@@ -117,29 +115,6 @@ def independent_rows(M: Sequence[Vec], limit: Optional[int] = None) -> list[int]
     return chosen
 
 
-def det(M: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix (Bareiss)."""
-    n = len(M)
-    if n == 0:
-        return 1
-    a = [list(map(int, row)) for row in M]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
-
-
 def solve_square(M: Sequence[Vec], b: Vec) -> Optional[list[Fraction]]:
     """Solve M x = b exactly for square nonsingular M; None if singular."""
     n = len(M)
@@ -156,59 +131,6 @@ def solve_square(M: Sequence[Vec], b: Vec) -> Optional[list[Fraction]]:
                 f = aug[r][col]
                 aug[r] = [a - f * c for a, c in zip(aug[r], aug[col])]
     return [aug[r][n] for r in range(n)]
-
-
-def hermite_normal_form(
-    M: Sequence[Sequence[int]],
-) -> tuple[list[list[int]], list[list[int]]]:
-    """Column-style Hermite normal form: H = M U with U unimodular.
-
-    Pivot columns come first with positive pivots marching down-right; entries
-    left of a pivot in its row are reduced into [0, pivot); columns right of
-    the last pivot are zero.
-    """
-    nrows = len(M)
-    ncols = len(M[0]) if nrows else 0
-    # column-major copies
-    H = [[int(M[r][c]) for r in range(nrows)] for c in range(ncols)]
-    U = [[1 if r == c else 0 for r in range(ncols)] for c in range(ncols)]
-
-    def col_sub(dst: int, src: int, q: int) -> None:
-        H[dst] = [a - q * b for a, b in zip(H[dst], H[src])]
-        U[dst] = [a - q * b for a, b in zip(U[dst], U[src])]
-
-    c = 0
-    for r in range(nrows):
-        live = [j for j in range(c, ncols) if H[j][r]]
-        if not live:
-            continue
-        # gcd the row entries into a single column via Euclidean column ops
-        while True:
-            live = [j for j in range(c, ncols) if H[j][r]]
-            if len(live) == 1:
-                break
-            live.sort(key=lambda j: abs(H[j][r]))
-            base = live[0]
-            for j in live[1:]:
-                col_sub(j, base, H[j][r] // H[base][r])
-        j = live[0]
-        if j != c:
-            H[c], H[j] = H[j], H[c]
-            U[c], U[j] = U[j], U[c]
-        if H[c][r] < 0:
-            H[c] = [-a for a in H[c]]
-            U[c] = [-a for a in U[c]]
-        piv = H[c][r]
-        for j in range(c):
-            q = H[j][r] // piv
-            if q:
-                col_sub(j, c, q)
-        c += 1
-        if c == ncols:
-            break
-    H_rows = [[H[j][r] for j in range(ncols)] for r in range(nrows)]
-    U_rows = [[U[j][r] for j in range(ncols)] for r in range(ncols)]
-    return H_rows, U_rows
 
 
 class IntegerLattice:
@@ -298,8 +220,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------------
 # Exact simplex
 
-_ART = -1  # marker prefix for artificial variables in the basis
-
 
 @dataclass
 class LPResult:
@@ -308,121 +228,10 @@ class LPResult:
     value: Optional[Fraction] = None
 
 
-def _scaled_int_vector(y: list[Fraction]) -> list[int]:
-    den = lcm(*(f.denominator for f in y)) if y else 1
-    return [int(f * den) for f in y]
-
-
-class _Simplex:
-    """Revised simplex over exact rationals, Bland's rule throughout."""
-
-    def __init__(self, columns, b, np_cols=None):
-        self.cols = columns
-        self.m = len(columns)
-        self.k = len(b)
-        self.b = [Fraction(e) for e in b]
-        self.np_cols = np_cols
-        if np_cols is not None:
-            self._np_absmax = int(np.abs(np_cols).max()) if np_cols.size else 0
-        # artificial for row i is sign(b_i) * e_i so its basic value is |b_i|
-        self.art_sign = [1 if e >= 0 else -1 for e in self.b]
-        self.basis: list[int] = [_ART * (i + 1) for i in range(self.k)]
-
-    def _column(self, var: int) -> list[Fraction]:
-        if var < 0:
-            i = -var - 1
-            col = [Fraction(0)] * self.k
-            col[i] = Fraction(self.art_sign[i])
-            return col
-        return [Fraction(e) for e in self.cols[var]]
-
-    def _basis_matrix(self) -> list[list[Fraction]]:
-        cols = [self._column(v) for v in self.basis]
-        return [[cols[j][i] for j in range(self.k)] for i in range(self.k)]
-
-    def _solve(self, costs: Optional[Sequence[Fraction]], phase1: bool) -> LPResult:
-        while True:
-            B = self._basis_matrix()
-            xB = solve_square(B, self.b)
-            if xB is None:
-                raise RuntimeError("singular basis matrix")
-            cB = [
-                (Fraction(1) if v < 0 else Fraction(0))
-                if phase1
-                else (Fraction(0) if v < 0 else Fraction(costs[v]))
-                for v in self.basis
-            ]
-            Bt = [[B[r][c] for r in range(self.k)] for c in range(self.k)]
-            y = solve_square(Bt, cB)
-            enter = self._price(y, costs, phase1)
-            if enter is None:
-                value = sum(c * x for c, x in zip(cB, xB))
-                xdict = {
-                    v: x for v, x in zip(self.basis, xB) if v >= 0 and x != 0
-                }
-                bad = any(v < 0 and x != 0 for v, x in zip(self.basis, xB))
-                return LPResult("optimal" if not bad or phase1 else "infeasible", xdict, value)
-            d = solve_square(B, self._column(enter))
-            # ratio test: Bland tie-break on basis variable order; basic
-            # artificials at zero must not grow, so a negative direction
-            # component there forces a degenerate swap
-            best = None
-            for i in range(self.k):
-                if d[i] > 0:
-                    ratio = xB[i] / d[i]
-                elif d[i] < 0 and self.basis[i] < 0 and xB[i] == 0:
-                    ratio = Fraction(0)
-                else:
-                    continue
-                key = (ratio, self._order(self.basis[i]))
-                if best is None or key < best[0]:
-                    best = (key, i)
-            if best is None:
-                return LPResult("unbounded")
-            self.basis[best[1]] = enter
-
-    def _order(self, var: int) -> int:
-        return self.m - var if var < 0 else var  # artificials after reals
-
-    def _price(self, y, costs, phase1) -> Optional[int]:
-        """Lowest-index real variable with negative reduced cost (Bland)."""
-        if phase1 or costs is None or not any(costs):
-            # reduced cost is -y . A_j ; integer fast path when available
-            Y = _scaled_int_vector(y)
-            if self.np_cols is not None and Y:
-                ymax = max(abs(e) for e in Y)
-                if ymax and ymax * self._np_absmax * self.k < 2**62:
-                    v = np.asarray(Y, dtype=np.int64) @ self.np_cols
-                    hits = np.nonzero(v > 0)[0]
-                    return int(hits[0]) if hits.size else None
-            for j, col in enumerate(self.cols):
-                s = 0
-                for yi, a in zip(Y, col):
-                    if a:
-                        s += yi * a
-                if s > 0:
-                    return j
-            return None
-        for j, col in enumerate(self.cols):
-            red = Fraction(costs[j]) - sum(
-                yi * a for yi, a in zip(y, col) if a
-            )
-            if red < 0:
-                return j
-        return None
-
-    def run(self, costs=None, maximize=False) -> LPResult:
-        res = self._solve(None, phase1=True)
-        if res.value != 0:
-            return LPResult("infeasible")
-        if costs is None:
-            return LPResult("optimal", res.x, Fraction(0))
-        c = [Fraction(-e) for e in costs] if maximize else [Fraction(e) for e in costs]
-        res2 = self._solve(c, phase1=False)
-        if res2.status != "optimal":
-            return res2
-        val = res2.value
-        return LPResult("optimal", res2.x, -val if maximize else val)
+def _integer_row(row: Sequence[int | Fraction]) -> list[int]:
+    """row scaled by the lcm of its denominators."""
+    den = lcm(*(e.denominator for e in row))
+    return [e.numerator * (den // e.denominator) for e in row]
 
 
 def simplex_standard(
@@ -430,66 +239,90 @@ def simplex_standard(
     b: Vec,
     costs: Optional[Vec] = None,
     maximize: bool = False,
-    np_cols: Optional[np.ndarray] = None,
 ) -> LPResult:
-    """min/max costs.x subject to sum_j x_j columns[j] = b, x >= 0 (exact)."""
-    return _Simplex(list(columns), b, np_cols=np_cols).run(costs, maximize)
+    """min/max costs.x subject to sum_j x_j columns[j] = b, x >= 0 (exact).
+
+    Two-phase tableau simplex with fraction-free integer pivoting (Bareiss):
+    every entry is held as D times its rational value, D the last pivot, so a
+    pivot sets each other row to (a*p - f*b) // D, which divides exactly.
+    Bland's rule throughout: the lowest-index improving column enters, and
+    among tied rows the lowest basic variable leaves.  Phase 1 keeps one
+    implicit artificial per row, numbered -k..-1 so that they leave first;
+    without costs the phase-1 basis is the witness.
+    """
+    m = len(columns)
+    rows = []
+    for i, bi in enumerate(b):
+        sign = -1 if bi < 0 else 1
+        rows.append(_integer_row([sign * col[i] for col in columns] + [sign * bi]))
+    basis = list(range(-len(rows), 0))
+    D = 1
+    # reduced-cost row (times D), last entry minus the objective value
+    obj = [-sum(row[j] for row in rows) for j in range(m + 1)]
+
+    def pivot(r: int, c: int) -> None:
+        nonlocal D, obj
+        prow, p = rows[r], rows[r][c]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                rows[i] = [(a * p - f * e) // D for a, e in zip(row, prow)]
+        f = obj[c]
+        obj = [(a * p - f * e) // D for a, e in zip(obj, prow)]
+        basis[r] = c
+        D = p
+
+    def optimise() -> bool:
+        """Pivot to optimality; False when the objective is unbounded."""
+        while True:
+            c = next((j for j in range(m) if obj[j] * D < 0), None)
+            if c is None:
+                return True
+            ties = [
+                (Fraction(row[m], row[c]), basis[i], i)
+                for i, row in enumerate(rows)
+                if row[c] * D > 0
+            ]
+            if not ties:
+                return False
+            pivot(min(ties)[2], c)
+
+    def witness() -> dict[int, Fraction]:
+        return {v: Fraction(row[m], D) for v, row in zip(basis, rows) if v >= 0 and row[m]}
+
+    optimise()
+    if obj[m]:
+        return LPResult("infeasible")
+    if costs is None:
+        return LPResult("optimal", witness(), Fraction(0))
+    # drive each zero-level artificial out with one degenerate pivot; a row
+    # with no nonzero real entry is a redundant equation and is dropped
+    for r in reversed(range(len(rows))):
+        if basis[r] < 0:
+            c = next((j for j in range(m) if rows[r][j]), None)
+            if c is None:
+                del rows[r], basis[r]
+            else:
+                pivot(r, c)
+    # phase 2 minimises integer-scaled costs, negated to maximise
+    scaled = _integer_row([-e for e in costs] if maximize else costs)
+    obj = [D * e for e in scaled] + [0]
+    for v, row in zip(basis, rows):
+        if scaled[v]:
+            obj = [a - scaled[v] * e for a, e in zip(obj, row)]
+    if not optimise():
+        return LPResult("unbounded")
+    x = witness()
+    return LPResult("optimal", x, sum((costs[v] * e for v, e in x.items()), Fraction(0)))
 
 
-def in_cone(
-    columns: Sequence[Sequence[int]],
-    x: Vec,
-    np_cols: Optional[np.ndarray] = None,
-) -> Optional[dict[int, Fraction]]:
+def in_cone(columns: Sequence[Sequence[int]], x: Vec) -> Optional[dict[int, Fraction]]:
     """Witness of x in cone(columns) (nonnegative combination), else None."""
-    res = simplex_standard(columns, x, np_cols=np_cols)
-    return res.x if res.status == "optimal" else None
+    return simplex_standard(columns, x).x
 
 
 def in_convex_hull(
-    columns: Sequence[Sequence[int]],
-    x: Vec,
-    np_cols: Optional[np.ndarray] = None,
+    columns: Sequence[Sequence[int]], x: Vec
 ) -> Optional[dict[int, Fraction]]:
     """Witness of x in conv(columns) (convex combination), else None."""
-    aug = [tuple(col) + (1,) for col in columns]
-    np_aug = None
-    if np_cols is not None:
-        np_aug = np.vstack([np_cols, np.ones((1, np_cols.shape[1]), dtype=np.int64)])
-    res = simplex_standard(aug, tuple(x) + (1,), np_cols=np_aug)
-    return res.x if res.status == "optimal" else None
-
-
-def lp_feasible(
-    constraints: Sequence[tuple[Vec, str, int | Fraction]],
-) -> Optional[tuple[Fraction, ...]]:
-    """Exact feasibility for linear constraints over free variables.
-
-    Each constraint is (coefficients, relation, rhs) with relation one of
-    '<=', '>=', '=='.  Returns a witness point or None.
-    """
-    if not constraints:
-        return ()
-    nvar = len(constraints[0][0])
-    columns: list[list[Fraction]] = []
-    k = len(constraints)
-    # free variables split as u - v
-    for j in range(nvar):
-        for sign in (1, -1):
-            columns.append([sign * Fraction(c[0][j]) for c in constraints])
-    for i, (_, rel, _) in enumerate(constraints):
-        if rel == "==":
-            continue
-        slack = [Fraction(0)] * k
-        slack[i] = Fraction(1) if rel == "<=" else Fraction(-1)
-        columns.append(slack)
-    b = [Fraction(c[2]) for c in constraints]
-    res = simplex_standard(columns, b)
-    if res.status != "optimal":
-        return None
-    point = [Fraction(0)] * nvar
-    for var, val in res.x.items():
-        if var < 2 * nvar:
-            j, neg = divmod(var, 2)
-            point[j] += -val if neg else val
-    return tuple(point)
+    return in_cone([tuple(col) + (1,) for col in columns], tuple(x) + (1,))

@@ -481,7 +481,7 @@ def model_hull(T: int) -> HPolyhedron:
     return convex_hull(get_design(3, T).distinct_columns())
 
 
-def hull_facets_homogeneous(T: int, design: Optional[DesignMatrix] = None) -> set:
+def hull_facets_homogeneous(T: int) -> set:
     """Facets of conv(A^T), each rewritten as a primitive homogeneous normal."""
     H = model_hull(T)
     out = set()
@@ -491,28 +491,35 @@ def hull_facets_homogeneous(T: int, design: Optional[DesignMatrix] = None) -> se
     return out
 
 
-def verify_facet_completeness(T: int, design: Optional[DesignMatrix] = None) -> dict:
+def _is_convex_witness(cols, p, lam: Optional[dict[int, Fraction]]) -> bool:
+    """True iff the weights lam are >= 0, sum to 1 and combine cols to p."""
+    return (
+        lam is not None
+        and all(w >= 0 for w in lam.values())
+        and sum(lam.values()) == 1
+        and all(sum(w * cols[j][i] for j, w in lam.items()) == c for i, c in enumerate(p))
+    )
+
+
+def verify_facet_completeness(T: int) -> dict:
     """Run the completeness check that the 24 known facets cut out conv(A^T).
 
     Two independent routes: (1) every vertex-ray extension point of the
-    residue polyhedron lies in conv(A^T) by exact LP over the columns, and
+    residue polyhedron lies in conv(A^T) by exact LP over the columns, each
+    LP witness re-checked as a convex combination in exact arithmetic, and
     (2) the hull facets computed by double description equal the orbit
     expansion of the applicable base vectors.
     """
-    A = design if design is not None else get_design(3, T)
     r = T % 6
     V = q_vertices(r)
     rays = recession_rays(q_polyhedron(r))
-    cols = A.distinct_columns()
-    np_cols = np.array(
-        [[col[i] for col in cols] for i in range(A.dim)], dtype=np.int64
-    )
+    cols = get_design(3, T).distinct_columns()
     extensions = []
     all_inside = True
     for v in V.vertices:
         for e in rays:
             p = extend_vertex_along_ray(v, e, T)
-            inside = in_convex_hull(cols, p, np_cols=np_cols) is not None
+            inside = _is_convex_witness(cols, p, in_convex_hull(cols, p))
             all_inside &= inside
             integral = all(c.denominator == 1 for c in p)
             entry = {

@@ -16,8 +16,6 @@ from functools import lru_cache
 from math import comb
 from typing import Iterator, Optional, Sequence
 
-import numpy as np
-
 from .design import DesignMatrix, get_design
 from .exactla import in_cone, simplex_standard
 from .facets import LOOP_RAYS, q_vertices
@@ -304,9 +302,6 @@ def s4_nonnormality_probe(T: int = 8) -> dict:
         hs = tuple(int(c) for c in half_sum)
         report["half_sum_in_lattice"] = A.lattice_membership(hs)
     cols = A.distinct_columns()
-    np_cols = np.array(
-        [[col[i] for col in cols] for i in range(A.dim)], dtype=np.int64
-    )
     # the doubled combination is integral; it splits into the two words
     doubled = tuple(int(2 * c) for c in half_sum)
     report["doubled_in_semigroup"] = (
@@ -336,7 +331,7 @@ def s4_nonnormality_probe(T: int = 8) -> dict:
             return None
         if decompose_into_paths(x, n, T) is not None:
             return None
-        if in_cone(cols, x, np_cols=np_cols) is None:
+        if in_cone(cols, x) is None:
             return None
         return {
             "x": list(x),

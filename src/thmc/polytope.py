@@ -18,11 +18,9 @@ from typing import Sequence
 from .exactla import (
     in_cone,
     independent_rows,
-    lp_feasible,
     mat_rank,
     nullspace_int,
     primitive,
-    simplex_standard,
     solve_square,
 )
 
@@ -290,5 +288,4 @@ def membership(x: Sequence[int | Fraction], V: VPolyhedron) -> bool:
     for r in V.rays:
         cols.append((Fraction(0),) + tuple(Fraction(c) for c in r))
     target = (Fraction(1),) + tuple(Fraction(c) for c in x)
-    res = simplex_standard(cols, target)
-    return res.status == "optimal"
+    return in_cone(cols, target) is not None

@@ -170,6 +170,13 @@ class TestInputErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_no_out_dir_left_behind(self, tmp_path):
+        data = tmp_path / "bad.words"
+        data.write_text("12a21\n")
+        rc, _ = run(tmp_path, "walk", data, "--out-dir", tmp_path / "new")
+        assert rc == 2
+        assert not (tmp_path / "new").exists()
+
     @pytest.mark.parametrize("text", ["12a21\n", "121\n1212\n", ""])
     def test_stats(self, tmp_path, capsys, text):
         data = tmp_path / "data.words"

@@ -153,3 +153,44 @@ class TestSimplexAgainstHighs:
             ]
             assert recon == list(x)
             assert all(v >= 0 for v in res.x.values())
+
+    def test_optimum_agreement(self):
+        # phase 2 as the loop-coefficient LPs use it: rational data, min and
+        # max, and one equation repeated as a scaled copy
+        rng = random.Random(17)
+        seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+        for trial in range(120):
+            k = rng.randint(2, 4)
+            m = rng.randint(3, 7)
+            cols = [
+                [Fraction(rng.randint(-2, 4), rng.randint(1, 3)) for _ in range(k)]
+                for _ in range(m)
+            ]
+            if rng.random() < 0.7:
+                lam = [Fraction(rng.randint(0, 3), rng.randint(1, 2)) for _ in range(m)]
+                x = [sum(c[i] * l for c, l in zip(cols, lam)) for i in range(k)]
+            else:
+                x = [Fraction(rng.randint(-3, 6), rng.randint(1, 2)) for _ in range(k)]
+            row, f = rng.randrange(k), Fraction(rng.choice([-3, 1, 2]), rng.randint(1, 3))
+            cols = [c + [f * c[row]] for c in cols]
+            x = x + [f * x[row]]
+            costs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(m)]
+            maximize = trial % 2 == 1
+            exact = simplex_standard(cols, x, costs=costs, maximize=maximize)
+            sign = -1.0 if maximize else 1.0
+            res = linprog(
+                c=[sign * float(c) for c in costs],
+                A_eq=np.array([[float(c[i]) for c in cols] for i in range(k + 1)]),
+                b_eq=np.array([float(e) for e in x]),
+                bounds=[(0, None)] * m,
+                method="highs",
+            )
+            if res.status not in (0, 2, 3):
+                continue
+            expected = {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status]
+            assert exact.status == expected, (cols, x, costs, maximize)
+            seen[expected] += 1
+            if expected == "optimal":
+                assert abs(float(exact.value) - sign * res.fun) <= 1e-9, (
+                    cols, x, costs, maximize, exact.value, res.fun)
+        assert min(seen.values()) > 0 and seen["optimal"] > 30, seen

@@ -1,16 +1,11 @@
 import random
 from fractions import Fraction
 
-import numpy as np
-
 from thmc.exactla import (
     IntegerLattice,
-    det,
-    hermite_normal_form,
     in_cone,
     in_convex_hull,
     independent_rows,
-    lp_feasible,
     mat_rank,
     nullspace,
     nullspace_int,
@@ -75,39 +70,6 @@ class TestNullspace:
             assert sum(a * b for a, b in zip(M[0], v)) == 0
 
 
-class TestHNF:
-    def test_diagonal(self):
-        H, U = hermite_normal_form([[2, 0], [0, 3]])
-        assert H == [[2, 0], [0, 3]]
-        assert abs(det(U)) == 1
-
-    def test_gcd_column(self):
-        H, U = hermite_normal_form([[2, 4]])
-        assert H == [[2, 0]]
-        assert abs(det(U)) == 1
-
-    def test_random_MU_equals_H(self):
-        rng = random.Random(3)
-        for _ in range(40):
-            r, c = rng.randint(1, 4), rng.randint(1, 5)
-            M = [[rng.randint(-5, 5) for _ in range(c)] for _ in range(r)]
-            H, U = hermite_normal_form(M)
-            assert abs(det(U)) == 1
-            MU = [
-                [sum(M[i][t] * U[t][j] for t in range(c)) for j in range(c)]
-                for i in range(r)
-            ]
-            assert MU == H
-            # echelon shape: pivots march down-right, zero columns trail
-            pivots = []
-            for j in range(c):
-                col = [H[i][j] for i in range(r)]
-                nz = [i for i, e in enumerate(col) if e]
-                if nz:
-                    pivots.append(nz[0])
-            assert pivots == sorted(pivots)
-
-
 class TestIntegerLattice:
     def test_contains_generators_and_combos(self):
         rng = random.Random(9)
@@ -144,36 +106,6 @@ class TestIntegerLattice:
 
 
 class TestSimplex:
-    def test_lp_feasible_interval(self):
-        w = lp_feasible([((1,), ">=", 0), ((1,), "<=", 1)])
-        assert w is not None and 0 <= w[0] <= 1
-
-    def test_lp_infeasible(self):
-        assert lp_feasible([((1,), ">=", 1), ((1,), "<=", 0)]) is None
-
-    def test_witness_satisfies_exactly(self):
-        rng = random.Random(21)
-        n_feasible = 0
-        for _ in range(40):
-            nv = rng.randint(1, 3)
-            cons = []
-            for _ in range(rng.randint(1, 4)):
-                vec = tuple(rng.randint(-3, 3) for _ in range(nv))
-                rel = rng.choice([">=", "<=", "=="])
-                cons.append((vec, rel, Fraction(rng.randint(-4, 4))))
-            w = lp_feasible(cons)
-            if w is None:
-                continue
-            n_feasible += 1
-            for vec, rel, rhs in cons:
-                val = sum(Fraction(a) * x for a, x in zip(vec, w))
-                assert (
-                    (rel == ">=" and val >= rhs)
-                    or (rel == "<=" and val <= rhs)
-                    or (rel == "==" and val == rhs)
-                )
-        assert n_feasible > 5
-
     def test_cone_membership(self):
         cols = [(1, 0), (1, 1)]
         assert in_cone(cols, (3, 1)) is not None
@@ -202,17 +134,18 @@ class TestSimplex:
         assert res.value == Fraction(3, 4)
 
     def test_np_fast_path_matches(self):
+        # many columns, combinations with large weights and shifted targets
         rng = random.Random(2)
         cols = [tuple(rng.randint(0, 4) for _ in range(4)) for _ in range(60)]
-        np_cols = np.array([[c[i] for c in cols] for i in range(4)], dtype=np.int64)
         for _ in range(25):
             coefs = [rng.randint(0, 2) for _ in cols]
             x = tuple(sum(c[i] * f for c, f in zip(cols, coefs)) for i in range(4))
-            assert in_cone(cols, x, np_cols=np_cols) is not None
+            assert in_cone(cols, x) is not None
             bad = tuple(v + 1 for v in x[:1]) + x[1:]
-            a = in_cone(cols, bad, np_cols=np_cols)
-            b = in_cone(cols, bad)
-            assert (a is None) == (b is None)
+            w = in_cone(cols, bad)
+            if w is not None:
+                recon = [sum(cols[j][i] * c for j, c in w.items()) for i in range(4)]
+                assert recon == list(bad) and all(c >= 0 for c in w.values())
 
 
 class TestHelpers:

@@ -252,6 +252,17 @@ class TestCompleteness:
             assert rep["hull_equals_expansion"]
             assert rep["all_extensions_inside"]
 
+    def test_wrong_lp_witness_is_not_trusted(self, monkeypatch):
+        import thmc.facets
+
+        # convex weights, but they combine to the first column, not the point
+        monkeypatch.setattr(thmc.facets, "in_convex_hull", lambda cols, p: {0: Fraction(1)})
+        rep = verify_facet_completeness(5)
+        assert not rep["ok"] and not rep["all_extensions_inside"]
+        first = list(get_design(3, 5).distinct_columns()[0])
+        for e in rep["extensions"]:
+            assert e["in_polytope"] == ([Fraction(c) for c in e["point"]] == first)
+
     def test_T4_hull_has_12_facets(self):
         assert len(hull_facets_homogeneous(4)) == 12
 
