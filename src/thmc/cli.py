@@ -28,6 +28,7 @@ from .facets import (
     verify_window_inequalities,
 )
 from .markov import (
+    DEFAULT_MULTISET_CAP,
     enumerate_moves,
     groebner_degree_probe,
     is_markov_basis,
@@ -242,9 +243,10 @@ def cmd_normality(args) -> int:
         path = run.write(f"normality-witnesses-T{args.T}.words", "\n".join(lines) + "\n")
         rep["witnesses_file"] = str(path)
     run.write_json(f"normality-T{args.T}.json", rep)
+    verdict = "PASS" if rep["ok"] else "UNDECIDED" if not rep["failures"] else "FAIL"
     print(
         f"T={args.T} n<={args.n_max}: {rep['points_checked']} saturation points, "
-        f"{len(rep['failures'])} failures {'PASS' if rep['ok'] else 'FAIL'}"
+        f"{len(rep['failures'])} failures, {len(rep['undecided'])} undecided {verdict}"
     )
     if args.probe_s4:
         probe = s4_nonnormality_probe(8)
@@ -371,29 +373,35 @@ def main(argv=None) -> int:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    options = {
+        "threads": dict(type=int, default=None,
+                        help="worker processes (default: THMC_THREADS or 1)"),
+        "word-cap": dict(type=int, default=DEFAULT_WORD_CAP),
+        "multiset-cap": dict(type=int, default=DEFAULT_MULTISET_CAP),
+    }
+
+    def common(p, *flags):
+        """--out-dir plus the named options, each only where the command reads it."""
         p.add_argument("--out-dir", default=".", help="where outputs are written")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker processes (default: THMC_THREADS or 1)")
-        p.add_argument("--word-cap", type=int, default=DEFAULT_WORD_CAP)
-        p.add_argument("--multiset-cap", type=int, default=2_000_000)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **options[flag])
 
     p = sub.add_parser("gen-matrix", help="write the design matrix")
     p.add_argument("-S", type=int, default=3)
     p.add_argument("-T", type=int, required=True)
     p.add_argument("--format", choices=("csv", "json", "both"), default="csv")
-    common(p)
+    common(p, "word-cap")
     p.set_defaults(func=cmd_gen_matrix)
 
     p = sub.add_parser("stats", help="sufficient statistics of a word file")
     p.add_argument("data")
     p.add_argument("-S", type=int, default=None)
-    common(p)
+    common(p, "word-cap")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("hull", help="facet description of the model polytope")
     p.add_argument("-T", type=int, required=True)
-    common(p)
+    common(p, "word-cap")
     p.set_defaults(func=cmd_hull)
 
     p = sub.add_parser("facets", help="facet certification pipelines")
@@ -417,7 +425,7 @@ def main(argv=None) -> int:
     p.add_argument("-S", type=int, default=3)
     p.add_argument("--witnesses", action="store_true", help="write witness words")
     p.add_argument("--probe-s4", action="store_true", help="also run the S=4 probe")
-    common(p)
+    common(p, "threads")
     p.set_defaults(func=cmd_normality)
 
     p = sub.add_parser("markov", help="move enumeration and basis checks")
@@ -432,7 +440,7 @@ def main(argv=None) -> int:
         help="run the degree-capped completion probe",
     )
     p.add_argument("--moves-format", choices=("text", "json", "both"), default="text")
-    common(p)
+    common(p, "word-cap", "multiset-cap")
     p.set_defaults(func=cmd_markov)
 
     p = sub.add_parser("walk", help="sample the fiber random walk")
@@ -442,7 +450,7 @@ def main(argv=None) -> int:
     p.add_argument("--steps", type=int, default=10_000)
     p.add_argument("--burn-in", type=int, default=0)
     p.add_argument("--thin", type=int, default=1)
-    common(p)
+    common(p, "word-cap", "multiset-cap")
     p.set_defaults(func=cmd_walk)
 
     p = sub.add_parser("test-fit", help="exact conditional goodness-of-fit test")
@@ -455,7 +463,7 @@ def main(argv=None) -> int:
     p.add_argument("--statistic", choices=STATISTICS, default="pearson")
     p.add_argument("--trace", action="store_true",
                    help="also write a CSV trace of sampled statistics")
-    common(p)
+    common(p, "word-cap", "multiset-cap")
     p.set_defaults(func=cmd_test_fit)
 
     args = parser.parse_args(argv)

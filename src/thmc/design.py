@@ -3,8 +3,8 @@
 The design matrix for S states at time T has one row per ordered state pair
 (lexicographic) and one column per word of length T (lexicographic); the
 column of a word is its transition-count vector.  Data multisets map to
-sufficient statistics b = A.u; the lattice ZA and cone(A) memberships decide
-where a candidate statistic can live.
+sufficient statistics b = A.u; the matrix also holds the integer lattice ZA
+of its columns and gives exact model probabilities.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .exactla import IntegerLattice, in_cone
+from .exactla import IntegerLattice
 from .words import (
     DEFAULT_WORD_CAP,
     Word,
@@ -114,24 +114,6 @@ class DesignMatrix:
         if len(x) != self.dim:
             raise ValueError("dimension mismatch")
         return list(map(int, x)) in self.lattice
-
-    def cone_membership(
-        self, x: Sequence[int | Fraction], facets=None
-    ) -> bool:
-        """True iff x is a nonnegative combination of columns.
-
-        Decided by exact LP over the distinct columns; `facets` may carry an
-        already-certified inequality description (list of (normal, offset)
-        pairs valid for the cone) to use as a fast equivalent test.
-        """
-        if len(x) != self.dim:
-            raise ValueError("dimension mismatch")
-        if facets is not None:
-            return all(
-                sum(Fraction(c) * Fraction(e) for c, e in zip(normal, x)) >= rhs
-                for normal, rhs in facets
-            )
-        return in_cone(self.distinct_columns(), x) is not None
 
     def model_probabilities(
         self, theta: Sequence[int | Fraction]

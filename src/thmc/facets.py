@@ -7,12 +7,14 @@ when 3 | T).  Each base vector expands to six facets under the order-12 group
 generated by state relabelings and path reversal (reversal transposes every
 count vector, so it maps the column set to itself).
 
-Every family has two equivalent shapes on the hyperplane of fixed coordinate
-sum: a homogeneous one c.x >= 0 whose entries depend on T, and an affine one
-ctilde.x >= a*n depending only on T mod 6.  The affine shapes at n=1 cut out
-one fixed polyhedron per residue class; its vertices and its five loop rays
-drive the completeness proof: stretch every vertex along every ray until the
-coordinate sum hits T-1 and show the result lies in conv(A^T).
+Each family is tabled once, in its affine shape ctilde.x >= a*n, which
+depends only on T mod 6.  On the hyperplane of coordinate sum n(T-1) it is
+equivalent to the homogeneous shape c.x >= 0 with c the primitive multiple of
+ctilde - a/(T-1)*(1,...,1); the same map reads the facets of the computed
+hull.  The affine shapes at n=1 cut out one fixed polyhedron per residue
+class; its vertices and its five loop rays drive the completeness proof:
+stretch every vertex along every ray until the coordinate sum hits T-1 and
+show the result lies in conv(A^T).
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ class FacetForm:
     """One base facet family member: c.x >= 0 and ctilde.x >= a*n."""
 
     family: str
-    applies: str  # 'all' | 'odd' | 'even' | '3k+1' | '3k+2' | '6k+3' | '6k'
     c: Optional[tuple[int, ...]]  # homogeneous normal (None if T not fixed)
     ctilde: tuple[int, ...]
     a: int
@@ -92,51 +93,16 @@ class FacetCertificate:
         }
 
 
-def _hom_coordinate(T: int) -> tuple[int, ...]:
-    return (1, 0, 0, 0, 0, 0)
-
-
-def _hom_imbalance(T: int) -> tuple[int, ...]:
-    return (T, T, -(T - 2), 1, -(T - 2), 1)
-
-
-def _hom_odd(T: int) -> tuple[int, ...]:
-    return (1, 1, -1, -1, 1, 1)
-
-
-def _hom_even(T: int) -> tuple[int, ...]:
-    k = T // 2
-    return (3 * k - 1, k, -k + 1, -k + 1, -k + 1, k)
-
-
-def _hom_mod3_1(T: int) -> tuple[int, ...]:
-    return (2, -1, -1, -1, 2, 2)
-
-
-def _hom_mod3_2(T: int) -> tuple[int, ...]:
-    k = (T - 2) // 3
-    return (2 * k + 1, -k, -k, -k, 2 * k + 1, 2 * k + 1)
-
-
-def _hom_mod6_3(T: int) -> tuple[int, ...]:
-    k = (T - 3) // 6
-    return (5 * k + 2, 2 * k + 1, -4 * k - 1, -k, -k, 2 * k + 1)
-
-
-def _hom_mod6_0(T: int) -> tuple[int, ...]:
-    k = T // 6
-    return (10 * k - 1, 4 * k, -8 * k + 2, -2 * k + 1, -2 * k + 1, 4 * k)
-
-
+# affine base rows (ctilde, a); they depend only on T mod 6
 _FAMILIES = {
-    "coordinate": ("all", _hom_coordinate, (1, 0, 0, 0, 0, 0), 0),
-    "imbalance": ("all", _hom_imbalance, (1, 1, -1, 0, -1, 0), -1),
-    "odd": ("odd", _hom_odd, (1, 1, -1, -1, 1, 1), 0),
-    "even": ("even", _hom_even, (3, 1, -1, -1, -1, 1), -1),
-    "mod3-1": ("3k+1", _hom_mod3_1, (2, -1, -1, -1, 2, 2), 0),
-    "mod3-2": ("3k+2", _hom_mod3_2, (2, -1, -1, -1, 2, 2), -1),
-    "mod6-3": ("6k+3", _hom_mod6_3, (5, 2, -4, -1, -1, 2), -2),
-    "mod6-0": ("6k", _hom_mod6_0, (5, 2, -4, -1, -1, 2), -2),
+    "coordinate": ((1, 0, 0, 0, 0, 0), 0),
+    "imbalance": ((1, 1, -1, 0, -1, 0), -1),
+    "odd": ((1, 1, -1, -1, 1, 1), 0),
+    "even": ((3, 1, -1, -1, -1, 1), -1),
+    "mod3-1": ((2, -1, -1, -1, 2, 2), 0),
+    "mod3-2": ((2, -1, -1, -1, 2, 2), -1),
+    "mod6-3": ((5, 2, -4, -1, -1, 2), -2),
+    "mod6-0": ((5, 2, -4, -1, -1, 2), -2),
 }
 
 
@@ -153,51 +119,33 @@ def _families_for(T_mod_6: int) -> list[str]:
     return fams
 
 
+def _homogeneous(normal: Sequence[int], rhs: int, T: int) -> tuple[int, ...]:
+    """Primitive c with c.x >= 0 equivalent to normal.x >= rhs*n on the
+    hyperplane of coordinate sum n(T-1)."""
+    return primitive([Fraction(c) - Fraction(rhs, T - 1) for c in normal])
+
+
+def _facet_forms(r: int, T: Optional[int]) -> list[FacetForm]:
+    out = []
+    for fam in _families_for(r):
+        ctilde, a = _FAMILIES[fam]
+        c = None if T is None else _homogeneous(ctilde, a, T)
+        out.append(FacetForm(fam, c, ctilde, a))
+    return out
+
+
 def homogeneous_facet_vectors(T: int) -> list[FacetForm]:
     """The four base facet vectors applicable at time T (T >= 5)."""
     if T < 5:
         raise ValueError(f"facet description starts at T=5, got T={T}")
-    out = []
-    for fam in _families_for(T % 6):
-        applies, hom, ctilde, a = _FAMILIES[fam]
-        out.append(FacetForm(fam, applies, hom(T), ctilde, a))
-    return out
+    return _facet_forms(T % 6, T)
 
 
 def affine_facet_rows(r: int) -> list[FacetForm]:
     """The four affine base rows for residue class r of T mod 6."""
     if not 0 <= r <= 5:
         raise ValueError("residue must be in 0..5")
-    out = []
-    for fam in _families_for(r):
-        applies, _, ctilde, a = _FAMILIES[fam]
-        out.append(FacetForm(fam, applies, None, ctilde, a))
-    return out
-
-
-def inhomogenize(form: FacetForm, T: int) -> tuple[tuple[int, ...], int]:
-    """Affine shape (ctilde, a) of a homogeneous facet vector at time T.
-
-    Verifies the supporting-hyperplane equivalence exactly: there must be
-    lambda > 0 with ctilde = lambda*c + (a/(T-1))*ones.
-    """
-    if form.c is None:
-        raise ValueError("facet form lacks a homogeneous vector; fix T first")
-    mu = Fraction(form.a, T - 1)
-    lam: Optional[Fraction] = None
-    for ci, cti in zip(form.c, form.ctilde):
-        if ci == 0:
-            if Fraction(cti) != mu:
-                raise AssertionError(f"affine form of {form.family} inconsistent at T={T}")
-            continue
-        cand = (Fraction(cti) - mu) / ci
-        if lam is None:
-            lam = cand
-        elif lam != cand:
-            raise AssertionError(f"affine form of {form.family} inconsistent at T={T}")
-    if lam is None or lam <= 0:
-        raise AssertionError(f"affine form of {form.family} not positively scaled at T={T}")
-    return form.ctilde, form.a
+    return _facet_forms(r, None)
 
 
 # ---------------------------------------------------------------------------
@@ -476,19 +424,18 @@ def extend_vertex_along_ray(
 
 
 @lru_cache(maxsize=32)
-def model_hull(T: int) -> HPolyhedron:
+def model_hull(T: int, S: int = 3) -> HPolyhedron:
     """Facet description of conv(A^T), computed by double description."""
-    return convex_hull(get_design(3, T).distinct_columns())
+    return convex_hull(get_design(S, T).distinct_columns())
 
 
-def hull_facets_homogeneous(T: int) -> set:
+def _homogeneous_normals(H: HPolyhedron, T: int) -> set[tuple[int, ...]]:
+    return {_homogeneous(normal, rhs, T) for normal, rhs in H.inequalities}
+
+
+def hull_facets_homogeneous(T: int) -> set[tuple[int, ...]]:
     """Facets of conv(A^T), each rewritten as a primitive homogeneous normal."""
-    H = model_hull(T)
-    out = set()
-    for normal, rhs in H.inequalities:
-        hom = tuple(Fraction(c) - Fraction(rhs, T - 1) for c in normal)
-        out.add(primitive(hom))
-    return out
+    return _homogeneous_normals(model_hull(T), T)
 
 
 def _is_convex_witness(cols, p, lam: Optional[dict[int, Fraction]]) -> bool:
@@ -507,8 +454,9 @@ def verify_facet_completeness(T: int) -> dict:
     Two independent routes: (1) every vertex-ray extension point of the
     residue polyhedron lies in conv(A^T) by exact LP over the columns, each
     LP witness re-checked as a convex combination in exact arithmetic, and
-    (2) the hull facets computed by double description equal the orbit
-    expansion of the applicable base vectors.
+    (2) the hull facets computed by double description equal the 24 affine
+    facet inequalities of the residue class, both read as homogeneous normals
+    at time T.
     """
     r = T % 6
     V = q_vertices(r)
@@ -534,10 +482,7 @@ def verify_facet_completeness(T: int) -> dict:
                 entry["induction_witness_word"] = word.text if word else None
             extensions.append(entry)
     hull_set = hull_facets_homogeneous(T)
-    expansion = set()
-    if T >= 5:
-        for form in homogeneous_facet_vectors(T):
-            expansion |= {primitive(c) for c in symmetry_orbit(form.c, True)}
+    expansion = _homogeneous_normals(q_polyhedron(r), T) if T >= 5 else set()
     return {
         "T": T,
         "r": r,

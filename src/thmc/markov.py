@@ -341,9 +341,12 @@ def groebner_degree_probe(
 
     Starts from an inclusion-minimized generating set of the degree-bounded
     moves, closes under S-binomials whose lcm stays within the degree cap,
-    and reports whether the truncated set is self-stable, with the maximal
-    degree of a minimal Groebner basis (independent of the generators).
-    Evidence for the low-degree basis conjectures, never proof.
+    and reports whether the truncated set is self-stable.  The size and the
+    maximal degree of a minimal Groebner basis (`minimal_basis_size`,
+    `max_basis_degree`; leads divisible by a shorter lead dropped) do not
+    depend on the generators; `basis_size`, `added_by_completion` and
+    `pairs_processed` describe the completion before interreduction, so they
+    do.  Evidence for the low-degree basis conjectures, never proof.
     """
     gens = minimal_markov_basis(A, max_degree, n_max=max_degree, multiset_cap=multiset_cap)
     basis: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
@@ -382,10 +385,9 @@ def groebner_degree_probe(
         added += 1
         queue.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
     leads = {lead for lead, _ in basis}  # a lead divisible by a shorter one is redundant
-    max_basis_degree = max(
-        (len(a) for a in leads if all(len(b) >= len(a) or _mono_sub(a, b) is None for b in leads)),
-        default=0,
-    )
+    minimal_leads = [
+        a for a in leads if all(len(b) >= len(a) or _mono_sub(a, b) is None for b in leads)
+    ]
     return {
         "T": A.T,
         "cap": max_degree,
@@ -396,7 +398,8 @@ def groebner_degree_probe(
         "added_by_completion": added,
         "pairs_processed": processed,
         "pairs_skipped_above_cap": skipped_degree,
-        "max_basis_degree": max_basis_degree,
+        "minimal_basis_size": len(minimal_leads),
+        "max_basis_degree": max(map(len, minimal_leads), default=0),
         "self_stable_upto_cap": True,
     }
 

@@ -12,14 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 from typing import Iterator, Optional, Sequence
 
 from .design import DesignMatrix, get_design
 from .exactla import in_cone, simplex_standard
-from .facets import LOOP_RAYS, q_vertices
-from .polytope import convex_hull
+from .facets import LOOP_RAYS, model_hull, q_vertices
 from .words import (
     CapExceededError,
     Word,
@@ -36,12 +34,10 @@ DEFAULT_POINT_CAP = 2_000_000
 
 @dataclass(frozen=True)
 class SaturationPoint:
+    """A lattice-and-cone point x with coordinate sum n(T-1)."""
+
     x: tuple[int, ...]
     n: int
-    in_lattice: bool
-    in_cone: bool
-    in_semigroup: Optional[bool] = None
-    witness: Optional[tuple[Word, ...]] = None
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -54,14 +50,7 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + tail
 
 
-@lru_cache(maxsize=32)
-def _hull_inequalities(S: int, T: int):
-    A = get_design(S, T)
-    H = convex_hull(A.distinct_columns())
-    return H.inequalities
-
-
-def _cone_test(x: Sequence[int], T: int, hull_ineqs, n: int) -> bool:
+def _cone_test(x: Sequence[int], hull_ineqs, n: int) -> bool:
     # cone(A) cut at coordinate sum n(T-1) is the n-th dilation of the
     # polytope, so scale the hull inequalities by n
     return all(
@@ -87,21 +76,25 @@ def saturation_points(
         raise CapExceededError(
             f"{space} candidate vectors for sum {total} in {dim} parts exceeds cap {cap}"
         )
-    hull = _hull_inequalities(S, T)
+    hull = model_hull(T, S).inequalities
     lattice = A.lattice
     out = []
     for x in _compositions(total, dim):
         if list(x) not in lattice:
             continue
-        if not _cone_test(x, T, hull, n):
+        if not _cone_test(x, hull, n):
             continue
-        out.append(SaturationPoint(x=x, n=n, in_lattice=True, in_cone=True))
+        out.append(SaturationPoint(x=x, n=n))
     return out
 
 
 def _decompose_task(args: tuple[tuple[int, ...], int, int]):
-    x, n, T = args
-    return x, decompose_into_paths(x, n, T)
+    """Words splitting one point, None, or the CapExceededError that left the
+    point undecided (returned, so that a pool worker does not abort the map)."""
+    try:
+        return decompose_into_paths(*args)
+    except CapExceededError as exc:
+        return exc
 
 
 def check_normality(
@@ -115,12 +108,15 @@ def check_normality(
     """Verify every saturation point of degree <= n_max splits into words.
 
     This is desk-scale exhaustive verification; the report states the scanned
-    bounds so the claim is never wider than the computation.  With threads>1
+    bounds so the claim is never wider than the computation.  A point whose
+    search trips the oracle's node cap is listed as undecided, not as a
+    failure, and keeps the report from being ok.  With threads>1
     the independent decompositions run in a process pool; results are
     aggregated in point order, so reports are identical for any thread count.
     """
     A = get_design(S, T)
     failures = []
+    undecided = []
     points_checked = 0
     witnesses = {}
     tasks: list[tuple[tuple[int, ...], int, int]] = []
@@ -135,9 +131,11 @@ def check_normality(
             results = pool.map(_decompose_task, tasks, chunksize=64)
     else:
         results = [_decompose_task(t) for t in tasks]
-    for (x, n, _), (_, paths) in zip(tasks, results):
+    for (x, n, _), paths in zip(tasks, results):
         points_checked += 1
-        if paths is None:
+        if isinstance(paths, CapExceededError):
+            undecided.append({"x": list(x), "n": n})
+        elif paths is None:
             failures.append({"x": list(x), "n": n})
         elif keep_witnesses:
             witnesses[x] = paths
@@ -147,7 +145,8 @@ def check_normality(
         "n_max": n_max,
         "points_checked": points_checked,
         "failures": failures,
-        "ok": not failures,
+        "undecided": undecided,
+        "ok": not failures and not undecided,
     }
     if keep_witnesses:
         report["witnesses"] = witnesses

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 
 from thmc.design import get_design
-from thmc.exactla import primitive
+from thmc.exactla import in_cone, primitive
 from thmc.facets import (
     LOOP_RAYS,
     certify_all,
@@ -277,7 +277,7 @@ def test_criterion_11_s4_probe():
     # independent reverification of the witness
     A = get_design(4, 8)
     x = tuple(w["x"])
-    verified &= A.lattice_membership(x) and A.cone_membership(x)
+    verified &= A.lattice_membership(x) and in_cone(A.distinct_columns(), x) is not None
     verified &= decompose_into_paths(x, w["n"], 8) is None
     report(
         11,

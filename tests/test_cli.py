@@ -126,6 +126,40 @@ class TestWalkAndFit:
         assert doc["statistic"] == "g2" and doc["observed_exact"] is None
 
 
+class TestOptions:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("facets", "--threads", 2),
+            ("lemmas", "--word-cap", 10),
+            ("hull", "-T", 5, "--multiset-cap", 10),
+            ("normality", "-T", 4, "--word-cap", 10),
+            ("markov", "-T", 3, "--threads", 2),
+        ],
+    )
+    def test_unread_option_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([str(a) for a in argv])
+        assert exc.value.code == 2
+
+    def test_normality_undecided(self, tmp_path, monkeypatch, capsys):
+        import thmc.normality
+        from thmc.words import CapExceededError
+
+        def decompose(x, n, T):
+            raise CapExceededError("decomposition search exceeded 0 nodes")
+
+        monkeypatch.setattr(thmc.normality, "decompose_into_paths", decompose)
+        rc, _ = run(tmp_path, "normality", "-T", 3, "--n-max", 1, "--out-dir", tmp_path)
+        assert rc == 1
+        rep = json.loads((tmp_path / "normality-T3.json").read_text())
+        assert rep["failures"] == [] and not rep["ok"]
+        assert len(rep["undecided"]) == rep["points_checked"] > 0
+        assert capsys.readouterr().out.strip().endswith(
+            f"0 failures, {rep['points_checked']} undecided UNDECIDED"
+        )
+
+
 class TestEnv:
     def test_threads_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("THMC_THREADS", "2")

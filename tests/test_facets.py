@@ -11,7 +11,6 @@ from thmc.facets import (
     extend_vertex_along_ray,
     homogeneous_facet_vectors,
     hull_facets_homogeneous,
-    inhomogenize,
     permute_vector,
     point_orbit,
     q_polyhedron,
@@ -51,30 +50,64 @@ class TestFamilies:
             assert "coordinate" in fams and "imbalance" in fams
 
 
+def closed_form(family: str, T: int) -> tuple[int, ...]:
+    """The paper's homogeneous facet normals, written out per family."""
+    if family == "coordinate":
+        return (1, 0, 0, 0, 0, 0)
+    if family == "imbalance":
+        return (T, T, -(T - 2), 1, -(T - 2), 1)
+    if family == "odd":
+        return (1, 1, -1, -1, 1, 1)
+    if family == "even":
+        k = T // 2
+        return (3 * k - 1, k, -k + 1, -k + 1, -k + 1, k)
+    if family == "mod3-1":
+        return (2, -1, -1, -1, 2, 2)
+    if family == "mod3-2":
+        k = (T - 2) // 3
+        return (2 * k + 1, -k, -k, -k, 2 * k + 1, 2 * k + 1)
+    if family == "mod6-3":
+        k = (T - 3) // 6
+        return (5 * k + 2, 2 * k + 1, -4 * k - 1, -k, -k, 2 * k + 1)
+    assert family == "mod6-0"
+    k = T // 6
+    return (10 * k - 1, 4 * k, -8 * k + 2, -2 * k + 1, -2 * k + 1, 4 * k)
+
+
 class TestInhomogenize:
+    """The homogeneous normals are derived from the affine table; the paper's
+    closed forms are the reference they must reproduce."""
+
     def test_imbalance_row(self):
         for T in (5, 6, 9, 12):
             form = next(
                 f for f in homogeneous_facet_vectors(T) if f.family == "imbalance"
             )
-            assert inhomogenize(form, T) == ((1, 1, -1, 0, -1, 0), -1)
+            assert (form.ctilde, form.a) == ((1, 1, -1, 0, -1, 0), -1)
+            assert form.c == closed_form("imbalance", T)
 
     def test_coordinate_row(self):
         form = next(
             f for f in homogeneous_facet_vectors(6) if f.family == "coordinate"
         )
-        assert inhomogenize(form, 6) == ((1, 0, 0, 0, 0, 0), 0)
+        assert (form.ctilde, form.a) == ((1, 0, 0, 0, 0, 0), 0)
+        assert form.c == (1, 0, 0, 0, 0, 0)
 
     def test_even_row(self):
         form = next(f for f in homogeneous_facet_vectors(8) if f.family == "even")
-        assert inhomogenize(form, 8) == ((3, 1, -1, -1, -1, 1), -1)
+        assert (form.ctilde, form.a) == ((3, 1, -1, -1, -1, 1), -1)
+        assert form.c == closed_form("even", 8)
+
+    def test_derived_normals_match_closed_forms(self):
+        for T in range(5, 41):
+            forms = homogeneous_facet_vectors(T)
+            assert [f.c for f in forms] == [closed_form(f.family, T) for f in forms]
 
     def test_same_tight_columns(self):
         # homogeneous and affine shapes support the same face of the polytope
         for T in (5, 6, 7, 8, 9):
             A = get_design(3, T)
             for form in homogeneous_facet_vectors(T):
-                ctilde, a = inhomogenize(form, T)
                 hom_tight = {
                     col
                     for col in A.distinct_columns()
@@ -83,7 +116,7 @@ class TestInhomogenize:
                 aff_tight = {
                     col
                     for col in A.distinct_columns()
-                    if sum(c * e for c, e in zip(ctilde, col)) == a
+                    if sum(c * e for c, e in zip(form.ctilde, col)) == form.a
                 }
                 assert hom_tight == aff_tight
 

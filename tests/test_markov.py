@@ -210,6 +210,7 @@ class TestGroebnerProbe:
         rep = groebner_degree_probe(A, 3)
         assert rep["status"] == "closed"
         assert rep["max_basis_degree"] == 2
+        assert rep["minimal_basis_size"] == 6
         assert rep["order"].startswith("grevlex")
 
     def test_T4_closes_at_degree_3(self):
@@ -217,6 +218,7 @@ class TestGroebnerProbe:
         rep = groebner_degree_probe(A, 3)
         assert rep["status"] == "closed"
         assert rep["max_basis_degree"] <= 3
+        assert rep["minimal_basis_size"] == 101
 
 
 class TestMovesIO:

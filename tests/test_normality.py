@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from thmc.design import get_design
+from thmc.exactla import in_cone
 from thmc.normality import (
     SaturationPoint,
     _append_two_loop,
@@ -51,14 +52,15 @@ class TestSaturationPoints:
         # integer points of the cone on the sum-n(T-1) slice are exactly the
         # n-dilated polytope points; cross-check the inequality route against
         # LP membership in the V-form, both directions, on a drawn sample
-        from thmc.normality import _compositions, _cone_test, _hull_inequalities
+        from thmc.facets import model_hull
+        from thmc.normality import _compositions, _cone_test
         from thmc.polytope import convex_hull, membership, vertex_enumeration
 
         rng = random.Random(17)
         for T, n in ((5, 2), (5, 3), (6, 2), (7, 2), (8, 2)):
             A = get_design(3, T)
             V = vertex_enumeration(convex_hull(A.distinct_columns()))
-            hull = _hull_inequalities(3, T)
+            hull = model_hull(T).inequalities
             cands = [
                 x
                 for x in _compositions(n * (T - 1), 6)
@@ -67,7 +69,7 @@ class TestSaturationPoints:
             inside = outside = 0
             for x in cands:
                 scaled = tuple(Fraction(c, n) for c in x)
-                in_by_ineq = _cone_test(x, T, hull, n)
+                in_by_ineq = _cone_test(x, hull, n)
                 if in_by_ineq:
                     inside += 1
                 else:
@@ -92,6 +94,29 @@ class TestCheckNormality:
         for x, paths in rep["witnesses"].items():
             assert state_graph(Counter(paths), 3) == x
             assert all(len(w) == 4 for w in paths)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_cap_reports_undecided(self, threads, monkeypatch):
+        # a tripped node cap is neither a failure nor a traceback, on the
+        # serial path and in pool workers alike (they inherit the patch)
+        import thmc.normality
+
+        stuck = saturation_points(4, 2)[5].x
+        real = thmc.normality.decompose_into_paths
+
+        def decompose(x, n, T):
+            if tuple(x) == stuck:
+                raise CapExceededError("decomposition search exceeded 0 nodes")
+            return real(x, n, T)
+
+        monkeypatch.setattr(thmc.normality, "decompose_into_paths", decompose)
+        rep = check_normality(4, 2, threads=threads)
+        assert rep["undecided"] == [{"x": list(stuck), "n": 2}]
+        assert rep["failures"] == []
+        assert not rep["ok"]
+        assert rep["points_checked"] == len(saturation_points(4, 1)) + len(
+            saturation_points(4, 2)
+        )
 
 
 class TestWitnessByInduction:
@@ -177,7 +202,7 @@ class TestS4Probe:
         n = rep["witness"]["n"]
         A = get_design(4, 8)
         assert A.lattice_membership(x)
-        assert A.cone_membership(x)
+        assert in_cone(A.distinct_columns(), x) is not None
         assert decompose_into_paths(x, n, 8) is None
 
 
