@@ -118,6 +118,14 @@ def _read_data(run: Run, path: str, S=None):
     return multiset, lengths.pop()
 
 
+def _check_sizes(args, min_T: int = 2) -> None:
+    """InputError unless -T >= min_T and, where the command reads -S, S >= 2."""
+    if getattr(args, "S", 2) < 2:
+        raise InputError(f"-S {args.S}: need S >= 2")
+    if args.T < min_T:
+        raise InputError(f"-T {args.T}: need T >= {min_T}")
+
+
 def _threads(args) -> int:
     if args.threads is not None:
         return max(1, args.threads)
@@ -125,6 +133,7 @@ def _threads(args) -> int:
 
 
 def cmd_gen_matrix(args) -> int:
+    _check_sizes(args)
     run = Run("gen-matrix", args)
     A = get_design(args.S, args.T, cap=args.word_cap)
     stem = f"design-S{args.S}-T{args.T}"
@@ -158,6 +167,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_hull(args) -> int:
+    _check_sizes(args)
     run = Run("hull", args)
     A = get_design(3, args.T, cap=args.word_cap)
     H = convex_hull(A.distinct_columns())
@@ -176,6 +186,8 @@ def cmd_hull(args) -> int:
 
 
 def cmd_facets(args) -> int:
+    if args.action != "appendix":
+        _check_sizes(args, min_T=5)  # the 24-facet description starts at T=5
     run = Run("facets", args)
     ok = True
     if args.action == "certify":
@@ -226,6 +238,7 @@ def cmd_lemmas(args) -> int:
 
 
 def cmd_normality(args) -> int:
+    _check_sizes(args)
     run = Run("normality", args)
     rep = check_normality(
         args.T,
@@ -259,6 +272,7 @@ def cmd_normality(args) -> int:
 
 
 def cmd_markov(args) -> int:
+    _check_sizes(args)
     run = Run("markov", args)
     A = get_design(3, args.T, cap=args.word_cap)
     moves = enumerate_moves(

@@ -2,13 +2,12 @@
 
 Everything here is arbitrary precision: rationals are `fractions.Fraction`,
 matrices are plain lists of rows.  No floating point.  Every linear program
-(cone and convex-hull membership, loop-coefficient maxima) goes through
-`simplex_standard`, a fraction-free integer tableau simplex.
+is a feasibility question (cone and convex-hull membership) and goes through
+`simplex_standard`, phase 1 of a fraction-free integer tableau simplex.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
@@ -221,13 +220,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 # Exact simplex
 
 
-@dataclass
-class LPResult:
-    status: str  # 'optimal' | 'infeasible' | 'unbounded'
-    x: Optional[dict[int, Fraction]] = None
-    value: Optional[Fraction] = None
-
-
 def _integer_row(row: Sequence[int | Fraction]) -> list[int]:
     """row scaled by the lcm of its denominators."""
     den = lcm(*(e.denominator for e in row))
@@ -235,20 +227,19 @@ def _integer_row(row: Sequence[int | Fraction]) -> list[int]:
 
 
 def simplex_standard(
-    columns: Sequence[Sequence[int | Fraction]],
-    b: Vec,
-    costs: Optional[Vec] = None,
-    maximize: bool = False,
-) -> LPResult:
-    """min/max costs.x subject to sum_j x_j columns[j] = b, x >= 0 (exact).
+    columns: Sequence[Sequence[int | Fraction]], b: Vec
+) -> Optional[dict[int, Fraction]]:
+    """Witness {j: x_j > 0} of sum_j x_j columns[j] = b, x >= 0, else None (exact).
 
-    Two-phase tableau simplex with fraction-free integer pivoting (Bareiss):
-    every entry is held as D times its rational value, D the last pivot, so a
-    pivot sets each other row to (a*p - f*b) // D, which divides exactly.
-    Bland's rule throughout: the lowest-index improving column enters, and
-    among tied rows the lowest basic variable leaves.  Phase 1 keeps one
-    implicit artificial per row, numbered -k..-1 so that they leave first;
-    without costs the phase-1 basis is the witness.
+    Phase 1 of a tableau simplex with fraction-free integer pivoting
+    (Bareiss): every entry is held as D times its rational value, D the last
+    pivot, so a pivot sets each other row to (a*p - f*b) // D, which divides
+    exactly.  Each row has one implicit artificial, numbered -k..-1 so that
+    they leave first; Bland's rule minimises their sum (the lowest-index
+    improving column enters, and among tied rows the lowest basic variable
+    leaves).  The system is feasible exactly when that sum reaches zero, and
+    the real basic variables are then the witness.  Pivots are positive, so
+    D stays positive, and the sum is bounded below, so a ratio row exists.
     """
     m = len(columns)
     rows = []
@@ -257,11 +248,15 @@ def simplex_standard(
         rows.append(_integer_row([sign * col[i] for col in columns] + [sign * bi]))
     basis = list(range(-len(rows), 0))
     D = 1
-    # reduced-cost row (times D), last entry minus the objective value
+    # reduced-cost row of the artificial sum (times D), last entry minus its value
     obj = [-sum(row[j] for row in rows) for j in range(m + 1)]
-
-    def pivot(r: int, c: int) -> None:
-        nonlocal D, obj
+    while True:
+        c = next((j for j in range(m) if obj[j] < 0), None)
+        if c is None:
+            break
+        r = min(
+            (Fraction(row[m], row[c]), basis[i], i) for i, row in enumerate(rows) if row[c] > 0
+        )[2]
         prow, p = rows[r], rows[r][c]
         for i, row in enumerate(rows):
             if i != r:
@@ -271,54 +266,14 @@ def simplex_standard(
         obj = [(a * p - f * e) // D for a, e in zip(obj, prow)]
         basis[r] = c
         D = p
-
-    def optimise() -> bool:
-        """Pivot to optimality; False when the objective is unbounded."""
-        while True:
-            c = next((j for j in range(m) if obj[j] * D < 0), None)
-            if c is None:
-                return True
-            ties = [
-                (Fraction(row[m], row[c]), basis[i], i)
-                for i, row in enumerate(rows)
-                if row[c] * D > 0
-            ]
-            if not ties:
-                return False
-            pivot(min(ties)[2], c)
-
-    def witness() -> dict[int, Fraction]:
-        return {v: Fraction(row[m], D) for v, row in zip(basis, rows) if v >= 0 and row[m]}
-
-    optimise()
     if obj[m]:
-        return LPResult("infeasible")
-    if costs is None:
-        return LPResult("optimal", witness(), Fraction(0))
-    # drive each zero-level artificial out with one degenerate pivot; a row
-    # with no nonzero real entry is a redundant equation and is dropped
-    for r in reversed(range(len(rows))):
-        if basis[r] < 0:
-            c = next((j for j in range(m) if rows[r][j]), None)
-            if c is None:
-                del rows[r], basis[r]
-            else:
-                pivot(r, c)
-    # phase 2 minimises integer-scaled costs, negated to maximise
-    scaled = _integer_row([-e for e in costs] if maximize else costs)
-    obj = [D * e for e in scaled] + [0]
-    for v, row in zip(basis, rows):
-        if scaled[v]:
-            obj = [a - scaled[v] * e for a, e in zip(obj, row)]
-    if not optimise():
-        return LPResult("unbounded")
-    x = witness()
-    return LPResult("optimal", x, sum((costs[v] * e for v, e in x.items()), Fraction(0)))
+        return None
+    return {v: Fraction(row[m], D) for v, row in zip(basis, rows) if v >= 0 and row[m]}
 
 
 def in_cone(columns: Sequence[Sequence[int]], x: Vec) -> Optional[dict[int, Fraction]]:
     """Witness of x in cone(columns) (nonnegative combination), else None."""
-    return simplex_standard(columns, x).x
+    return simplex_standard(columns, x)
 
 
 def in_convex_hull(

@@ -16,8 +16,8 @@ from math import comb
 from typing import Iterator, Optional, Sequence
 
 from .design import DesignMatrix, get_design
-from .exactla import in_cone, simplex_standard
-from .facets import LOOP_RAYS, model_hull, q_vertices
+from .exactla import in_cone
+from .facets import LOOP_RAYS, model_hull, q_polyhedron
 from .words import (
     CapExceededError,
     Word,
@@ -50,12 +50,14 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + tail
 
 
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(a * b for a, b in zip(u, v))
+
+
 def _cone_test(x: Sequence[int], hull_ineqs, n: int) -> bool:
     # cone(A) cut at coordinate sum n(T-1) is the n-th dilation of the
     # polytope, so scale the hull inequalities by n
-    return all(
-        sum(c * e for c, e in zip(normal, x)) >= n * rhs for normal, rhs in hull_ineqs
-    )
+    return all(_dot(normal, x) >= n * rhs for normal, rhs in hull_ineqs)
 
 
 def saturation_points(
@@ -161,27 +163,29 @@ _LOOP_ORDER = ("121", "131", "232", "1231", "1321")
 _TWO_LOOPS = {"121": (1, 2), "131": (1, 3), "232": (2, 3)}
 _THREE_LOOPS = {"1231": (1, 2, 3), "1321": (1, 3, 2)}
 
-DEFAULT_BASE_T = 12
+# at or below this length the direct search splits a point without peeling
+BASE_T = 12
 
 
 def _max_loop_coefficient(x: Sequence[int], n: int, r: int, loop: str) -> Fraction:
-    """Exact LP: maximize the chosen loop coefficient over decompositions
-    x = n*(convex combination of residue-polytope vertices) + sum alpha_i e_i."""
-    verts = q_vertices(r).vertices
-    loops = [LOOP_RAYS[name] for name in _LOOP_ORDER]
-    cols = []
-    for v in verts:
-        cols.append(tuple(n * Fraction(c) for c in v) + (Fraction(1),))
-    for e in loops:
-        cols.append(tuple(Fraction(c) for c in e) + (Fraction(0),))
-    target = tuple(Fraction(c) for c in x) + (Fraction(1),)
-    costs = [0] * len(verts) + [
-        1 if name == loop else 0 for name in _LOOP_ORDER
-    ]
-    res = simplex_standard(cols, target, costs=costs, maximize=True)
-    if res.status != "optimal":
+    """Largest coefficient of the chosen loop over decompositions
+    x = n*(point of conv of the residue-polytope vertices) + sum alpha_i e_i.
+
+    The recession cone of Q^r is the cone of the five loops, so Q^r is that
+    vertex hull plus the cone (Minkowski-Weyl), and x - alpha*e stays in n*Q^r
+    exactly while alpha is at most every ratio (c.x - n*a) / c.e over the
+    facets c.y >= a of Q^r with c.e > 0.
+    """
+    ineqs = q_polyhedron(r).inequalities
+    if not _cone_test(x, ineqs, n):
         raise ValueError("point is outside the dilated residue polyhedron")
-    return res.value
+    e = LOOP_RAYS[loop]
+    ratios = []
+    for c, a in ineqs:
+        rate = _dot(c, e)
+        if rate > 0:
+            ratios.append(Fraction(_dot(c, x) - n * a, rate))
+    return min(ratios)
 
 
 def _append_two_loop(w: Word, i: int, j: int) -> Word:
@@ -205,25 +209,22 @@ def _append_two_loop(w: Word, i: int, j: int) -> Word:
 
 
 def _append_three_loop(w: Word, cycle: tuple[int, int, int]) -> Word:
-    pos = cycle.index(w[-1]) if w[-1] in cycle else None
-    assert pos is not None  # cycle covers all three states
     block = []
-    cur = pos
+    cur = cycle.index(w[-1])
     for _ in range(6):
         cur = (cur + 1) % 3
         block.append(cycle[cur])
     return Word(list(w) + block)
 
 
-def witness_by_induction(
-    x: Sequence[int], T: int, base_T: int = DEFAULT_BASE_T
-) -> list[Word]:
+def witness_by_induction(x: Sequence[int], T: int) -> list[Word]:
     """Split x into words of length T by loop peeling plus direct search.
 
-    While T exceeds the direct-search bound, find a loop whose coefficient in
-    some Minkowski decomposition is large (two-loops need > 3n, three-loops
-    > 2n), strip 3n (resp. 2n) copies, recurse at T-6, and glue six-step loop
-    blocks back onto each witness word.
+    While T exceeds BASE_T, find a loop whose largest coefficient in a
+    Minkowski decomposition, read off the facets of the residue polyhedron,
+    is large (two-loops need > 3n, three-loops > 2n), strip 3n (resp. 2n)
+    copies, recurse at T-6, and glue six-step loop blocks back onto each
+    witness word.
     """
     x = tuple(int(c) for c in x)
     total = sum(x)
@@ -232,19 +233,13 @@ def witness_by_induction(
     n = total // (T - 1)
     if n == 0:
         return []
-    if T <= base_T:
-        paths = decompose_into_paths(x, n, T)
-        if paths is None:
-            raise ValueError(f"decomposition not found for {x} at T={T}")
-        return paths
-    r = T % 6
     chosen = None
-    for name in _LOOP_ORDER:
-        threshold = 3 * n if name in _TWO_LOOPS else 2 * n
-        alpha = _max_loop_coefficient(x, n, r, name)
-        if alpha > threshold:
-            chosen = (name, threshold)
-            break
+    if T > BASE_T:
+        for name in _LOOP_ORDER:
+            threshold = 3 * n if name in _TWO_LOOPS else 2 * n
+            if _max_loop_coefficient(x, n, T % 6, name) > threshold:
+                chosen = (name, threshold)
+                break
     if chosen is None:
         paths = decompose_into_paths(x, n, T)
         if paths is None:
@@ -255,7 +250,7 @@ def witness_by_induction(
     reduced = tuple(c - copies * f for c, f in zip(x, e))
     if any(c < 0 for c in reduced):
         raise ValueError("loop peeling produced a negative count")
-    sub = witness_by_induction(reduced, T - 6, base_T=base_T)
+    sub = witness_by_induction(reduced, T - 6)
     if name in _TWO_LOOPS:
         i, j = _TWO_LOOPS[name]
         out = [_append_two_loop(w, i, j) for w in sub]

@@ -211,6 +211,29 @@ class TestInputErrors:
         assert rc == 2
         assert not (tmp_path / "new").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gen-matrix", "-T", 1),
+            ("gen-matrix", "-S", 1, "-T", 3),
+            ("normality", "-T", 1),
+            ("markov", "-T", 1),
+            ("hull", "-T", 1),
+            ("facets", "-T", 3, "--action", "certify"),
+            ("facets", "-T", 4, "--action", "verify24"),
+        ],
+    )
+    def test_sizes_out_of_range(self, tmp_path, capsys, argv):
+        rc, _ = run(tmp_path, *argv, "--out-dir", tmp_path / "new")
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "new").exists()
+
+    def test_smallest_hull(self, tmp_path):
+        rc, _ = run(tmp_path, "hull", "-T", 2, "--out-dir", tmp_path)
+        assert rc == 0 and (tmp_path / "hull-T2.json").exists()
+
     @pytest.mark.parametrize("text", ["12a21\n", "121\n1212\n", ""])
     def test_stats(self, tmp_path, capsys, text):
         data = tmp_path / "data.words"

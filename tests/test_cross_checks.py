@@ -146,20 +146,19 @@ class TestSimplexAgainstHighs:
             cols = [tuple(rng.randint(0, 4) for _ in range(k)) for _ in range(6)]
             lam = [rng.randint(0, 2) for _ in cols]
             x = tuple(sum(c[i] * l for c, l in zip(cols, lam)) for i in range(k))
-            res = simplex_standard(cols, x)
-            assert res.status == "optimal"
-            recon = [
-                sum(cols[j][i] * v for j, v in res.x.items()) for i in range(k)
-            ]
+            w = simplex_standard(cols, x)
+            assert w is not None
+            recon = [sum(cols[j][i] * v for j, v in w.items()) for i in range(k)]
             assert recon == list(x)
-            assert all(v >= 0 for v in res.x.values())
+            assert all(v >= 0 for v in w.values())
 
     def test_optimum_agreement(self):
-        # phase 2 as the loop-coefficient LPs use it: rational data, min and
-        # max, and one equation repeated as a scaled copy
+        # feasibility on rational data with negative targets and one
+        # equation repeated as a scaled copy: HiGHS status 0 (optimal) must
+        # mean a witness that rebuilds x exactly, status 2 (infeasible) None
         rng = random.Random(17)
-        seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
-        for trial in range(120):
+        seen = {"feasible": 0, "infeasible": 0}
+        for _ in range(120):
             k = rng.randint(2, 4)
             m = rng.randint(3, 7)
             cols = [
@@ -174,23 +173,20 @@ class TestSimplexAgainstHighs:
             row, f = rng.randrange(k), Fraction(rng.choice([-3, 1, 2]), rng.randint(1, 3))
             cols = [c + [f * c[row]] for c in cols]
             x = x + [f * x[row]]
-            costs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(m)]
-            maximize = trial % 2 == 1
-            exact = simplex_standard(cols, x, costs=costs, maximize=maximize)
-            sign = -1.0 if maximize else 1.0
+            exact = simplex_standard(cols, x)
             res = linprog(
-                c=[sign * float(c) for c in costs],
+                c=[0.0] * m,
                 A_eq=np.array([[float(c[i]) for c in cols] for i in range(k + 1)]),
                 b_eq=np.array([float(e) for e in x]),
                 bounds=[(0, None)] * m,
                 method="highs",
             )
-            if res.status not in (0, 2, 3):
+            if res.status not in (0, 2):
                 continue
-            expected = {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status]
-            assert exact.status == expected, (cols, x, costs, maximize)
+            expected = "feasible" if res.status == 0 else "infeasible"
+            assert (exact is not None) == (expected == "feasible"), (cols, x)
             seen[expected] += 1
-            if expected == "optimal":
-                assert abs(float(exact.value) - sign * res.fun) <= 1e-9, (
-                    cols, x, costs, maximize, exact.value, res.fun)
-        assert min(seen.values()) > 0 and seen["optimal"] > 30, seen
+            if exact is not None:
+                recon = [sum(cols[j][i] * v for j, v in exact.items()) for i in range(k + 1)]
+                assert recon == x and all(v > 0 for v in exact.values()), (cols, x, exact)
+        assert min(seen.values()) > 0 and seen["feasible"] > 30, seen

@@ -10,7 +10,6 @@ from thmc.exactla import (
     nullspace,
     nullspace_int,
     primitive,
-    simplex_standard,
 )
 
 
@@ -120,18 +119,6 @@ class TestSimplex:
         assert in_convex_hull(cols, (Fraction(1, 3), Fraction(1, 3))) is not None
         assert in_convex_hull(cols, (1, 1)) is None
         assert in_convex_hull(cols, (0, 0)) is not None
-
-    def test_optimize(self):
-        # max x1 + x2 over the triangle conv{(0,0),(2,0),(0,2)} written in
-        # standard form via convex multipliers
-        cols = [(0, 0, 1), (2, 0, 1), (0, 2, 1), (1, 0, 0), (0, 1, 0)]
-        # last two columns are slack-like rays; maximize 4*l2 picked freely
-        res = simplex_standard(
-            [(0, 1), (1, 1), (2, 1)], (Fraction(3, 2), 1), costs=(0, 0, 1), maximize=True
-        )
-        assert res.status == "optimal"
-        # x with x0*0 + x1*1 + x2*2 = 3/2, x0+x1+x2 = 1: max x2 = 3/4
-        assert res.value == Fraction(3, 4)
 
     def test_np_fast_path_matches(self):
         # many columns, combinations with large weights and shifted targets

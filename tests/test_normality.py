@@ -6,9 +6,11 @@ import pytest
 
 from thmc.design import get_design
 from thmc.exactla import in_cone
+from thmc.facets import LOOP_RAYS, q_polyhedron, q_vertices
 from thmc.normality import (
     SaturationPoint,
     _append_two_loop,
+    _max_loop_coefficient,
     check_normality,
     s4_nonnormality_probe,
     saturation_points,
@@ -183,6 +185,65 @@ class TestWitnessByInduction:
             direct = decompose_into_paths(x, 2, 13)
             assert out is not None and direct is not None
             assert state_graph(out, 3) == x
+
+
+class TestMaxLoopCoefficient:
+    """The loop coefficient read off the 24 facets of Q^r, against an LP over
+    the vertices of Q^r and the loop rays, and against its own certificate."""
+
+    @staticmethod
+    def points(count=60):
+        rng = random.Random(29)
+        for _ in range(count):
+            T, n = rng.randint(13, 40), rng.randint(1, 5)
+            x = [0] * 6
+            for _ in range(n):
+                w = [rng.randint(1, 3)]
+                while len(w) < T:
+                    w.append(rng.choice([s for s in (1, 2, 3) if s != w[-1]]))
+                x = [a + b for a, b in zip(x, transition_counts(Word(w), 3))]
+            yield tuple(x), n, T % 6
+
+    def test_agrees_with_highs(self):
+        import numpy as np
+        from scipy.optimize import linprog
+
+        for x, n, r in self.points():
+            verts = q_vertices(r).vertices
+            cols = [[float(n * c) for c in v] + [1.0] for v in verts]
+            cols += [list(map(float, e)) + [0.0] for e in LOOP_RAYS.values()]
+            for k, loop in enumerate(LOOP_RAYS):
+                cost = [0.0] * len(cols)
+                cost[len(verts) + k] = -1.0
+                res = linprog(
+                    c=cost,
+                    A_eq=np.array(cols).T,
+                    b_eq=np.array(list(map(float, x)) + [1.0]),
+                    bounds=[(0, None)] * len(cols),
+                    method="highs",
+                )
+                assert res.status == 0, (x, n, r, loop)
+                alpha = _max_loop_coefficient(x, n, r, loop)
+                assert abs(float(alpha) + res.fun) <= 1e-9, (x, n, r, loop, alpha, res.fun)
+
+    def test_exact_certificate(self):
+        # x - alpha*e stays in n*Q^r, and a facet the loop leaves through is tight
+        dot = lambda c, v: sum(p * q for p, q in zip(c, v))
+        for x, n, r in self.points():
+            ineqs = q_polyhedron(r).inequalities
+            for loop, e in LOOP_RAYS.items():
+                alpha = _max_loop_coefficient(x, n, r, loop)
+                y = [a - alpha * b for a, b in zip(x, e)]
+                assert all(dot(c, y) >= n * a for c, a in ineqs)
+                assert any(dot(c, e) > 0 and dot(c, y) == n * a for c, a in ineqs)
+
+    # the second point breaks only facets with c.e = 0 for the loop 232
+    @pytest.mark.parametrize(
+        "x, loop", [((12, 0, 0, 0, 0, 0), "121"), ((-1, 3, 3, 2, 2, 3), "232")]
+    )
+    def test_outside_raises(self, x, loop):
+        with pytest.raises(ValueError, match="outside the dilated residue polyhedron"):
+            _max_loop_coefficient(x, 1, 13 % 6, loop)
 
 
 class TestS4Probe:
