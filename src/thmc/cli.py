@@ -41,11 +41,14 @@ from .markov import (
 from .mcmc import STATISTICS, WalkConfig, as_table, exact_test, walk
 from .normality import check_normality, s4_nonnormality_probe
 from .polytope import convex_hull, vertex_enumeration
-from .words import DEFAULT_WORD_CAP, read_words
+from .words import DEFAULT_WORD_CAP, CapExceededError, read_words
 
 
 class InputError(Exception):
-    """Unreadable or malformed command input: `main` prints it and exits 2."""
+    """Unreadable or malformed command input: `main` prints it and exits 2.
+
+    A CapExceededError (a size past --word-cap, --multiset-cap or the
+    saturation-point cap) takes the same way out."""
 
 
 def _digest(path: Path) -> str:
@@ -63,6 +66,7 @@ class Run:
         }
         self.inputs = {}
         self.outputs: list[str] = []
+        self.counters: dict[str, int] = {}
         self.t0 = time.time()
 
     def read_input(self, path: str) -> str:
@@ -92,6 +96,7 @@ class Run:
             "parameters": self.params,
             "input_digests": self.inputs,
             "wall_clock_s": round(time.time() - self.t0, 3),
+            "counters": self.counters,
             "outputs": self.outputs,
             "ok": ok,
         }
@@ -119,11 +124,16 @@ def _read_data(run: Run, path: str, S=None):
 
 
 def _check_sizes(args, min_T: int = 2) -> None:
-    """InputError unless -T >= min_T and, where the command reads -S, S >= 2."""
+    """InputError unless -T >= min_T and, where the command reads them,
+    S >= 2, --n-max >= 1 and --max-degree >= 1."""
     if getattr(args, "S", 2) < 2:
         raise InputError(f"-S {args.S}: need S >= 2")
     if args.T < min_T:
         raise InputError(f"-T {args.T}: need T >= {min_T}")
+    for flag in ("n_max", "max_degree"):
+        value = getattr(args, flag, 1)
+        if value < 1:
+            raise InputError(f"--{flag.replace('_', '-')} {value}: need at least 1")
 
 
 def _threads(args) -> int:
@@ -256,10 +266,12 @@ def cmd_normality(args) -> int:
         path = run.write(f"normality-witnesses-T{args.T}.words", "\n".join(lines) + "\n")
         rep["witnesses_file"] = str(path)
     run.write_json(f"normality-T{args.T}.json", rep)
+    run.counters.update(saturation_points=rep["points_checked"], orbits=rep["orbits"])
     verdict = "PASS" if rep["ok"] else "UNDECIDED" if not rep["failures"] else "FAIL"
     print(
-        f"T={args.T} n<={args.n_max}: {rep['points_checked']} saturation points, "
-        f"{len(rep['failures'])} failures, {len(rep['undecided'])} undecided {verdict}"
+        f"T={args.T} n<={args.n_max}: {rep['points_checked']} saturation points "
+        f"in {rep['orbits']} orbits, {len(rep['failures'])} failures, "
+        f"{len(rep['undecided'])} undecided {verdict}"
     )
     if args.probe_s4:
         probe = s4_nonnormality_probe(8)
@@ -483,7 +495,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

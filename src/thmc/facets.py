@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 from typing import Optional, Sequence
 
 import numpy as np
@@ -42,8 +41,7 @@ from .words import (
     enumerate_words,
     eulerian_path,
     pair_index,
-    pair_list,
-    transpose_counts,
+    symmetry_group,
 )
 
 # the five loops without self-intersection: 121, 131, 232, 1231, 1321
@@ -151,36 +149,17 @@ def affine_facet_rows(r: int) -> list[FacetForm]:
 # ---------------------------------------------------------------------------
 # Symmetry action
 
-_PERMS = list(permutations((1, 2, 3)))
-
-
-def permute_vector(v: Sequence, sigma: Sequence[int]) -> tuple:
-    """Entry at slot (i,j) becomes the entry at slot (sigma_i, sigma_j)."""
-    idx = pair_index(3)
-    out = [None] * 6
-    for (i, j), k in idx.items():
-        out[k] = v[idx[(sigma[i - 1], sigma[j - 1])]]
-    return tuple(out)
-
-
-def reverse_vector(v: Sequence) -> tuple:
-    return tuple(transpose_counts(v))
-
 
 def symmetry_orbit(
     c: Sequence[int], include_reversal: bool = True
 ) -> set[tuple[int, ...]]:
     """Orbit of a 6-vector under label permutations (and optionally reversal),
     deduplicated after primitive positive scaling."""
-    seeds = [tuple(c)]
-    if include_reversal:
-        seeds.append(reverse_vector(c))
-    return {primitive(permute_vector(s, sigma)) for s in seeds for sigma in _PERMS}
-
-
-def point_orbit(v: Sequence[Fraction]) -> set[tuple[Fraction, ...]]:
-    """Orbit of a point under the six label permutations (no rescaling)."""
-    return {tuple(permute_vector(v, sigma)) for sigma in _PERMS}
+    return {
+        primitive(g.vector(c))
+        for g in symmetry_group(3)
+        if include_reversal or not g.reverse
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +324,8 @@ def published_vertex_orbit(r: int, perm=_STATED_TO_CANONICAL) -> set:
     """Published generator list for Q^r, expanded under the six relabelings."""
     expected: set[tuple[Fraction, ...]] = set()
     for gen in KNOWN_Q_VERTEX_GENERATORS[r]:
-        expected |= point_orbit(_reorder(gen, perm))
+        v = _reorder(gen, perm)
+        expected |= {g.vector(v) for g in symmetry_group(3) if not g.reverse}
     return expected
 
 

@@ -2,30 +2,39 @@
 
 A saturation point at degree n is a nonnegative integer vector with
 coordinate sum n(T-1) lying in both the lattice and the cone of the design
-matrix columns.  The semigroup is normal when every such point splits into n
-words; the splitting oracle is exhaustive backtracking, and for long chains
-a loop-peeling induction reduces T by 6 per step before the direct search
-takes over.
+matrix columns.  They are enumerated in int64 blocks of compositions: one
+matrix product against the model polytope's facets keeps the rows inside
+its n-th dilation, and only those pay the exact lattice test.  The semigroup
+is normal when every such point splits into n words; the splitting oracle is
+exhaustive backtracking, run once per orbit of the state relabellings and
+word reversal, with every mapped witness re-checked in exact integers.  For
+long chains a loop-peeling induction reduces T by 6 per step before the
+direct search takes over.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, combinations, islice
 from math import comb
 from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from .design import DesignMatrix, get_design
 from .exactla import in_cone
 from .facets import LOOP_RAYS, model_hull, q_polyhedron
 from .words import (
     CapExceededError,
+    Symmetry,
     Word,
     _support_components,
     decompose_into_paths,
     degree_imbalances,
     pair_index,
     state_graph,
+    symmetry_group,
     transition_counts,
 )
 
@@ -60,6 +69,34 @@ def _cone_test(x: Sequence[int], hull_ineqs, n: int) -> bool:
     return all(_dot(normal, x) >= n * rhs for normal, rhs in hull_ineqs)
 
 
+# rows per int64 block of candidate compositions
+_BLOCK = 4096
+
+
+def _composition_blocks(total: int, parts: int) -> Iterator[np.ndarray]:
+    """The rows of _compositions(total, parts), in the same lexicographic
+    order, as int64 arrays of at most _BLOCK rows.
+
+    Stars and bars: the sorted bar positions c_1 < ... < c_{parts-1} among
+    total + parts - 1 slots give the parts as the gaps between bars, and
+    combinations() lists them in the order that makes the parts ascend
+    lexicographically.
+    """
+    bars = combinations(range(total + parts - 1), parts - 1)
+    while True:
+        flat = np.fromiter(
+            chain.from_iterable(islice(bars, _BLOCK)), dtype=np.int64
+        )
+        if not flat.size:
+            return
+        c = flat.reshape(-1, parts - 1)
+        rows = len(c)
+        c = np.hstack(
+            (np.full((rows, 1), -1), c, np.full((rows, 1), total + parts - 1))
+        )
+        yield np.diff(c, axis=1) - 1
+
+
 def saturation_points(
     T: int,
     n: int,
@@ -67,7 +104,12 @@ def saturation_points(
     cap: int = DEFAULT_POINT_CAP,
     design: Optional[DesignMatrix] = None,
 ) -> list[SaturationPoint]:
-    """All lattice-and-cone members with coordinate sum n(T-1), sorted."""
+    """All lattice-and-cone members with coordinate sum n(T-1), sorted.
+
+    The candidates are all compositions of n(T-1), taken block by block; one
+    int64 matrix product per block keeps the rows inside the n-th dilation
+    of the model polytope, and only those pay the exact lattice test.
+    """
     if n < 1:
         raise ValueError("degree must be >= 1")
     A = design if design is not None else get_design(S, T)
@@ -79,14 +121,19 @@ def saturation_points(
             f"{space} candidate vectors for sum {total} in {dim} parts exceeds cap {cap}"
         )
     hull = model_hull(T, S).inequalities
+    normals = np.array([normal for normal, _ in hull], dtype=np.int64).reshape(-1, dim)
+    bounds = n * np.array([rhs for _, rhs in hull], dtype=np.int64)
+    largest = max((abs(e) for normal, rhs in hull for e in (*normal, rhs)), default=0)
+    # |normal.x| <= largest * total and |n * rhs| <= largest * total, so
+    # every int64 entry below is exact
+    assert largest * total * dim < 2**62, "facet products overflow int64"
     lattice = A.lattice
     out = []
-    for x in _compositions(total, dim):
-        if list(x) not in lattice:
-            continue
-        if not _cone_test(x, hull, n):
-            continue
-        out.append(SaturationPoint(x=x, n=n))
+    for X in _composition_blocks(total, dim):
+        inside = (X @ normals.T >= bounds).all(axis=1)
+        for x in X[inside].tolist():
+            if x in lattice:
+                out.append(SaturationPoint(x=tuple(x), n=n))
     return out
 
 
@@ -97,6 +144,29 @@ def _decompose_task(args: tuple[tuple[int, ...], int, int]):
         return decompose_into_paths(*args)
     except CapExceededError as exc:
         return exc
+
+
+def _mapped_witness(
+    paths: Sequence[Word], g: Symmetry, x: tuple[int, ...], n: int, T: int, S: int
+) -> list[Word]:
+    """The image under g of the words splitting g's preimage of x, re-checked
+    in exact integers: n self-loop-free words of length T over 1..S whose
+    transition counts sum to x.  Anything else raises AssertionError."""
+    try:
+        words = [g.word(w) for w in paths]
+    except ValueError as exc:
+        raise AssertionError(
+            f"mapped witness for {list(x)} is not a word list: {exc}"
+        ) from None
+    if (
+        len(words) != n
+        or any(len(w) != T for w in words)
+        or state_graph(words, S) != x
+    ):
+        raise AssertionError(
+            f"mapped witness {[w.text for w in words]} does not split {list(x)}"
+        )
+    return words
 
 
 def check_normality(
@@ -110,42 +180,58 @@ def check_normality(
     """Verify every saturation point of degree <= n_max splits into words.
 
     This is desk-scale exhaustive verification; the report states the scanned
-    bounds so the claim is never wider than the computation.  A point whose
+    bounds so the claim is never wider than the computation.  Relabelling the
+    states and reversing words map saturation points to saturation points and
+    splittings to splittings, so the path search runs once per orbit of that
+    group, on the orbit's least member; every other member gets the mapped
+    words, re-checked against its own counts (a wrong map raises
+    AssertionError, never a pass).  The report keeps one entry per point, in
+    point order, and counts the searches under `orbits`.  A point whose orbit
     search trips the oracle's node cap is listed as undecided, not as a
-    failure, and keeps the report from being ok.  With threads>1
-    the independent decompositions run in a process pool; results are
-    aggregated in point order, so reports are identical for any thread count.
+    failure, and keeps the report from being ok.  With threads>1 the orbit
+    searches run in a process pool; results are aggregated in point order,
+    so reports are identical for any thread count.
     """
     A = get_design(S, T)
-    failures = []
-    undecided = []
-    points_checked = 0
-    witnesses = {}
+    group = symmetry_group(S)
+    # (x, n, orbit, g) with g carrying the orbit's representative to x
+    points: list[tuple[tuple[int, ...], int, int, Symmetry]] = []
     tasks: list[tuple[tuple[int, ...], int, int]] = []
     for n in range(1, n_max + 1):
-        tasks.extend(
-            (pt.x, n, T) for pt in saturation_points(T, n, S=S, cap=cap, design=A)
-        )
+        carried: dict[tuple[int, ...], tuple[int, Symmetry]] = {}
+        for pt in saturation_points(T, n, S=S, cap=cap, design=A):
+            if pt.x not in carried:
+                # points come sorted, so the first one met is its orbit's least
+                for g in group:
+                    carried.setdefault(g.vector(pt.x), (len(tasks), g))
+                tasks.append((pt.x, n, T))
+            points.append((pt.x, n, *carried[pt.x]))
     if threads > 1:
         from multiprocessing import Pool
 
         with Pool(threads) as pool:
-            results = pool.map(_decompose_task, tasks, chunksize=64)
+            results = pool.map(_decompose_task, tasks, chunksize=16)
     else:
         results = [_decompose_task(t) for t in tasks]
-    for (x, n, _), paths in zip(tasks, results):
-        points_checked += 1
+    failures = []
+    undecided = []
+    witnesses = {}
+    for x, n, orbit, g in points:
+        paths = results[orbit]
         if isinstance(paths, CapExceededError):
             undecided.append({"x": list(x), "n": n})
         elif paths is None:
             failures.append({"x": list(x), "n": n})
-        elif keep_witnesses:
-            witnesses[x] = paths
+        else:
+            words = _mapped_witness(paths, g, x, n, T, S)
+            if keep_witnesses:
+                witnesses[x] = words
     report = {
         "S": S,
         "T": T,
         "n_max": n_max,
-        "points_checked": points_checked,
+        "points_checked": len(points),
+        "orbits": len(tasks),
         "failures": failures,
         "undecided": undecided,
         "ok": not failures and not undecided,

@@ -9,13 +9,17 @@ step i->j occurs.  For S=3 the pair order is
 
 so count vectors are 6-tuples [x12, x13, x21, x23, x31, x32].  Count vectors
 double as edge multiplicities of a directed multigraph on the states (the
-state graph); words are trails in that graph.
+state graph); words are trails in that graph.  Relabelling the states and
+reversing a word act on words and, as permutations of the pair slots, on
+count vectors (`symmetry_group`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 from typing import Iterable, Optional, Sequence
 
 DEFAULT_WORD_CAP = 2**20
@@ -120,14 +124,47 @@ def transition_counts(w: Sequence[int], S: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def transpose_counts(x: Sequence[int]) -> tuple[int, ...]:
-    """Swap every x_ij with x_ji (count vector of the reversed word)."""
-    S = states_for_dim(len(x))
+@dataclass(frozen=True)
+class Symmetry:
+    """Relabel states by sigma, then optionally reverse the word.
+
+    Such a map sends words to words, and a step i->j to the step
+    sigma_i->sigma_j (or sigma_j->sigma_i after reversal), so on count
+    vectors it permutes the S(S-1) pair slots: image[m] = x[source[m]].
+    """
+
+    sigma: tuple[int, ...]  # sigma[i-1] is the new label of state i
+    reverse: bool
+    source: tuple[int, ...]
+    table: bytes  # bytes.translate table of the relabelling
+
+    def vector(self, x: Sequence) -> tuple:
+        """Image of a count vector (or of any vector over the pair slots)."""
+        return tuple(x[k] for k in self.source)
+
+    def word(self, w: bytes) -> "Word":
+        t = w.translate(self.table)
+        return Word(t[::-1] if self.reverse else t, S=len(self.sigma))
+
+
+@lru_cache(maxsize=None)
+def symmetry_group(S: int) -> tuple[Symmetry, ...]:
+    """The S! relabellings times reversal, identity first.
+
+    Every element preserves the design matrix's column set, so it preserves
+    the lattice, the cone, every fiber and word-decomposability.
+    """
     idx = pair_index(S)
-    out = [0] * len(x)
-    for (i, j), k in idx.items():
-        out[idx[(j, i)]] = x[k]
-    return tuple(out)
+    group = []
+    for sigma in permutations(range(1, S + 1)):
+        table = bytes([0, *sigma] + list(range(S + 1, 256)))
+        for reverse in (False, True):
+            source = [0] * len(idx)
+            for (i, j), k in idx.items():
+                a, b = sigma[i - 1], sigma[j - 1]
+                source[idx[(b, a) if reverse else (a, b)]] = k
+            group.append(Symmetry(sigma, reverse, tuple(source), table))
+    return tuple(group)
 
 
 def state_graph(multiset: Counter | Iterable[Word], S: int) -> tuple[int, ...]:

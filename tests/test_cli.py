@@ -160,6 +160,22 @@ class TestOptions:
         )
 
 
+    def test_normality_reports_orbits(self, tmp_path, capsys):
+        rc, _ = run(tmp_path, "normality", "-T", 5, "--n-max", 2, "--out-dir", tmp_path)
+        assert rc == 0
+        rep = json.loads((tmp_path / "normality-T5.json").read_text())
+        manifest = json.loads((tmp_path / "normality-manifest.json").read_text())
+        assert 0 < rep["orbits"] < rep["points_checked"]
+        assert manifest["counters"] == {
+            "saturation_points": rep["points_checked"],
+            "orbits": rep["orbits"],
+        }
+        assert (
+            f"{rep['points_checked']} saturation points in {rep['orbits']} orbits"
+            in capsys.readouterr().out
+        )
+
+
 class TestEnv:
     def test_threads_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("THMC_THREADS", "2")
@@ -228,6 +244,52 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gen-matrix", "-T", 30),
+            ("normality", "-T", 30),
+            ("markov", "-T", 4, "--multiset-cap", 5),
+        ],
+    )
+    def test_caps_exit_cleanly(self, tmp_path, capsys, argv):
+        rc, _ = run(tmp_path, *argv, "--out-dir", tmp_path / "new")
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "exceeds cap" in err
+        assert not (tmp_path / "new").exists()
+
+    def test_saturation_cap_exits_cleanly(self, tmp_path, capsys, monkeypatch):
+        import functools
+
+        import thmc.cli
+        from thmc.normality import check_normality
+
+        monkeypatch.setattr(
+            thmc.cli, "check_normality", functools.partial(check_normality, cap=10)
+        )
+        rc, _ = run(tmp_path, "normality", "-T", 4, "--out-dir", tmp_path / "new")
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("markov", "-T", 3, "--n-max", 0),
+            ("normality", "-T", 4, "--n-max", 0),
+            ("markov", "-T", 3, "--max-degree", 0),
+        ],
+    )
+    def test_degrees_out_of_range(self, tmp_path, capsys, argv):
+        rc, _ = run(tmp_path, *argv, "--out-dir", tmp_path / "new")
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
         assert not (tmp_path / "new").exists()
 
     def test_smallest_hull(self, tmp_path):

@@ -11,18 +11,15 @@ from thmc.facets import (
     extend_vertex_along_ray,
     homogeneous_facet_vectors,
     hull_facets_homogeneous,
-    permute_vector,
-    point_orbit,
     q_polyhedron,
     q_vertices,
-    reverse_vector,
     symmetry_orbit,
     verify_facet_completeness,
     verify_known_vertices,
     verify_window_inequalities,
 )
 from thmc.polytope import recession_rays
-from thmc.words import Word, transition_counts
+from thmc.words import Word, symmetry_group, transition_counts
 
 
 class TestFamilies:
@@ -136,13 +133,20 @@ class TestOrbits:
     def test_reversal_matches_word_reversal(self):
         w = Word.from_text("121321")
         x = transition_counts(w, 3)
-        assert reverse_vector(x) == transition_counts(w.reverse(), 3)
+        reversal = symmetry_group(3)[1]
+        assert reversal.vector(x) == transition_counts(w.reverse(), 3)
 
     def test_permutation_action_is_group_action(self):
         v = (1, 2, 3, 4, 5, 6)
-        images = point_orbit(v)
+        group = symmetry_group(3)
+        images = {g.vector(v) for g in group if not g.reverse}
         assert len(images) == 6
         assert v in images
+        # closed under composition: every g.h is again an element
+        actions = {g.source for g in group}
+        for g in group:
+            for h in group:
+                assert tuple(g.source[k] for k in h.source) in actions
 
 
 class TestCertification:
@@ -175,7 +179,7 @@ class TestCertification:
         from thmc.exactla import mat_rank
 
         c = (1, 1, -1, -1, 1, 1)
-        c_rev = reverse_vector(c)
+        c_rev = symmetry_group(3)[1].vector(c)
         for T in (5, 7, 9, 11, 13):
             k = (T - 1) // 2
             quoted = [

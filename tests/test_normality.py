@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -21,6 +22,7 @@ from thmc.words import (
     Word,
     decompose_into_paths,
     state_graph,
+    symmetry_group,
     transition_counts,
 )
 
@@ -49,6 +51,33 @@ class TestSaturationPoints:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             saturation_points(10, 3, cap=10)
+
+    @pytest.mark.parametrize(
+        "S,T,n",
+        [(3, T, n) for T in range(3, 9) for n in (1, 2, 3)]
+        + [(4, 3, 1), (4, 3, 2), (4, 4, 1)],
+    )
+    def test_equals_brute_force_filter(self, S, T, n):
+        # every composition, the exact lattice test, then the hull test
+        from thmc.facets import model_hull
+        from thmc.normality import _compositions, _cone_test
+
+        A = get_design(S, T)
+        hull = model_hull(T, S).inequalities
+        expected = [
+            x
+            for x in _compositions(n * (T - 1), A.dim)
+            if list(x) in A.lattice and _cone_test(x, hull, n)
+        ]
+        got = saturation_points(T, n, S=S)
+        assert [p.x for p in got] == expected
+        assert all(p.n == n and type(p.x[0]) is int for p in got)
+
+    @pytest.mark.parametrize("S,T,n", [(3, 5, 2), (3, 6, 2), (3, 7, 1), (4, 3, 2)])
+    def test_group_maps_points_onto_themselves(self, S, T, n):
+        points = {p.x for p in saturation_points(T, n, S=S)}
+        for g in symmetry_group(S):
+            assert {g.vector(x) for x in points} == points
 
     def test_dilation_identity(self):
         # integer points of the cone on the sum-n(T-1) slice are exactly the
@@ -100,25 +129,73 @@ class TestCheckNormality:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_cap_reports_undecided(self, threads, monkeypatch):
         # a tripped node cap is neither a failure nor a traceback, on the
-        # serial path and in pool workers alike (they inherit the patch)
+        # serial path and in pool workers alike (they inherit the patch); the
+        # search runs once per orbit, so the whole orbit of the stuck point
+        # is undecided, listed per point in point order
         import thmc.normality
 
         stuck = saturation_points(4, 2)[5].x
+        orbit = {g.vector(stuck) for g in symmetry_group(3)}
+        assert len(orbit) > 1
         real = thmc.normality.decompose_into_paths
 
         def decompose(x, n, T):
-            if tuple(x) == stuck:
+            if tuple(x) in orbit:
                 raise CapExceededError("decomposition search exceeded 0 nodes")
             return real(x, n, T)
 
         monkeypatch.setattr(thmc.normality, "decompose_into_paths", decompose)
         rep = check_normality(4, 2, threads=threads)
-        assert rep["undecided"] == [{"x": list(stuck), "n": 2}]
+        assert rep["undecided"] == [
+            {"x": list(p.x), "n": 2} for p in saturation_points(4, 2) if p.x in orbit
+        ]
         assert rep["failures"] == []
         assert not rep["ok"]
         assert rep["points_checked"] == len(saturation_points(4, 1)) + len(
             saturation_points(4, 2)
         )
+
+    def test_threads_give_the_same_report(self):
+        serial = check_normality(6, 2, keep_witnesses=True)
+        pooled = check_normality(6, 2, keep_witnesses=True, threads=2)
+        assert pooled == serial
+        assert serial["ok"] and serial["orbits"] < serial["points_checked"]
+
+    def test_one_search_per_orbit(self, monkeypatch):
+        import thmc.normality
+
+        searched = []
+        real = thmc.normality.decompose_into_paths
+
+        def decompose(x, n, T):
+            searched.append((tuple(x), n))
+            return real(x, n, T)
+
+        monkeypatch.setattr(thmc.normality, "decompose_into_paths", decompose)
+        rep = check_normality(5, 2)
+        assert len(searched) == rep["orbits"]
+        for n in (1, 2):
+            points = {p.x for p in saturation_points(5, n)}
+            reps = {x for x, m in searched if m == n}
+            orbits = {min(g.vector(x) for g in symmetry_group(3)) for x in points}
+            assert reps == orbits
+
+    @pytest.mark.parametrize("broken", ["relabel", "self-loop"])
+    def test_wrong_word_map_is_caught(self, broken, monkeypatch):
+        # a word map that disagrees with the coordinate action must fail
+        # the re-check of the mapped witness, never count as a pass
+        import thmc.normality
+
+        group = list(symmetry_group(3))
+        k = next(i for i, g in enumerate(group) if g.sigma == (2, 1, 3) and not g.reverse)
+        if broken == "relabel":
+            wrong = group[next(i for i, g in enumerate(group) if g.sigma == (1, 3, 2))].table
+        else:
+            wrong = bytes([0, 1, 1, 3]) + bytes(range(4, 256))
+        group[k] = dataclasses.replace(group[k], table=wrong)
+        monkeypatch.setattr(thmc.normality, "symmetry_group", lambda S: tuple(group))
+        with pytest.raises(AssertionError):
+            check_normality(4, 2)
 
 
 class TestWitnessByInduction:

@@ -13,8 +13,8 @@ from thmc.words import (
     has_eulerian_path,
     read_words,
     state_graph,
+    symmetry_group,
     transition_counts,
-    transpose_counts,
     word_count,
     write_words,
 )
@@ -90,13 +90,32 @@ class TestTransitionCounts:
             assert all(abs(d) <= 1 for d in degree_imbalances(transition_counts(w, 3)))
 
     def test_reverse_transposes_counts(self):
+        reversal = symmetry_group(3)[1]
+        assert reversal.sigma == (1, 2, 3) and reversal.reverse
         assert counts3("1213") == (1, 1, 1, 0, 0, 0)
         assert counts3("3121") == (1, 0, 1, 0, 1, 0)
-        assert transpose_counts(counts3("1213")) == counts3("3121")
+        assert reversal.vector(counts3("1213")) == counts3("3121")
         for w in enumerate_words(3, 6):
-            assert transition_counts(w.reverse(), 3) == transpose_counts(
+            assert transition_counts(w.reverse(), 3) == reversal.vector(
                 transition_counts(w, 3)
             )
+
+
+class TestSymmetry:
+    @pytest.mark.parametrize("S,T", [(3, 5), (4, 4)])
+    def test_counts_commute_with_the_action(self, S, T):
+        group = symmetry_group(S)
+        assert len(group) == 2 * len({g.sigma for g in group}) == 2 * {3: 6, 4: 24}[S]
+        for w in enumerate_words(S, T):
+            x = transition_counts(w, S)
+            for g in group:
+                assert transition_counts(g.word(w), S) == g.vector(x)
+
+    def test_identity_first_and_actions_distinct(self):
+        group = symmetry_group(3)
+        assert group[0].sigma == (1, 2, 3) and not group[0].reverse
+        assert group[0].vector(counts3("12132")) == counts3("12132")
+        assert len({g.source for g in group}) == 12
 
 
 class TestStateGraph:
