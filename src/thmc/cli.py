@@ -21,8 +21,6 @@ from . import __version__
 from .design import get_design
 from .facets import (
     certify_all,
-    q_polyhedron,
-    q_vertices,
     verify_facet_completeness,
     verify_known_vertices,
     verify_window_inequalities,
@@ -30,7 +28,6 @@ from .facets import (
 from .markov import (
     DEFAULT_MULTISET_CAP,
     enumerate_moves,
-    groebner_degree_probe,
     is_markov_basis,
     minimal_markov_basis,
     moves_from_text,
@@ -124,13 +121,13 @@ def _read_data(run: Run, path: str, S=None):
 
 
 def _check_sizes(args, min_T: int = 2) -> None:
-    """InputError unless -T >= min_T and, where the command reads them,
-    S >= 2, --n-max >= 1 and --max-degree >= 1."""
+    """InputError unless, where the command reads them, -T >= min_T,
+    S >= 2, --n-max >= 1, --max-degree >= 1 and --max-k >= 1."""
     if getattr(args, "S", 2) < 2:
         raise InputError(f"-S {args.S}: need S >= 2")
-    if args.T < min_T:
+    if getattr(args, "T", min_T) < min_T:
         raise InputError(f"-T {args.T}: need T >= {min_T}")
-    for flag in ("n_max", "max_degree"):
+    for flag in ("n_max", "max_degree", "max_k"):
         value = getattr(args, flag, 1)
         if value < 1:
             raise InputError(f"--{flag.replace('_', '-')} {value}: need at least 1")
@@ -234,6 +231,7 @@ def cmd_facets(args) -> int:
 
 
 def cmd_lemmas(args) -> int:
+    _check_sizes(args)
     run = Run("lemmas", args)
     rep = verify_window_inequalities(max_k=args.max_k)
     run.write_json(f"window-lemmas-k{args.max_k}.json", rep)
@@ -316,10 +314,6 @@ def cmd_markov(args) -> int:
             "this bounds, but does not prove, Markov-basis property at all degrees"
         ),
     }
-    if args.probe_groebner:
-        report["groebner_probe"] = groebner_degree_probe(
-            A, args.probe_groebner, multiset_cap=args.multiset_cap
-        )
     run.write_json(f"markov-T{args.T}.json", report)
     print(
         f"T={args.T}: {len(moves)} moves (degree<={args.max_degree}), fibers of "
@@ -458,13 +452,6 @@ def main(argv=None) -> int:
     p.add_argument("-T", type=int, required=True)
     p.add_argument("--max-degree", type=int, default=2)
     p.add_argument("--n-max", type=int, default=3)
-    p.add_argument(
-        "--probe-groebner",
-        type=int,
-        default=0,
-        metavar="CAP",
-        help="run the degree-capped completion probe",
-    )
     p.add_argument("--moves-format", choices=("text", "json", "both"), default="text")
     common(p, "word-cap", "multiset-cap")
     p.set_defaults(func=cmd_markov)

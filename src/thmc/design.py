@@ -4,7 +4,7 @@ The design matrix for S states at time T has one row per ordered state pair
 (lexicographic) and one column per word of length T (lexicographic); the
 column of a word is its transition-count vector.  Data multisets map to
 sufficient statistics b = A.u; the matrix also holds the integer lattice ZA
-of its columns and gives exact model probabilities.
+of its columns.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import csv
 import json
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
@@ -76,9 +75,6 @@ class DesignMatrix:
             self._distinct = sorted(set(self.columns))
         return self._distinct
 
-    def column(self, w: Word) -> tuple[int, ...]:
-        return self.columns[self.word_index[w]]
-
     # -- statistics ---------------------------------------------------------
 
     def sufficient_statistics(self, multiset: Counter | Iterable[Word]) -> Marginal:
@@ -114,25 +110,6 @@ class DesignMatrix:
         if len(x) != self.dim:
             raise ValueError("dimension mismatch")
         return list(map(int, x)) in self.lattice
-
-    def model_probabilities(
-        self, theta: Sequence[int | Fraction]
-    ) -> list[Fraction]:
-        """Exact word probabilities theta^(a_w) / sum_v theta^(a_v)."""
-        if len(theta) != self.dim:
-            raise ValueError("need one positive parameter per ordered pair")
-        th = [Fraction(t) for t in theta]
-        if any(t <= 0 for t in th):
-            raise ValueError("parameters must be positive")
-        monomials = []
-        for col in self.columns:
-            m = Fraction(1)
-            for t, e in zip(th, col):
-                if e:
-                    m *= t**e
-            monomials.append(m)
-        total = sum(monomials)
-        return [m / total for m in monomials]
 
     # -- export -------------------------------------------------------------
 

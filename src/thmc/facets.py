@@ -26,12 +26,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .design import DesignMatrix, get_design
+from .design import get_design
 from .exactla import in_convex_hull, mat_rank, primitive
 from .polytope import (
     HPolyhedron,
     VPolyhedron,
-    canonical_inequality,
     convex_hull,
     recession_rays,
     vertex_enumeration,
@@ -150,27 +149,19 @@ def affine_facet_rows(r: int) -> list[FacetForm]:
 # Symmetry action
 
 
-def symmetry_orbit(
-    c: Sequence[int], include_reversal: bool = True
-) -> set[tuple[int, ...]]:
-    """Orbit of a 6-vector under label permutations (and optionally reversal),
+def symmetry_orbit(c: Sequence[int]) -> set[tuple[int, ...]]:
+    """Orbit of a 6-vector under label permutations and reversal,
     deduplicated after primitive positive scaling."""
-    return {
-        primitive(g.vector(c))
-        for g in symmetry_group(3)
-        if include_reversal or not g.reverse
-    }
+    return {primitive(g.vector(c)) for g in symmetry_group(3)}
 
 
 # ---------------------------------------------------------------------------
 # Certification against the design matrix
 
 
-def certify_facet(
-    c: Sequence[int], T: int, design: Optional[DesignMatrix] = None
-) -> FacetCertificate:
+def certify_facet(c: Sequence[int], T: int) -> FacetCertificate:
     """Exact minimum of c.a_w over all columns plus tight-set rank."""
-    A = design if design is not None else get_design(3, T)
+    A = get_design(3, T)
     vals = np.asarray(c, dtype=np.int64) @ A.np_columns
     min_value = int(vals.min())
     tight_idx = np.nonzero(vals == 0)[0]
@@ -187,9 +178,8 @@ def certify_facet(
     )
 
 
-def certify_all(T: int, design: Optional[DesignMatrix] = None) -> list[FacetCertificate]:
-    A = design if design is not None else get_design(3, T)
-    return [certify_facet(f.c, T, A) for f in homogeneous_facet_vectors(T)]
+def certify_all(T: int) -> list[FacetCertificate]:
+    return [certify_facet(f.c, T) for f in homogeneous_facet_vectors(T)]
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +191,7 @@ def q_polyhedron(r: int) -> HPolyhedron:
     """The polyhedron cut out by the 24 affine facet inequalities at n=1."""
     ineqs = []
     for form in affine_facet_rows(r):
-        for image in symmetry_orbit(form.ctilde, include_reversal=True):
+        for image in symmetry_orbit(form.ctilde):
             ineqs.append((image, form.a))
     H = HPolyhedron.make(6, ineqs)
     if len(H.inequalities) != 24:
@@ -404,7 +394,7 @@ def extend_vertex_along_ray(
 
 
 @lru_cache(maxsize=32)
-def model_hull(T: int, S: int = 3) -> HPolyhedron:
+def model_hull(T: int, S: int) -> HPolyhedron:
     """Facet description of conv(A^T), computed by double description."""
     return convex_hull(get_design(S, T).distinct_columns())
 
@@ -415,7 +405,7 @@ def _homogeneous_normals(H: HPolyhedron, T: int) -> set[tuple[int, ...]]:
 
 def hull_facets_homogeneous(T: int) -> set[tuple[int, ...]]:
     """Facets of conv(A^T), each rewritten as a primitive homogeneous normal."""
-    return _homogeneous_normals(model_hull(T), T)
+    return _homogeneous_normals(model_hull(T, 3), T)
 
 
 def _is_convex_witness(cols, p, lam: Optional[dict[int, Fraction]]) -> bool:

@@ -284,127 +284,6 @@ def minimal_markov_basis(
 
 
 # ---------------------------------------------------------------------------
-# Degree-truncated binomial completion (Groebner evidence)
-
-
-def _grevlex_greater(u: tuple[int, ...], v: tuple[int, ...]) -> bool:
-    """u > v in graded reverse lexicographic order (variables = word order)."""
-    if len(u) != len(v):
-        return len(u) > len(v)
-    cu, cv = Counter(u), Counter(v)
-    for j in sorted(set(cu) | set(cv), reverse=True):
-        d = cu.get(j, 0) - cv.get(j, 0)
-        if d:
-            return d < 0  # last nonzero of u - v negative means u greater
-    return False
-
-
-def _mono_sub(m: tuple[int, ...], s: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-    c = Counter(m)
-    c.subtract(Counter(s))
-    if any(v < 0 for v in c.values()):
-        return None
-    out = []
-    for j in sorted(c):
-        out.extend([j] * c[j])
-    return tuple(out)
-
-
-def _mono_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    ca, cb = Counter(a), Counter(b)
-    out = []
-    for j in sorted(set(ca) | set(cb)):
-        out.extend([j] * max(ca.get(j, 0), cb.get(j, 0)))
-    return tuple(out)
-
-
-def _normal_form(mono: tuple[int, ...], basis: list[tuple]) -> tuple[int, ...]:
-    changed = True
-    while changed:
-        changed = False
-        for lead, trail in basis:
-            rest = _mono_sub(mono, lead)
-            if rest is not None:
-                mono = tuple(sorted(rest + trail))
-                changed = True
-                break
-    return mono
-
-
-def groebner_degree_probe(
-    A: DesignMatrix,
-    max_degree: int = 3,
-    pair_cap: int = 200_000,
-    multiset_cap: int = DEFAULT_MULTISET_CAP,
-) -> dict:
-    """Degree-truncated binomial completion under grevlex word order.
-
-    Starts from an inclusion-minimized generating set of the degree-bounded
-    moves, closes under S-binomials whose lcm stays within the degree cap,
-    and reports whether the truncated set is self-stable.  The size and the
-    maximal degree of a minimal Groebner basis (`minimal_basis_size`,
-    `max_basis_degree`; leads divisible by a shorter lead dropped) do not
-    depend on the generators; `basis_size`, `added_by_completion` and
-    `pairs_processed` describe the completion before interreduction, so they
-    do.  Evidence for the low-degree basis conjectures, never proof.
-    """
-    gens = minimal_markov_basis(A, max_degree, n_max=max_degree, multiset_cap=multiset_cap)
-    basis: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for z in gens:
-        p, m = z.plus, z.minus
-        lead, trail = (p, m) if _grevlex_greater(p, m) else (m, p)
-        basis.append((lead, trail))
-    queue = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
-    processed = 0
-    skipped_degree = 0
-    added = 0
-    while queue:
-        processed += 1
-        if processed > pair_cap:
-            return {
-                "T": A.T,
-                "cap": max_degree,
-                "order": "grevlex over lexicographic word order",
-                "status": "aborted",
-                "pairs_processed": processed,
-                "basis_size": len(basis),
-            }
-        i, j = queue.pop()
-        (L1, R1), (L2, R2) = basis[i], basis[j]
-        w = _mono_lcm(L1, L2)
-        if len(w) > max_degree:
-            skipped_degree += 1
-            continue
-        m1 = tuple(sorted(_mono_sub(w, L1) + R1))
-        m2 = tuple(sorted(_mono_sub(w, L2) + R2))
-        n1, n2 = _normal_form(m1, basis), _normal_form(m2, basis)
-        if n1 == n2:
-            continue
-        lead, trail = (n1, n2) if _grevlex_greater(n1, n2) else (n2, n1)
-        basis.append((lead, trail))
-        added += 1
-        queue.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
-    leads = {lead for lead, _ in basis}  # a lead divisible by a shorter one is redundant
-    minimal_leads = [
-        a for a in leads if all(len(b) >= len(a) or _mono_sub(a, b) is None for b in leads)
-    ]
-    return {
-        "T": A.T,
-        "cap": max_degree,
-        "order": "grevlex over lexicographic word order",
-        "status": "closed",
-        "generators": len(gens),
-        "basis_size": len(basis),
-        "added_by_completion": added,
-        "pairs_processed": processed,
-        "pairs_skipped_above_cap": skipped_degree,
-        "minimal_basis_size": len(minimal_leads),
-        "max_basis_degree": max(map(len, minimal_leads), default=0),
-        "self_stable_upto_cap": True,
-    }
-
-
-# ---------------------------------------------------------------------------
 # Moves file format
 
 

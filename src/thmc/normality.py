@@ -22,7 +22,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .design import DesignMatrix, get_design
+from .design import get_design
 from .exactla import in_cone
 from .facets import LOOP_RAYS, model_hull, q_polyhedron
 from .words import (
@@ -102,7 +102,6 @@ def saturation_points(
     n: int,
     S: int = 3,
     cap: int = DEFAULT_POINT_CAP,
-    design: Optional[DesignMatrix] = None,
 ) -> list[SaturationPoint]:
     """All lattice-and-cone members with coordinate sum n(T-1), sorted.
 
@@ -112,7 +111,7 @@ def saturation_points(
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
-    A = design if design is not None else get_design(S, T)
+    A = get_design(S, T)
     total = n * (T - 1)
     dim = A.dim
     space = comb(total + dim - 1, dim - 1)
@@ -192,14 +191,13 @@ def check_normality(
     searches run in a process pool; results are aggregated in point order,
     so reports are identical for any thread count.
     """
-    A = get_design(S, T)
     group = symmetry_group(S)
     # (x, n, orbit, g) with g carrying the orbit's representative to x
     points: list[tuple[tuple[int, ...], int, int, Symmetry]] = []
     tasks: list[tuple[tuple[int, ...], int, int]] = []
     for n in range(1, n_max + 1):
         carried: dict[tuple[int, ...], tuple[int, Symmetry]] = {}
-        for pt in saturation_points(T, n, S=S, cap=cap, design=A):
+        for pt in saturation_points(T, n, S=S, cap=cap):
             if pt.x not in carried:
                 # points come sorted, so the first one met is its orbit's least
                 for g in group:
@@ -449,5 +447,4 @@ def s4_nonnormality_probe(T: int = 8) -> dict:
     report["scanned"] = scanned
     report["witness"] = witness
     report["witness_found"] = witness is not None
-    report["ok"] = True  # the probe reports; it has no pass/fail gate of its own
     return report

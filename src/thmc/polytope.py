@@ -1,8 +1,8 @@
 """Exact polyhedral computations in small dimension.
 
 Double description over the integers drives everything: V-to-H (convex hull
-by dualization), H-to-V (vertex/ray enumeration by homogenization), recession
-cones, and exact membership.  Rays and facet normals are kept as primitive
+by dualization), H-to-V (vertex/ray enumeration by homogenization) and
+recession cones.  Rays and facet normals are kept as primitive
 integer vectors; vertices as rational tuples.  Inequalities are a.x >= b and
 are scaled only by positive rationals, so orientation is preserved;
 equations e.x = f are sign-normalized to a positive leading entry.
@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exactla import (
-    in_cone,
     independent_rows,
     mat_rank,
     nullspace_int,
@@ -66,16 +65,6 @@ class HPolyhedron:
         ineqs = sorted(set(canonical_inequality(a, b) for a, b in inequalities))
         eqs = sorted(set(canonical_equation(e, f) for e, f in equations))
         return cls(dim, tuple(ineqs), tuple(eqs))
-
-    def contains(self, x: Sequence[int | Fraction]) -> bool:
-        xs = [Fraction(e) for e in x]
-        return all(
-            sum(a * v for a, v in zip(normal, xs)) >= rhs
-            for normal, rhs in self.inequalities
-        ) and all(
-            sum(a * v for a, v in zip(normal, xs)) == rhs
-            for normal, rhs in self.equations
-        )
 
     def to_json(self) -> str:
         return json.dumps(
@@ -278,14 +267,3 @@ def recession_rays(H: HPolyhedron) -> list[IntVec]:
     ineqs = [normal for normal, _ in H.inequalities]
     eqs = [normal for normal, _ in H.equations]
     return cone_extreme_rays(ineqs, eqs)
-
-
-def membership(x: Sequence[int | Fraction], V: VPolyhedron) -> bool:
-    """True iff x = convex combination of vertices + nonneg combination of rays."""
-    cols: list[tuple[Fraction, ...]] = []
-    for v in V.vertices:
-        cols.append((Fraction(1),) + tuple(Fraction(c) for c in v))
-    for r in V.rays:
-        cols.append((Fraction(0),) + tuple(Fraction(c) for c in r))
-    target = (Fraction(1),) + tuple(Fraction(c) for c in x)
-    return in_cone(cols, target) is not None

@@ -57,13 +57,6 @@ class Word(bytes):
     def text(self) -> str:
         return "".join(str(s) for s in self)
 
-    @property
-    def T(self) -> int:
-        return len(self)
-
-    def reverse(self) -> "Word":
-        return Word(self[::-1])
-
     def __repr__(self) -> str:
         return f"Word({self.text})"
 
@@ -390,11 +383,3 @@ def read_words(lines: Iterable[str], S: Optional[int] = None) -> Counter:
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
     return multiset
-
-
-def write_words(multiset: Counter) -> str:
-    """Serialize a multiset in the word text format (multiplicity = repetition)."""
-    out = []
-    for w in sorted(multiset):
-        out.extend([w.text] * multiset[w])
-    return "\n".join(out) + ("\n" if out else "")

@@ -1,0 +1,35 @@
+"""Membership oracles for the tests: an H-form and a V-form polyhedron check.
+
+The library never asks whether a single point lies in a polyhedron given by
+its inequalities or by its vertices and rays; the tests ask it to compare the
+two descriptions with each other and with the design matrix's columns.
+"""
+
+from fractions import Fraction
+from typing import Sequence
+
+from thmc.exactla import in_cone
+from thmc.polytope import HPolyhedron, VPolyhedron
+
+
+def contains(H: HPolyhedron, x: Sequence[int | Fraction]) -> bool:
+    """True iff x satisfies every inequality and every equation of H."""
+    xs = [Fraction(e) for e in x]
+    return all(
+        sum(a * v for a, v in zip(normal, xs)) >= rhs
+        for normal, rhs in H.inequalities
+    ) and all(
+        sum(a * v for a, v in zip(normal, xs)) == rhs
+        for normal, rhs in H.equations
+    )
+
+
+def membership(x: Sequence[int | Fraction], V: VPolyhedron) -> bool:
+    """True iff x = convex combination of vertices + nonneg combination of rays."""
+    cols: list[tuple[Fraction, ...]] = []
+    for v in V.vertices:
+        cols.append((Fraction(1),) + tuple(Fraction(c) for c in v))
+    for r in V.rays:
+        cols.append((Fraction(0),) + tuple(Fraction(c) for c in r))
+    target = (Fraction(1),) + tuple(Fraction(c) for c in x)
+    return in_cone(cols, target) is not None

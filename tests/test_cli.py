@@ -282,6 +282,7 @@ class TestInputErrors:
             ("markov", "-T", 3, "--n-max", 0),
             ("normality", "-T", 4, "--n-max", 0),
             ("markov", "-T", 3, "--max-degree", 0),
+            ("lemmas", "--max-k", 0),
         ],
     )
     def test_degrees_out_of_range(self, tmp_path, capsys, argv):

@@ -3,7 +3,6 @@ import io
 import json
 import random
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 
@@ -106,53 +105,6 @@ class TestCone:
         assert in_cone(A.distinct_columns(), (-1, 0, 0, 0, 0, 0)) is None
 
 
-class TestModelProbabilities:
-    def test_uniform(self):
-        A = get_design(3, 5)
-        p = A.model_probabilities([1] * 6)
-        assert all(pi == Fraction(1, 48) for pi in p)
-        assert sum(p) == 1
-
-    def test_scale_invariance(self):
-        A = get_design(3, 4)
-        p1 = A.model_probabilities([1, 2, 3, 4, 5, 6])
-        p2 = A.model_probabilities([2, 4, 6, 8, 10, 12])
-        assert p1 == p2
-
-    def test_relabeling_symmetry(self):
-        A = get_design(3, 3)
-        # swap states 1 and 2: theta reindexes, probabilities permute
-        theta = [Fraction(2), Fraction(3), Fraction(5), Fraction(7), Fraction(11), Fraction(13)]
-        # pair order [12,13,21,23,31,32]; swapping 1<->2 maps to [21,23,12,13,32,31]
-        swapped = [theta[2], theta[3], theta[0], theta[1], theta[5], theta[4]]
-        p = A.model_probabilities(theta)
-        q = A.model_probabilities(swapped)
-        sigma = {1: 2, 2: 1, 3: 3}
-        for j, w in enumerate(A.words):
-            image = Word([sigma[s] for s in w])
-            assert q[A.word_index[image]] == p[j]
-
-    def test_T3_direct(self):
-        A = get_design(3, 3)
-        theta = [Fraction(2), 1, 1, 1, 1, 1]
-        p = A.model_probabilities(theta)
-        # monomials: theta^(a_w); words with one 12-step get factor 2
-        mono = []
-        for col in A.columns:
-            m = Fraction(1)
-            for t, e in zip(theta, col):
-                m *= Fraction(t) ** e
-            mono.append(m)
-        total = sum(mono)
-        assert p == [m / total for m in mono]
-        assert sum(p) == 1
-
-    def test_rejects_nonpositive(self):
-        A = get_design(3, 3)
-        with pytest.raises(ValueError):
-            A.model_probabilities([1, 1, 0, 1, 1, 1])
-
-
 class TestExport:
     def test_csv_header_and_rows(self):
         A = get_design(3, 4)
@@ -190,5 +142,5 @@ class TestColumnHullMembership:
         from thmc.exactla import in_convex_hull
 
         A = get_design(3, 4)
-        col = A.column(Word.from_text("1212"))
+        col = A.columns[A.word_index[Word.from_text("1212")]]
         assert in_convex_hull(A.distinct_columns(), col) is not None

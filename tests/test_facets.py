@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from thmc.design import get_design
+from thmc.exactla import primitive
 from thmc.facets import (
     LOOP_RAYS,
     affine_facet_rows,
@@ -118,23 +119,29 @@ class TestInhomogenize:
                 assert hom_tight == aff_tight
 
 
+def relabel_orbit(c):
+    """Orbit of c under the six relabellings alone (no reversal)."""
+    return {primitive(g.vector(c)) for g in symmetry_group(3) if not g.reverse}
+
+
 class TestOrbits:
     def test_unit_vector_orbit(self):
-        orb = symmetry_orbit((1, 0, 0, 0, 0, 0), include_reversal=False)
-        assert len(orb) == 6
-        assert orb == {tuple(1 if i == k else 0 for i in range(6)) for k in range(6)}
+        e = (1, 0, 0, 0, 0, 0)
+        units = {tuple(1 if i == k else 0 for i in range(6)) for k in range(6)}
+        assert relabel_orbit(e) == units
+        assert symmetry_orbit(e) == units  # reversal adds nothing
 
     def test_imbalance_row_orbit_sizes(self):
         T = 7
         c = (T, T, -(T - 2), 1, -(T - 2), 1)
-        assert len(symmetry_orbit(c, include_reversal=False)) == 3
-        assert len(symmetry_orbit(c, include_reversal=True)) == 6
+        assert len(relabel_orbit(c)) == 3
+        assert len(symmetry_orbit(c)) == 6
 
     def test_reversal_matches_word_reversal(self):
         w = Word.from_text("121321")
         x = transition_counts(w, 3)
         reversal = symmetry_group(3)[1]
-        assert reversal.vector(x) == transition_counts(w.reverse(), 3)
+        assert reversal.vector(x) == transition_counts(Word(w[::-1]), 3)
 
     def test_permutation_action_is_group_action(self):
         v = (1, 2, 3, 4, 5, 6)
@@ -169,7 +176,7 @@ class TestCertification:
         assert not cert.valid
 
     def test_orbit_members_certify_too(self):
-        for c in symmetry_orbit((7, 7, -5, 1, -5, 1), include_reversal=True):
+        for c in symmetry_orbit((7, 7, -5, 1, -5, 1)):
             assert certify_facet(c, 7).valid
 
     def test_odd_row_proof_vectors(self):

@@ -1,0 +1,86 @@
+"""Dead-code guards over the library source, by static reading (stdlib `ast`).
+
+Library code earns its place by a caller in the library or in the benchmark
+harness; a definition that only tests call belongs in the tests.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "thmc"
+
+# fiber_enumerate is the full-fiber oracle of the fiber and walk tests; it
+# stays in the library because the exact Markov-degree scan (ROADMAP item 5)
+# will stream fibers through it
+ALLOWED_WITHOUT_CALLER = {"fiber_enumerate"}
+
+
+def _modules():
+    return {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _mentions(node) -> Counter:
+    """Every name, attribute, imported name and identifier-shaped string
+    under node (strings cover `tracer.patch(module, "name", ...)`)."""
+    out = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            out[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            out[sub.name.rsplit(".", 1)[-1]] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            if sub.value.isidentifier():
+                out[sub.value] += 1
+    return out
+
+
+def _definitions(tree):
+    """Top-level functions and classes, and the public methods of classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def test_every_definition_has_a_caller_outside_tests():
+    modules = _modules()
+    # a re-export in the package __init__ is not a use
+    mentions = sum(
+        (_mentions(tree) for path, tree in modules.items() if path.name != "__init__.py"),
+        Counter(),
+    )
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        mentions += _mentions(ast.parse(path.read_text()))
+    unused = []
+    for path, tree in modules.items():
+        for qualname, node in _definitions(tree):
+            name = node.name
+            if name in ALLOWED_WITHOUT_CALLER:
+                continue
+            # mentions inside the definition itself (recursion, `cls`) do not count
+            if mentions[name] - _mentions(node)[name] <= 0:
+                unused.append(f"{path.name}: {qualname}")
+    assert not unused, "only tests call (or nothing calls): " + ", ".join(unused)
+
+
+def test_no_unused_imports():
+    unused = []
+    for path, tree in _modules().items():
+        if path.name == "__init__.py":
+            continue
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [a.asname or a.name for a in node.names]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in imported if name not in used]
+    assert not unused, "imported but never used: " + ", ".join(unused)

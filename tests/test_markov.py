@@ -8,7 +8,6 @@ from thmc.markov import (
     Move,
     enumerate_moves,
     fiber_enumerate,
-    groebner_degree_probe,
     is_markov_basis,
     minimal_markov_basis,
     moves_from_text,
@@ -202,23 +201,6 @@ class TestMarkovBasis:
         # degree-2 fibers at T=4 need degree-2 moves
         with pytest.raises(ValueError):
             minimal_markov_basis(get_design(3, 4), 1, 2)
-
-
-class TestGroebnerProbe:
-    def test_T3_closes_at_degree_3(self):
-        A = get_design(3, 3)
-        rep = groebner_degree_probe(A, 3)
-        assert rep["status"] == "closed"
-        assert rep["max_basis_degree"] == 2
-        assert rep["minimal_basis_size"] == 6
-        assert rep["order"].startswith("grevlex")
-
-    def test_T4_closes_at_degree_3(self):
-        A = get_design(3, 4)
-        rep = groebner_degree_probe(A, 3)
-        assert rep["status"] == "closed"
-        assert rep["max_basis_degree"] <= 3
-        assert rep["minimal_basis_size"] == 101
 
 
 class TestMovesIO:

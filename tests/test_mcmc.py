@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -51,6 +52,20 @@ class TestStatistic:
         A = get_design(3, 4)
         val = chi_square_statistic(Counter(A.words), A)
         assert val == Fraction(32)
+
+    @pytest.mark.parametrize("T", range(3, 7))
+    def test_total_mass_is_the_sum_of_word_masses(self, T):
+        # Pearson's off-support term reads the fitted mass of all words from
+        # a transfer-matrix product; summed word by word it must agree, and
+        # with every state left at least once each start state carries mass 1
+        from thmc.mcmc import _FittedModel
+
+        A = get_design(3, T)
+        rng = random.Random(T)
+        table = tuple(sorted(rng.randrange(len(A.words)) for _ in range(7)))
+        model = _FittedModel(table, A)
+        assert model.total_mass == sum(model.word_mass(j) for j in range(len(A.words)))
+        assert model.total_mass == 3
 
     def test_exact_value_against_direct_formula(self):
         A = get_design(3, 5)

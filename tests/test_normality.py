@@ -52,6 +52,15 @@ class TestSaturationPoints:
         with pytest.raises(CapExceededError):
             saturation_points(10, 3, cap=10)
 
+    def test_one_hull_per_T(self):
+        # the facet check and the saturation filter read the same cached hull
+        from thmc.facets import hull_facets_homogeneous, model_hull
+
+        model_hull.cache_clear()
+        hull_facets_homogeneous(7)
+        saturation_points(7, 1)
+        assert model_hull.cache_info().misses == 1
+
     @pytest.mark.parametrize(
         "S,T,n",
         [(3, T, n) for T in range(3, 9) for n in (1, 2, 3)]
@@ -85,13 +94,14 @@ class TestSaturationPoints:
         # LP membership in the V-form, both directions, on a drawn sample
         from thmc.facets import model_hull
         from thmc.normality import _compositions, _cone_test
-        from thmc.polytope import convex_hull, membership, vertex_enumeration
+        from oracles import membership
+        from thmc.polytope import convex_hull, vertex_enumeration
 
         rng = random.Random(17)
         for T, n in ((5, 2), (5, 3), (6, 2), (7, 2), (8, 2)):
             A = get_design(3, T)
             V = vertex_enumeration(convex_hull(A.distinct_columns()))
-            hull = model_hull(T).inequalities
+            hull = model_hull(T, 3).inequalities
             cands = [
                 x
                 for x in _compositions(n * (T - 1), 6)
