@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -133,12 +132,6 @@ def _check_sizes(args, min_T: int = 2) -> None:
             raise InputError(f"--{flag.replace('_', '-')} {value}: need at least 1")
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    return max(1, int(os.environ.get("THMC_THREADS", "1")))
-
-
 def cmd_gen_matrix(args) -> int:
     _check_sizes(args)
     run = Run("gen-matrix", args)
@@ -253,7 +246,6 @@ def cmd_normality(args) -> int:
         args.n_max,
         S=args.S,
         keep_witnesses=args.witnesses,
-        threads=_threads(args),
     )
     witnesses = rep.pop("witnesses", None)
     if witnesses is not None:
@@ -336,6 +328,8 @@ def _load_walk_inputs(run, args):
     A = get_design(3, T, cap=args.word_cap)
     if args.moves_file:
         moves = _read_input(run, args.moves_file, lambda text: moves_from_text(text, A))
+        if not moves:
+            raise InputError(f"{args.moves_file}: no moves")
         if not verify_kernel(A, moves):
             raise InputError(f"{args.moves_file}: a move is not in the kernel of the design")
     else:
@@ -394,8 +388,6 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     options = {
-        "threads": dict(type=int, default=None,
-                        help="worker processes (default: THMC_THREADS or 1)"),
         "word-cap": dict(type=int, default=DEFAULT_WORD_CAP),
         "multiset-cap": dict(type=int, default=DEFAULT_MULTISET_CAP),
     }
@@ -445,7 +437,7 @@ def main(argv=None) -> int:
     p.add_argument("-S", type=int, default=3)
     p.add_argument("--witnesses", action="store_true", help="write witness words")
     p.add_argument("--probe-s4", action="store_true", help="also run the S=4 probe")
-    common(p, "threads")
+    common(p)
     p.set_defaults(func=cmd_normality)
 
     p = sub.add_parser("markov", help="move enumeration and basis checks")

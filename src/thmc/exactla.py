@@ -1,9 +1,11 @@
 """Exact rational and integer linear algebra.
 
 Everything here is arbitrary precision: rationals are `fractions.Fraction`,
-matrices are plain lists of rows.  No floating point.  Every linear program
-is a feasibility question (cone and convex-hull membership) and goes through
-`simplex_standard`, phase 1 of a fraction-free integer tableau simplex.
+matrices are plain lists of rows.  No floating point.  One Gaussian
+elimination, `rref`, answers every question about rank, kernels, independent
+rows and inverses.  Every linear program is a feasibility question (cone and
+convex-hull membership) and goes through `simplex_standard`, phase 1 of a
+fraction-free integer tableau simplex.
 """
 
 from __future__ import annotations
@@ -15,65 +17,49 @@ from typing import Iterable, Optional, Sequence
 Vec = Sequence[int | Fraction]
 
 
-def _frac_rows(M: Iterable[Vec]) -> list[list[Fraction]]:
-    return [[Fraction(e) for e in row] for row in M]
-
-
-def mat_rank(M: Iterable[Vec]) -> int:
-    """Exact rank via Gaussian elimination over the rationals."""
-    rows = _frac_rows(M)
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        inv = 1 / prow[col]
-        for r in range(rank + 1, len(rows)):
-            f = rows[r][col] * inv
-            if f:
-                rows[r] = [a - f * b for a, b in zip(rows[r], prow)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
-def nullspace(M: Iterable[Vec]) -> list[tuple[Fraction, ...]]:
-    """Basis of the right kernel {x : M x = 0}, over the rationals."""
-    rows = _frac_rows(M)
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    # reduced row echelon form
+def rref(M: Iterable[Vec]) -> tuple[list[list[Fraction]], list[int]]:
+    """Nonzero rows of the reduced row echelon form of M, and their pivot
+    columns, by Gauss-Jordan elimination over the rationals."""
+    rows = [[Fraction(e) for e in row] for row in M]
     pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r == len(rows):
+            break
         piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         inv = 1 / rows[r][col]
-        rows[r] = [a * inv for a in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        prow = rows[r] = [a * inv for a in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f and i != r:
+                rows[i] = [a - f * b for a, b in zip(row, prow)]
         pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    return rows[: len(pivots)], pivots
+
+
+def mat_rank(M: Iterable[Vec]) -> int:
+    """Exact rank over the rationals."""
+    return len(rref(M)[1])
+
+
+def nullspace(M: Iterable[Vec]) -> list[tuple[Fraction, ...]]:
+    """Basis of the right kernel {x : M x = 0}, over the rationals: one
+    vector per non-pivot column of the reduced row echelon form."""
+    M = list(M)
+    if not M:
+        return []
+    rows, pivots = rref(M)
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
+    for fc in range(len(M[0])):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * len(M[0])
         v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -rows[i][fc]
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[fc]
         basis.append(tuple(v))
     return basis
 
@@ -95,41 +81,11 @@ def nullspace_int(M: Iterable[Vec]) -> list[tuple[int, ...]]:
     return [primitive(v) for v in nullspace(M)]
 
 
-def independent_rows(M: Sequence[Vec], limit: Optional[int] = None) -> list[int]:
-    """Indices of a greedy maximal linearly independent subset of rows."""
-    chosen: list[int] = []
-    echelon: list[list[Fraction]] = []
-    for i, row in enumerate(M):
-        v = [Fraction(e) for e in row]
-        for e in echelon:
-            piv = next((c for c, a in enumerate(e) if a), None)
-            if piv is not None and v[piv]:
-                f = v[piv] / e[piv]
-                v = [a - f * b for a, b in zip(v, e)]
-        if any(v):
-            echelon.append(v)
-            chosen.append(i)
-            if limit is not None and len(chosen) == limit:
-                break
-    return chosen
-
-
-def solve_square(M: Sequence[Vec], b: Vec) -> Optional[list[Fraction]]:
-    """Solve M x = b exactly for square nonsingular M; None if singular."""
-    n = len(M)
-    aug = [[Fraction(e) for e in row] + [Fraction(b[i])] for i, row in enumerate(M)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [a * inv for a in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * c for a, c in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
+def independent_rows(M: Sequence[Vec]) -> list[int]:
+    """Indices of the greedy maximal linearly independent subset of rows: row
+    i is kept when it is outside the span of rows 0..i-1, that is, when column
+    i of the transpose is a pivot column."""
+    return rref(zip(*M))[1]
 
 
 class IntegerLattice:

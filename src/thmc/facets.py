@@ -36,11 +36,11 @@ from .polytope import (
     vertex_enumeration,
 )
 from .words import (
-    Word,
     enumerate_words,
     eulerian_path,
     pair_index,
     symmetry_group,
+    transition_counts,
 )
 
 # the five loops without self-intersection: 121, 131, 232, 1231, 1321
@@ -166,14 +166,13 @@ def certify_facet(c: Sequence[int], T: int) -> FacetCertificate:
     min_value = int(vals.min())
     tight_idx = np.nonzero(vals == 0)[0]
     tight_cols = sorted({A.columns[int(j)] for j in tight_idx})
-    rank = mat_rank(tight_cols) if tight_cols else 0
     samples = tuple(A.words[int(j)].text for j in tight_idx[:5])
     return FacetCertificate(
         c=tuple(int(e) for e in c),
         T=T,
         min_value=min_value,
         tight_count=int(tight_idx.size),
-        tight_rank=rank,
+        tight_rank=mat_rank(tight_cols),
         sample_tight_words=samples,
     )
 
@@ -470,10 +469,6 @@ def verify_facet_completeness(T: int) -> dict:
 # Window inequalities over short path segments
 
 
-def _paths(T: int) -> list[Word]:
-    return enumerate_words(3, T)
-
-
 @lru_cache(maxsize=None)
 def _endpoint_counts(T: int) -> frozenset:
     """All (start, end, counts) triples realized by paths of length T."""
@@ -489,12 +484,6 @@ def _endpoint_counts(T: int) -> frozenset:
                     nxt.add((start, j, tuple(lst)))
         frontier = nxt
     return frozenset(frontier)
-
-
-def _window_counts(w: Word, lo: int, hi: int) -> tuple[int, ...]:
-    from .words import transition_counts
-
-    return transition_counts(w[lo : hi + 1], 3)
 
 
 def verify_window_inequalities(max_k: int = 3) -> dict:
@@ -526,12 +515,12 @@ def verify_window_inequalities(max_k: int = 3) -> dict:
         report["ok"] = report["ok"] and bool(passed)
 
     # -- 3-step windows (24 paths)
-    words4 = _paths(4)
+    words4 = enumerate_words(3, 4)
     assert len(words4) == 24
     for i, j, t in triples:
         vals = []
         for w in words4:
-            x = _window_counts(w, 0, 3)
+            x = transition_counts(w, 3)
             vals.append(x[idx[(i, j)]] + x[idx[(j, t)]] + x[idx[(i, t)]])
         record(f"3step-cover-{i}{j}{t}", min(vals) == 1)
 
@@ -545,7 +534,7 @@ def verify_window_inequalities(max_k: int = 3) -> dict:
         eq_found = set()
         ok = True
         for w in words4:
-            x = _window_counts(w, 0, 3)
+            x = transition_counts(w, 3)
             diff = (
                 2 * x[idx[(i, j)]]
                 + x[idx[(i, t)]]
@@ -571,14 +560,14 @@ def verify_window_inequalities(max_k: int = 3) -> dict:
     # stationary nets (e.g. 2132132 has slack 1 and returns to its start),
     # which the terser classification misses; stationary nets cannot move a
     # walker off state i, so the length-6k+1 consequence is unaffected.
-    words7 = _paths(7)
+    words7 = enumerate_words(3, 7)
     assert len(words7) == 192
     for i, j, t in triples:
         ok = True
         eq_seen = False
         slack1_nets = set()
         for w in words7:
-            x = _window_counts(w, 0, 6)
+            x = transition_counts(w, 3)
             diff = (
                 2 * x[idx[(i, j)]]
                 + x[idx[(i, t)]]

@@ -136,15 +136,6 @@ def saturation_points(
     return out
 
 
-def _decompose_task(args: tuple[tuple[int, ...], int, int]):
-    """Words splitting one point, None, or the CapExceededError that left the
-    point undecided (returned, so that a pool worker does not abort the map)."""
-    try:
-        return decompose_into_paths(*args)
-    except CapExceededError as exc:
-        return exc
-
-
 def _mapped_witness(
     paths: Sequence[Word], g: Symmetry, x: tuple[int, ...], n: int, T: int, S: int
 ) -> list[Word]:
@@ -174,7 +165,6 @@ def check_normality(
     S: int = 3,
     cap: int = DEFAULT_POINT_CAP,
     keep_witnesses: bool = False,
-    threads: int = 1,
 ) -> dict:
     """Verify every saturation point of degree <= n_max splits into words.
 
@@ -187,9 +177,7 @@ def check_normality(
     AssertionError, never a pass).  The report keeps one entry per point, in
     point order, and counts the searches under `orbits`.  A point whose orbit
     search trips the oracle's node cap is listed as undecided, not as a
-    failure, and keeps the report from being ok.  With threads>1 the orbit
-    searches run in a process pool; results are aggregated in point order,
-    so reports are identical for any thread count.
+    failure, and keeps the report from being ok.
     """
     group = symmetry_group(S)
     # (x, n, orbit, g) with g carrying the orbit's representative to x
@@ -204,13 +192,13 @@ def check_normality(
                     carried.setdefault(g.vector(pt.x), (len(tasks), g))
                 tasks.append((pt.x, n, T))
             points.append((pt.x, n, *carried[pt.x]))
-    if threads > 1:
-        from multiprocessing import Pool
-
-        with Pool(threads) as pool:
-            results = pool.map(_decompose_task, tasks, chunksize=16)
-    else:
-        results = [_decompose_task(t) for t in tasks]
+    # per orbit: its words, None, or the CapExceededError that left it undecided
+    results = []
+    for task in tasks:
+        try:
+            results.append(decompose_into_paths(*task))
+        except CapExceededError as exc:
+            results.append(exc)
     failures = []
     undecided = []
     witnesses = {}

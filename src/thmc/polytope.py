@@ -15,13 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactla import (
-    independent_rows,
-    mat_rank,
-    nullspace_int,
-    primitive,
-    solve_square,
-)
+from .exactla import independent_rows, nullspace_int, primitive, rref
 
 IntVec = tuple[int, ...]
 FracVec = tuple[Fraction, ...]
@@ -109,20 +103,17 @@ def _popcount(x: int) -> int:
 def dd_pointed_cone(ineqs: list[IntVec], dim: int) -> list[tuple[IntVec, int]]:
     """Extreme rays of the pointed cone {x : a.x >= 0 for a in ineqs}.
 
-    Requires rank(ineqs) == dim (pointedness).  Returns (ray, tight_mask)
-    pairs where bit j of tight_mask marks a.x = 0 for ineqs[j].
+    Raises ValueError unless rank(ineqs) == dim (pointedness).  Returns (ray,
+    tight_mask) pairs where bit j of tight_mask marks a.x = 0 for ineqs[j].
     """
-    base_idx = independent_rows(ineqs, limit=dim)
+    base_idx = independent_rows(ineqs)
     if len(base_idx) < dim:
-        raise ValueError("cone is not pointed (inequality rank below dimension)")
-    base = [ineqs[i] for i in base_idx]
-    # rays of the simplicial base cone: columns of base^{-1}
-    cols = []
-    for j in range(dim):
-        e = [Fraction(0)] * dim
-        e[j] = Fraction(1)
-        sol = solve_square([[Fraction(v) for v in row] for row in base], e)
-        cols.append(primitive(sol))
+        raise ValueError("cone is not pointed (it contains a line)")
+    # rays of the simplicial base cone: columns of base^{-1}, read off the
+    # reduced row echelon form [I | base^{-1}] of [base | I]
+    unit = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    inverse, _ = rref([ineqs[i] + e for i, e in zip(base_idx, unit)])
+    cols = [primitive([row[dim + j] for row in inverse]) for j in range(dim)]
     base_set = set(base_idx)
     rays: list[tuple[IntVec, int]] = []
     for j, ray in enumerate(cols):
@@ -191,10 +182,7 @@ def cone_extreme_rays(
         if dim:
             raise ValueError("cone is all of space (has lines)")
         return []
-    k = len(ineqs[0])
-    if mat_rank(ineqs) < k:
-        raise ValueError("cone is not pointed (it contains a line)")
-    return [r for r, _ in dd_pointed_cone([tuple(map(int, a)) for a in ineqs], k)]
+    return [r for r, _ in dd_pointed_cone(ineqs, len(ineqs[0]))]
 
 
 # ---------------------------------------------------------------------------
@@ -214,29 +202,14 @@ def convex_hull(
     # homogenized generators (1, p) and (0, r), scaled to integers row-wise
     gens = [primitive((Fraction(1),) + p) for p in uniq]
     gens += [(0,) + r for r in uniq_rays]
-    # equations of the hull = kernel of the generator matrix
+    # equations of the hull = kernel of the generator matrix; the pointed
+    # part of the dual cone {y : g.y >= 0} lives in its orthogonal complement
     eq_basis = nullspace_int(gens)
-    equations = []
-    for y in eq_basis:
-        equations.append((y[1:], -y[0]))
-    # pointed part of the dual cone lives in the row space of the generators
-    row_idx = independent_rows(gens)
-    B = [gens[i] for i in row_idx]  # basis of the row space
-    k = len(B)
-    inequalities = []
-    if k:
-        reduced = [
-            tuple(sum(g[i] * bv[i] for i in range(dim + 1)) for bv in B)
-            for g in gens
-        ]
-        duals = cone_extreme_rays(reduced) if len(gens) > 1 else []
-        for u in duals:
-            y = tuple(
-                sum(u[j] * B[j][i] for j in range(k)) for i in range(dim + 1)
-            )
-            if not any(y[1:]):
-                continue  # homogenization artifact x0 >= 0, trivial on P
-            inequalities.append((y[1:], -y[0]))
+    equations = [(y[1:], -y[0]) for y in eq_basis]
+    # a lone point has no facets: its one dual ray is the point itself
+    duals = cone_extreme_rays(gens, eq_basis) if len(gens) > 1 else []
+    # y = (1, 0, ..., 0) is the homogenization artifact x0 >= 0, trivial on P
+    inequalities = [(y[1:], -y[0]) for y in duals if any(y[1:])]
     return HPolyhedron.make(dim, inequalities, equations)
 
 

@@ -135,6 +135,7 @@ class TestOptions:
             ("hull", "-T", 5, "--multiset-cap", 10),
             ("normality", "-T", 4, "--word-cap", 10),
             ("markov", "-T", 3, "--threads", 2),
+            ("normality", "-T", 4, "--threads", 2),
         ],
     )
     def test_unread_option_rejected(self, argv):
@@ -177,14 +178,6 @@ class TestOptions:
 
 
 class TestEnv:
-    def test_threads_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("THMC_THREADS", "2")
-        rc, _ = run(tmp_path, "normality", "-T", 4, "--n-max", 2,
-                    "--out-dir", tmp_path)
-        assert rc == 0
-        rep = json.loads((tmp_path / "normality-T4.json").read_text())
-        assert rep["ok"]
-
     def test_bad_mixed_lengths(self, tmp_path):
         p = tmp_path / "bad.words"
         p.write_text("121\n1212\n")
@@ -204,6 +197,8 @@ class TestInputErrors:
             ("121\n1212\n", None, ()),
             ("12132\n12321\n", None, ("--steps", 5, "--burn-in", 10)),
             ("12132\n12321\n", None, ("--thin", 0)),
+            ("12132\n12321\n", "", ()),
+            ("12132\n12321\n", "# no moves here\n\n", ()),
         ],
     )
     @pytest.mark.parametrize("command", ["walk", "test-fit"])

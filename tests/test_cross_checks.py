@@ -1,8 +1,8 @@
 """Independent-route cross-checks of the exact engines.
 
-The double description hull is compared against qhull, lattice membership
-against sympy's Hermite normal form, and simplex feasibility against the
-HiGHS LP solver.  Floating-point oracles are only trusted on inputs with a
+The double description hull is compared against qhull, exact elimination
+against sympy's reduced row echelon form, lattice membership against sympy's
+Hermite normal form, and simplex feasibility against the HiGHS LP solver.  Floating-point oracles are only trusted on inputs with a
 comfortable margin; the exact side is the reference everywhere else.
 """
 
@@ -12,11 +12,11 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
-from sympy import Matrix
+from sympy import Matrix, Rational
 from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
 
 from thmc.design import get_design
-from thmc.exactla import IntegerLattice, in_cone, simplex_standard
+from thmc.exactla import IntegerLattice, in_cone, rref, simplex_standard
 from thmc.polytope import convex_hull, vertex_enumeration
 
 
@@ -49,6 +49,34 @@ class TestHullAgainstQhull:
             V = vertex_enumeration(convex_hull(cols))
             got = {tuple(int(c) for c in v) for v in V.vertices}
             assert got == expected
+
+
+class TestEliminationAgainstSympy:
+    def test_rref_matches(self):
+        rng = random.Random(31)
+        shapes = [(7, 3), (3, 7), (5, 5), (1, 4), (4, 1), (6, 6)]
+        for trial in range(60):
+            r, c = shapes[trial % len(shapes)]
+            M = [
+                [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(c)]
+                for _ in range(r)
+            ]
+            if r > 2 and rng.random() < 0.5:  # rank-deficient: a row combines two others
+                M[2] = [2 * a - Fraction(1, 3) * b for a, b in zip(M[0], M[1])]
+            if rng.random() < 0.3:
+                M[rng.randrange(r)] = [Fraction(0)] * c
+            if rng.random() < 0.3:
+                zero = rng.randrange(c)
+                M = [row[:zero] + [Fraction(0)] + row[zero + 1 :] for row in M]
+            rows, pivots = rref(M)
+            R, sympy_pivots = Matrix(
+                [[Rational(e.numerator, e.denominator) for e in row] for row in M]
+            ).rref()
+            assert pivots == list(sympy_pivots)
+            assert rows == [
+                [Fraction(int(e.p), int(e.q)) for e in R.row(i)]
+                for i in range(len(pivots))
+            ]
 
 
 class TestLatticeAgainstSympy:

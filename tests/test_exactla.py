@@ -144,3 +144,16 @@ class TestHelpers:
     def test_independent_rows(self):
         M = [[1, 0], [2, 0], [0, 1]]
         assert independent_rows(M) == [0, 2]
+
+    def test_independent_rows_is_the_greedy_scan(self):
+        # a row is kept exactly when it raises the rank of the rows kept so far
+        rng = random.Random(13)
+        for _ in range(40):
+            r, c = rng.randint(1, 7), rng.randint(1, 5)
+            M = [[rng.randint(-2, 2) for _ in range(c)] for _ in range(r)]
+            M.insert(rng.randint(0, r), list(rng.choice(M)))
+            greedy: list[int] = []
+            for i, row in enumerate(M):
+                if mat_rank([M[j] for j in greedy] + [row]) > len(greedy):
+                    greedy.append(i)
+            assert independent_rows(M) == greedy

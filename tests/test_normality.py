@@ -136,12 +136,10 @@ class TestCheckNormality:
             assert state_graph(Counter(paths), 3) == x
             assert all(len(w) == 4 for w in paths)
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_cap_reports_undecided(self, threads, monkeypatch):
-        # a tripped node cap is neither a failure nor a traceback, on the
-        # serial path and in pool workers alike (they inherit the patch); the
-        # search runs once per orbit, so the whole orbit of the stuck point
-        # is undecided, listed per point in point order
+    def test_cap_reports_undecided(self, monkeypatch):
+        # a tripped node cap is neither a failure nor a traceback; the search
+        # runs once per orbit, so the whole orbit of the stuck point is
+        # undecided, listed per point in point order
         import thmc.normality
 
         stuck = saturation_points(4, 2)[5].x
@@ -155,7 +153,7 @@ class TestCheckNormality:
             return real(x, n, T)
 
         monkeypatch.setattr(thmc.normality, "decompose_into_paths", decompose)
-        rep = check_normality(4, 2, threads=threads)
+        rep = check_normality(4, 2)
         assert rep["undecided"] == [
             {"x": list(p.x), "n": 2} for p in saturation_points(4, 2) if p.x in orbit
         ]
@@ -164,12 +162,6 @@ class TestCheckNormality:
         assert rep["points_checked"] == len(saturation_points(4, 1)) + len(
             saturation_points(4, 2)
         )
-
-    def test_threads_give_the_same_report(self):
-        serial = check_normality(6, 2, keep_witnesses=True)
-        pooled = check_normality(6, 2, keep_witnesses=True, threads=2)
-        assert pooled == serial
-        assert serial["ok"] and serial["orbits"] < serial["points_checked"]
 
     def test_one_search_per_orbit(self, monkeypatch):
         import thmc.normality

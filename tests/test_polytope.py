@@ -40,6 +40,9 @@ class TestConeRays:
     def test_line_detected(self):
         with pytest.raises(ValueError):
             cone_extreme_rays([(1, 0)])  # free second coordinate
+        with pytest.raises(ValueError):
+            # the line x1 = x2 = t, x0 = 0 survives the equation
+            cone_extreme_rays([(1, 0, 0)], eqs=[(0, 1, -1)])
 
     def test_planar_cone(self):
         # {x >= 0, x + y >= 0}: boundary rays (0,1) and (1,-1)
