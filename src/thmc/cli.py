@@ -34,7 +34,7 @@ from .markov import (
     moves_to_text,
     verify_kernel,
 )
-from .mcmc import STATISTICS, WalkConfig, as_table, exact_test, walk
+from .mcmc import STATISTICS, WalkConfig, exact_test, kept_tables
 from .normality import check_normality, s4_nonnormality_probe
 from .polytope import convex_hull, vertex_enumeration
 from .words import DEFAULT_WORD_CAP, CapExceededError, read_words
@@ -340,11 +340,9 @@ def _load_walk_inputs(run, args):
 def cmd_walk(args) -> int:
     run = Run("walk", args)
     A, multiset, moves, cfg = _load_walk_inputs(run, args)
-    table0 = as_table(multiset, A)
+    steps = range(cfg.burn_in, cfg.steps, cfg.thinning)
     lines = ["step,table"]
-    for step, state in enumerate(walk(table0, moves, cfg, A)):
-        if step < cfg.burn_in or (step - cfg.burn_in) % cfg.thinning:
-            continue
+    for step, state in zip(steps, kept_tables(multiset, moves, cfg, A)):
         lines.append(f"{step},{' '.join(A.words[j].text for j in state)}")
     run.write("walk-trace.csv", "\n".join(lines) + "\n")
     print(f"walk: {len(lines) - 1} sampled tables written")
@@ -357,15 +355,9 @@ def cmd_test_fit(args) -> int:
     result = exact_test(multiset, A, moves, cfg, statistic=args.statistic)
     run.write_json("testfit.json", result.to_dict())
     if args.trace:
-        from .mcmc import _FittedModel
-
-        model = _FittedModel(as_table(multiset, A), A)
-        evaluate = model.pearson if args.statistic == "pearson" else model.g2
+        steps = range(cfg.burn_in, cfg.steps, cfg.thinning)
         lines = ["step,statistic"]
-        for step, state in enumerate(walk(as_table(multiset, A), moves, cfg, A)):
-            if step < cfg.burn_in or (step - cfg.burn_in) % cfg.thinning:
-                continue
-            lines.append(f"{step},{float(evaluate(state))!r}")
+        lines += (f"{step},{value!r}" for step, value in zip(steps, result.values))
         run.write("testfit-trace.csv", "\n".join(lines) + "\n")
     print(
         f"{args.statistic}: observed={result.observed:.4f} "

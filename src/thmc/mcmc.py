@@ -7,6 +7,10 @@ statistic reaches the observed one estimates the exact conditional p-value
 (observed table included on both sides of the ratio: the usual conservative
 Monte Carlo convention).
 
+The test is one pass over the walk's kept steps.  It scores a kept table
+only when it differs from the previous one, and keeps each sample's
+statistic: the summary fields and the CLI's trace are read off these.
+
 Tables and moves stay exact integers; the default Pearson statistic is
 computed in exact rational arithmetic against the time-homogeneous fit
 (empirical transition frequencies of the pooled data), the likelihood-ratio
@@ -15,12 +19,14 @@ alternative uses floats for its logarithms.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+from array import array
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .design import DesignMatrix
 from .markov import Move
@@ -35,6 +41,8 @@ class WalkConfig:
     thinning: int = 1
 
     def __post_init__(self):
+        if self.burn_in < 0:
+            raise ValueError("burn_in must be >= 0")
         if self.steps <= self.burn_in:
             raise ValueError("steps must exceed burn_in")
         if self.thinning < 1:
@@ -54,19 +62,11 @@ class TestResult:
     sample_min: float
     sample_max: float
     sample_mean: float
+    values: array = field(repr=False)  # the statistic of each kept sample, in walk order
 
     def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "observed": self.observed,
-            "observed_exact": self.observed_exact,
-            "p_value": self.p_value,
-            "std_error": self.std_error,
-            "samples": self.samples,
-            "sample_min": self.sample_min,
-            "sample_max": self.sample_max,
-            "sample_mean": self.sample_mean,
-        }
+        """Every field but the per-sample values, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "values"}
 
 
 def as_table(u, A: DesignMatrix) -> tuple[int, ...]:
@@ -113,39 +113,36 @@ class _FittedModel:
                 sum(M[i][j] * vec[j] for j in range(S)) for i in range(S)
             ]
         self.total_mass = sum(vec)
-        self._word_mass: dict[int, Fraction] = {}
+        self._expected: dict[int, Fraction] = {}
 
-    def word_mass(self, j: int) -> Fraction:
-        m = self._word_mass.get(j)
-        if m is None:
+    def expected(self, j: int) -> Fraction:
+        """Fitted expected count of word j: N times its fitted mass."""
+        e = self._expected.get(j)
+        if e is None:
             w = self.A.words[j]
-            m = Fraction(1)
+            e = Fraction(self.N)
             for a, b in zip(w, w[1:]):
-                m *= self.phat[(a, b)]
-            self._word_mass[j] = m
-        return m
+                e *= self.phat[(a, b)]
+            self._expected[j] = e
+        return e
 
     def pearson(self, table: tuple[int, ...]) -> Fraction:
-        """Pearson chi-square against the fitted homogeneous model, exact."""
-        counts = Counter(table)
-        support_stat = Fraction(0)
-        support_mass = Fraction(0)
-        for j, u_j in counts.items():
-            mass = self.word_mass(j)
-            if mass == 0:
+        """Pearson chi-square against the fitted homogeneous model, exact:
+        sum_j (u_j - e_j)^2 / e_j = sum_{u_j>0} u_j^2 / e_j + N*total_mass - 2N,
+        as the u_j sum to N and the e_j of all words to N*total_mass."""
+        stat = self.N * (self.total_mass - 2)
+        for j, u_j in Counter(table).items():
+            e = self.expected(j)
+            if e == 0:
                 raise AssertionError("observed word with zero fitted mass")
-            expected = self.N * mass
-            support_stat += (u_j - expected) ** 2 / expected
-            support_mass += mass
-        return support_stat + self.N * (self.total_mass - support_mass)
+            stat += u_j * u_j / e
+        return stat
 
     def g2(self, table: tuple[int, ...]) -> float:
         """Likelihood-ratio statistic 2 sum u log(u/e), floating point."""
-        counts = Counter(table)
         total = 0.0
-        for j, u_j in counts.items():
-            expected = self.N * self.word_mass(j)
-            total += 2.0 * u_j * math.log(u_j / float(expected))
+        for j, u_j in Counter(table).items():
+            total += 2.0 * u_j * math.log(u_j / float(self.expected(j)))
         return total
 
 
@@ -169,23 +166,34 @@ def walk(
     cfg: WalkConfig,
     A: DesignMatrix,
 ) -> Iterator[tuple[int, ...]]:
-    """Symmetric fiber walk: one emitted table per step, first state included.
+    """Symmetric fiber walk: emits the table after each of the cfg.steps
+    proposals; u0 is not emitted before the first.
 
-    Every emitted table has the marginal of u0; identical seeds give
-    identical streams.
+    A rejected proposal (one that would go negative) emits the current table
+    again, as the same object.  Every emitted table has the marginal of u0;
+    identical seeds give identical streams.
     """
     if not moves:
         raise ValueError("need a nonempty move set")
     table = as_table(u0, A)
     rng = random.Random(cfg.seed)
-    nm = len(moves)
+    signed = [*moves, *(z.negated() for z in moves)]
     for _ in range(cfg.steps):
-        k = rng.randrange(2 * nm)
-        z = moves[k % nm] if k < nm else moves[k % nm].negated()
-        nxt = z.apply(table)
+        nxt = signed[rng.randrange(len(signed))].apply(table)
         if nxt is not None:
             table = nxt
         yield table
+
+
+def kept_tables(
+    u0,
+    moves: Sequence[Move],
+    cfg: WalkConfig,
+    A: DesignMatrix,
+) -> Iterator[tuple[int, ...]]:
+    """The walk's sampled tables: after cfg.burn_in steps, every
+    cfg.thinning-th, at the steps range(cfg.burn_in, cfg.steps, cfg.thinning)."""
+    return itertools.islice(walk(u0, moves, cfg, A), cfg.burn_in, None, cfg.thinning)
 
 
 def exact_test(
@@ -200,34 +208,27 @@ def exact_test(
         raise ValueError(f"statistic must be one of {STATISTICS}")
     table = as_table(u_obs, A)
     model = _FittedModel(table, A)
-    evaluate: Callable = model.pearson if statistic == "pearson" else model.g2
+    evaluate = model.pearson if statistic == "pearson" else model.g2
     observed = evaluate(table)
+    values = array("d")
     n_ge = 0
-    n_samples = 0
-    total = 0.0
-    lo = math.inf
-    hi = -math.inf
-    for step, state in enumerate(walk(table, moves, cfg, A)):
-        if step < cfg.burn_in or (step - cfg.burn_in) % cfg.thinning:
-            continue
-        val = evaluate(state)
-        n_samples += 1
-        if val >= observed:
-            n_ge += 1
-        fval = float(val)
-        total += fval
-        lo = min(lo, fval)
-        hi = max(hi, fval)
-    p = (1 + n_ge) / (1 + n_samples)
-    se = math.sqrt(p * (1 - p) / n_samples) if n_samples else math.nan
+    prev, val = table, observed
+    for state in kept_tables(table, moves, cfg, A):
+        if state != prev:
+            prev, val = state, evaluate(state)
+        n_ge += val >= observed
+        values.append(float(val))
+    n = len(values)  # >= 1, since WalkConfig asks steps > burn_in
+    p = (1 + n_ge) / (1 + n)
     return TestResult(
         statistic=statistic,
         observed=float(observed),
         observed_exact=str(observed) if isinstance(observed, Fraction) else None,
         p_value=p,
-        std_error=se,
-        samples=n_samples,
-        sample_min=lo,
-        sample_max=hi,
-        sample_mean=total / n_samples if n_samples else math.nan,
+        std_error=math.sqrt(p * (1 - p) / n),
+        samples=n,
+        sample_min=min(values),
+        sample_max=max(values),
+        sample_mean=sum(values) / n,
+        values=values,
     )

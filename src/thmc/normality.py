@@ -29,11 +29,11 @@ from .words import (
     CapExceededError,
     Symmetry,
     Word,
-    _support_components,
     decompose_into_paths,
     degree_imbalances,
     pair_index,
     state_graph,
+    support_components,
     symmetry_group,
     transition_counts,
 )
@@ -381,7 +381,7 @@ def s4_nonnormality_probe(T: int = 8) -> dict:
         delta = degree_imbalances(x)
         if any(abs(d) > n for d in delta):
             return False
-        for comp in _support_components(x, S):
+        for comp in support_components(x, S):
             mass = sum(
                 x[k] for (i, j), k in idx.items() if i in comp
             )

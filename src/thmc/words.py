@@ -185,7 +185,7 @@ def degree_imbalances(x: Sequence[int]) -> list[int]:
     return delta[1:]
 
 
-def _support_components(x: Sequence[int], S: int) -> list[set[int]]:
+def support_components(x: Sequence[int], S: int) -> list[set[int]]:
     """Weakly connected components of non-isolated vertices of G(x)."""
     idx = pair_index(S)
     adj: dict[int, set[int]] = {}
@@ -227,7 +227,7 @@ def has_eulerian_path(x: Sequence[int]) -> bool:
         return False
     if sum(1 for d in delta if d == 1) > 1:
         return False
-    return len(_support_components(x, S)) == 1
+    return len(support_components(x, S)) == 1
 
 
 def eulerian_path(x: Sequence[int]) -> Optional[Word]:
@@ -273,7 +273,7 @@ def _boundary_feasible(counts: list[int], S: int, T: int) -> bool:
     multiple of T-1 and the positive imbalances must fit the trail budget.
     """
     idx = pair_index(S)
-    for comp in _support_components(counts, S):
+    for comp in support_components(counts, S):
         edges = sum(counts[k] for (i, j), k in idx.items() if i in comp)
         if edges % (T - 1):
             return False

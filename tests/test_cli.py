@@ -199,6 +199,7 @@ class TestInputErrors:
             ("12132\n12321\n", None, ("--thin", 0)),
             ("12132\n12321\n", "", ()),
             ("12132\n12321\n", "# no moves here\n\n", ()),
+            ("12132\n12321\n", None, ("--burn-in", -1)),
         ],
     )
     @pytest.mark.parametrize("command", ["walk", "test-fit"])
@@ -316,3 +317,40 @@ class TestNewFormats:
         lines = (tmp_path / "testfit-trace.csv").read_text().splitlines()
         assert lines[0] == "step,statistic"
         assert len(lines) == 101
+
+    @pytest.mark.parametrize("statistic", ["pearson", "g2"])
+    def test_statistic_trace_is_one_walk(self, tmp_path, data_file, monkeypatch, statistic):
+        # the trace comes from the test's own pass: one walk, and each line is
+        # the statistic of that step's table scored from scratch
+        import thmc.cli
+        import thmc.mcmc
+        from thmc.design import get_design
+        from thmc.markov import minimal_markov_basis
+        from thmc.mcmc import WalkConfig, as_table, chi_square_statistic, g2_statistic
+        from thmc.words import read_words
+
+        walks = []
+        walk = thmc.mcmc.walk
+
+        def counted(*args):
+            walks.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(thmc.mcmc, "walk", counted)
+        # and any copy of the name the command module holds
+        monkeypatch.setattr(thmc.cli, "walk", counted, raising=False)
+        rc, _ = run(tmp_path, "test-fit", data_file, "--steps", 400, "--seed", 2,
+                    "--burn-in", 100, "--thin", 3, "--statistic", statistic,
+                    "--trace", "--out-dir", tmp_path)
+        assert rc == 0 and len(walks) == 1
+        monkeypatch.undo()
+        A = get_design(3, 5)
+        t0 = as_table(read_words(data_file.read_text().splitlines()), A)
+        cfg = WalkConfig(seed=2, steps=400, burn_in=100, thinning=3)
+        score = chi_square_statistic if statistic == "pearson" else g2_statistic
+        expected = ["step,statistic"] + [
+            f"{step},{float(score(state, A))!r}"
+            for step, state in enumerate(walk(t0, minimal_markov_basis(A, 2, 2), cfg, A))
+            if step >= cfg.burn_in and (step - cfg.burn_in) % cfg.thinning == 0
+        ]
+        assert (tmp_path / "testfit-trace.csv").read_text().splitlines() == expected

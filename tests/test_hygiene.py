@@ -84,3 +84,21 @@ def test_no_unused_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in imported if name not in used]
     assert not unused, "imported but never used: " + ", ".join(unused)
+
+
+def test_no_private_imports_across_modules():
+    """A `_`-prefixed name belongs to its own module: no other thmc module
+    imports it (dunders such as `__version__` are public)."""
+    private = []
+    for path, tree in _modules().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if not node.level and (node.module or "").split(".")[0] != "thmc":
+                continue
+            private += [
+                f"{path.name}: {alias.name} from {'.' * node.level}{node.module or ''}"
+                for alias in node.names
+                if alias.name.startswith("_") and not alias.name.endswith("__")
+            ]
+    assert not private, "private names imported across modules: " + ", ".join(private)

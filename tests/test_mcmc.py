@@ -10,17 +10,74 @@ from thmc.markov import enumerate_moves, fiber_enumerate
 from thmc.mcmc import (
     TestResult,
     WalkConfig,
+    _FittedModel,
     as_table,
     chi_square_statistic,
     exact_test,
     g2_statistic,
     walk,
 )
-from thmc.words import Word
+from thmc.words import Word, pair_index
 
 
 def wtable(A, *texts):
     return as_table(Counter(Word.from_text(t) for t in texts), A)
+
+
+def marginal(table, A):
+    return tuple(sum(A.columns[j][i] for j in table) for i in range(A.dim))
+
+
+def direct_expected(table, A):
+    """Expected count N * prod phat of every word under the pooled transition
+    fit of table, reimplemented from the definition."""
+    b = marginal(table, A)
+    out = {s: 0 for s in range(1, A.S + 1)}
+    for (i, j), k in pair_index(A.S).items():
+        out[i] += b[k]
+    phat = {
+        (i, j): Fraction(b[k], out[i]) if out[i] else Fraction(0)
+        for (i, j), k in pair_index(A.S).items()
+    }
+    expected = []
+    for w in A.words:
+        mass = Fraction(1)
+        for a, bb in zip(w, w[1:]):
+            mass *= phat[(a, bb)]
+        expected.append(len(table) * mass)
+    return expected
+
+
+def direct_pearson(table, A):
+    """sum (u - e)^2 / e term by term over every word of positive fitted mass."""
+    counts = Counter(table)
+    stat = Fraction(0)
+    for j, e in enumerate(direct_expected(table, A)):
+        if e == 0:
+            assert counts.get(j, 0) == 0
+            continue
+        stat += (counts.get(j, 0) - e) ** 2 / e
+    return stat
+
+
+def direct_g2(table, A):
+    expected = direct_expected(table, A)
+    total = 0.0
+    for j, u_j in Counter(table).items():
+        total += 2.0 * u_j * math.log(u_j / float(expected[j]))
+    return total
+
+
+DIRECT = {"pearson": direct_pearson, "g2": direct_g2}
+
+
+def kept_by_filter(t0, moves, cfg, A):
+    """The sampled tables, picked out of the whole walk one step at a time."""
+    return [
+        state
+        for step, state in enumerate(walk(t0, moves, cfg, A))
+        if step >= cfg.burn_in and (step - cfg.burn_in) % cfg.thinning == 0
+    ]
 
 
 class TestConfig:
@@ -29,6 +86,8 @@ class TestConfig:
             WalkConfig(seed=1, steps=10, burn_in=10)
         with pytest.raises(ValueError):
             WalkConfig(seed=1, steps=10, thinning=0)
+        with pytest.raises(ValueError):
+            WalkConfig(seed=1, steps=10, burn_in=-1)
 
 
 class TestStatistic:
@@ -58,46 +117,41 @@ class TestStatistic:
         # Pearson's off-support term reads the fitted mass of all words from
         # a transfer-matrix product; summed word by word it must agree, and
         # with every state left at least once each start state carries mass 1
-        from thmc.mcmc import _FittedModel
-
         A = get_design(3, T)
         rng = random.Random(T)
         table = tuple(sorted(rng.randrange(len(A.words)) for _ in range(7)))
         model = _FittedModel(table, A)
-        assert model.total_mass == sum(model.word_mass(j) for j in range(len(A.words)))
+        expected = [model.expected(j) for j in range(len(A.words))]
+        assert model.N * model.total_mass == sum(expected)
+        assert expected == direct_expected(table, A)
         assert model.total_mass == 3
 
     def test_exact_value_against_direct_formula(self):
         A = get_design(3, 5)
         table = wtable(A, "12132", "12321")
-        # direct reimplementation: pooled transition fit, product per word
-        from thmc.words import pair_index, transition_counts
+        assert chi_square_statistic(Counter({Word.from_text("12132"): 1, Word.from_text("12321"): 1}), A) == direct_pearson(table, A)
 
-        idx = pair_index(3)
-        b = [0] * 6
-        for j in table:
-            for i, c in enumerate(A.columns[j]):
-                b[i] += c
-        out = {s: 0 for s in (1, 2, 3)}
-        for (i, j), k in idx.items():
-            out[i] += b[k]
-        phat = {
-            (i, j): Fraction(b[k], out[i]) if out[i] else Fraction(0)
-            for (i, j), k in idx.items()
-        }
-        N = len(table)
-        expected_stat = Fraction(0)
-        counts = Counter(table)
-        for j, w in enumerate(A.words):
-            mass = Fraction(1)
-            for a, bb in zip(w, w[1:]):
-                mass *= phat[(a, bb)]
-            if mass == 0:
-                assert counts.get(j, 0) == 0
-                continue
-            e = N * mass
-            expected_stat += (counts.get(j, 0) - e) ** 2 / e
-        assert chi_square_statistic(Counter({Word.from_text("12132"): 1, Word.from_text("12321"): 1}), A) == expected_stat
+    @pytest.mark.parametrize(
+        "T, texts",
+        [
+            (4, ("1212", "1321", "1321")),
+            (4, ("1231", "1321", "2132")),
+            (5, ("12132", "12321", "13212")),
+            (5, ("12121", "12131", "31212", "21213")),
+        ],
+    )
+    def test_closed_form_on_whole_fibers(self, T, texts):
+        # the closed form sum u^2/e + N*total_mass - 2N against the term-by-term
+        # sum (u-e)^2/e on every table of the fiber; all but the second
+        # marginal have a zero transition, so some words have zero fitted mass
+        A = get_design(3, T)
+        t0 = wtable(A, *texts)
+        model = _FittedModel(t0, A)
+        members = fiber_enumerate(marginal(t0, A), A).members
+        assert len(members) > 1
+        for m in members:
+            assert model.pearson(m) == direct_pearson(m, A)
+            assert model.g2(m) == direct_g2(m, A)
 
     def test_g2_nonnegative_ish(self):
         A = get_design(3, 5)
@@ -150,6 +204,26 @@ class TestWalk:
         cfg = WalkConfig(seed=5, steps=30_000)
         assert companion in set(walk(t0, moves, cfg, A))
 
+    def test_signed_draw_matches_two_branch_choice(self):
+        # the walk draws index k of 2 * len(moves) and applies moves[k] for
+        # k < len(moves), else the negation of moves[k - len(moves)]
+        A = get_design(3, 5)
+        moves = enumerate_moves(A, 2)
+        t0 = wtable(A, "12132", "12321", "13212")
+        cfg = WalkConfig(seed=17, steps=5000)
+        rng = random.Random(cfg.seed)
+        nm = len(moves)
+        table = t0
+        expected = []
+        for _ in range(cfg.steps):
+            k = rng.randrange(2 * nm)
+            z = moves[k % nm] if k < nm else moves[k % nm].negated()
+            nxt = z.apply(table)
+            if nxt is not None:
+                table = nxt
+            expected.append(table)
+        assert list(walk(t0, moves, cfg, A)) == expected
+
     def test_uniform_stationary_distribution(self):
         # fully enumerated small fiber: empirical visit frequencies approach
         # uniform; total variation within 0.05 under the minimal basis
@@ -192,10 +266,7 @@ class TestExactTest:
         A = get_design(3, 5)
         moves = enumerate_moves(A, 2)
         t0 = wtable(A, "12132", "12321")
-        b = tuple(sum(A.columns[j][i] for j in t0) for i in range(6))
-        fib = fiber_enumerate(b, A)
-        from thmc.mcmc import _FittedModel
-
+        fib = fiber_enumerate(marginal(t0, A), A)
         model = _FittedModel(t0, A)
         stats = {m: model.pearson(m) for m in fib.members}
         lo = min(fib.members, key=lambda m: (stats[m], m))
@@ -224,6 +295,52 @@ class TestExactTest:
         assert res.observed_exact is not None
         doc = res.to_dict()
         assert doc["statistic"] == "pearson"
+
+    @pytest.mark.parametrize("statistic", ["pearson", "g2"])
+    def test_one_pass_against_stepwise_rescoring(self, statistic):
+        # every kept step of an independent re-walk, scored from scratch by the
+        # direct formula, gives the test's values and every summary field
+        A = get_design(3, 5)
+        moves = enumerate_moves(A, 2)
+        t0 = wtable(A, "12132", "12321", "32131")
+        cfg = WalkConfig(seed=7, steps=3000, burn_in=100, thinning=3)
+        res = exact_test(t0, A, moves, cfg, statistic=statistic)
+        direct = DIRECT[statistic]
+        observed = direct(t0, A)
+        stats = [direct(state, A) for state in kept_by_filter(t0, moves, cfg, A)]
+        floats = [float(v) for v in stats]
+        total = 0.0
+        for v in floats:
+            total += v
+        assert list(res.values) == floats
+        assert res.samples == len(stats) == len(range(cfg.burn_in, cfg.steps, cfg.thinning))
+        assert res.p_value == (1 + sum(v >= observed for v in stats)) / (1 + len(stats))
+        assert res.sample_min == min(floats)
+        assert res.sample_max == max(floats)
+        assert res.sample_mean == total / len(floats)
+        assert "values" not in res.to_dict()
+
+    @pytest.mark.parametrize("statistic", ["pearson", "g2"])
+    def test_scores_each_visited_table_once(self, statistic, monkeypatch):
+        # the observed table, then each kept table that differs from the one
+        # kept before it (the first kept table is compared with the observed)
+        A = get_design(3, 5)
+        moves = enumerate_moves(A, 2)
+        t0 = wtable(A, "12132", "12321", "32131")
+        cfg = WalkConfig(seed=7, steps=3000, burn_in=100, thinning=3)
+        scored = []
+        evaluate = getattr(_FittedModel, statistic)
+
+        def counted(model, table):
+            scored.append(table)
+            return evaluate(model, table)
+
+        monkeypatch.setattr(_FittedModel, statistic, counted)
+        res = exact_test(t0, A, moves, cfg, statistic=statistic)
+        kept = kept_by_filter(t0, moves, cfg, A)
+        changed = sum(a != b for a, b in zip([t0, *kept], kept))
+        assert len(scored) == 1 + changed
+        assert changed < res.samples
 
     def test_g2_variant_runs(self):
         A = get_design(3, 5)
