@@ -334,6 +334,11 @@ def _load_walk_inputs(run, args):
             raise InputError(f"{args.moves_file}: a move is not in the kernel of the design")
     else:
         moves = minimal_markov_basis(A, 2, 2, multiset_cap=args.multiset_cap)
+        if not moves:
+            raise InputError(
+                f"{args.data}: the default basis for T={T} has no moves: "
+                "every fiber of degree <= 2 is a single table"
+            )
     return A, multiset, moves, cfg
 
 

@@ -36,8 +36,8 @@ from .polytope import (
     vertex_enumeration,
 )
 from .words import (
+    decompose_into_paths,
     enumerate_words,
-    eulerian_path,
     pair_index,
     symmetry_group,
     transition_counts,
@@ -447,8 +447,8 @@ def verify_facet_completeness(T: int) -> dict:
                 "integral": integral,
             }
             if integral and inside:
-                word = eulerian_path(tuple(int(c) for c in p))
-                entry["induction_witness_word"] = word.text if word else None
+                split = decompose_into_paths(tuple(int(c) for c in p), 1, T)
+                entry["induction_witness_word"] = split[0].text if split else None
             extensions.append(entry)
     hull_set = hull_facets_homogeneous(T)
     expansion = _homogeneous_normals(q_polyhedron(r), T) if T >= 5 else set()

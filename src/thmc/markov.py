@@ -14,7 +14,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .design import DesignMatrix
 from .words import CapExceededError, Word
@@ -112,6 +112,18 @@ def _multisets_by_marginal(
     return buckets
 
 
+def _fibers(
+    A: DesignMatrix, max_degree: int, multiset_cap: int
+) -> Iterator[tuple[int, tuple[int, ...], list[tuple[int, ...]]]]:
+    """(degree, marginal, members) of every fiber of degree 1..max_degree
+    with at least two members, degree by degree.  Lazy: a degree is bucketed
+    only once every fiber of the degree below has been consumed."""
+    for d in range(1, max_degree + 1):
+        for marginal, members in _multisets_by_marginal(A, d, multiset_cap).items():
+            if len(members) > 1:
+                yield d, marginal, members
+
+
 def enumerate_moves(
     A: DesignMatrix,
     max_degree: int,
@@ -125,18 +137,13 @@ def enumerate_moves(
     moves at their own degree.
     """
     found: set[Move] = set()
-    for d in range(1, max_degree + 1):
-        for members in _multisets_by_marginal(A, d, multiset_cap).values():
-            if len(members) < 2:
-                continue
-            for u, v in combinations(members, 2):
-                z = Move.from_multisets(u, v)
-                if z is not None:
-                    found.add(z)
-                    if len(found) > move_cap:
-                        raise CapExceededError(
-                            f"move count exceeds cap {move_cap}"
-                        )
+    for _, _, members in _fibers(A, max_degree, multiset_cap):
+        for u, v in combinations(members, 2):
+            z = Move.from_multisets(u, v)
+            if z is not None:
+                found.add(z)
+                if len(found) > move_cap:
+                    raise CapExceededError(f"move count exceeds cap {move_cap}")
     return sorted(found, key=lambda z: (z.degree, z.entries))
 
 
@@ -241,16 +248,13 @@ def is_markov_basis(
     connectivity at higher degrees.
     """
     index = _minus_index(moves)
-    for d in range(1, n_max + 1):
-        for marginal, members in _multisets_by_marginal(A, d, multiset_cap).items():
-            if len(members) < 2:
-                continue
-            if len(_fiber_components(members, index)) != 1:
-                return False, {
-                    "marginal": list(marginal),
-                    "degree": d,
-                    "fiber_size": len(members),
-                }
+    for d, marginal, members in _fibers(A, n_max, multiset_cap):
+        if len(_fiber_components(members, index)) != 1:
+            return False, {
+                "marginal": list(marginal),
+                "degree": d,
+                "fiber_size": len(members),
+            }
     return True, None
 
 
@@ -267,19 +271,22 @@ def minimal_markov_basis(
     member of every other component under the lower-degree moves.  Tables in
     different components share no word, so each move has degree exactly d and
     applies only inside its own fiber: dropping any move disconnects that
-    fiber, so the basis is inclusion-minimal.  ValueError if a fiber of degree
-    above max_degree is disconnected.
+    fiber, so the basis is inclusion-minimal.  ValueError, naming the fiber's
+    marginal, degree and size, if a fiber of degree above max_degree is
+    disconnected.
     """
     basis: list[Move] = []
-    for d in range(1, n_max + 1):
-        index = _minus_index(basis)
-        for members in _multisets_by_marginal(A, d, multiset_cap).values():
-            if len(members) < 2:
-                continue
-            first, *rest = _fiber_components(members, index)
-            if rest and d > max_degree:
-                raise ValueError("move set does not connect all bounded fibers")
-            basis.extend(Move.from_multisets(first, rep) for rep in rest)
+    degree = 0
+    for d, marginal, members in _fibers(A, n_max, multiset_cap):
+        if d != degree:
+            degree, index = d, _minus_index(basis)
+        first, *rest = _fiber_components(members, index)
+        if rest and d > max_degree:
+            raise ValueError(
+                f"moves of degree <= {max_degree} do not connect the fiber with "
+                f"marginal {list(marginal)}, degree {d}, fiber size {len(members)}"
+            )
+        basis.extend(Move.from_multisets(first, rep) for rep in rest)
     return sorted(basis, key=lambda z: (z.degree, z.entries))
 
 

@@ -7,9 +7,11 @@ matrix product against the model polytope's facets keeps the rows inside
 its n-th dilation, and only those pay the exact lattice test.  The semigroup
 is normal when every such point splits into n words; the splitting oracle is
 exhaustive backtracking, run once per orbit of the state relabellings and
-word reversal, with every mapped witness re-checked in exact integers.  For
-long chains a loop-peeling induction reduces T by 6 per step before the
-direct search takes over.
+word reversal.  For long chains a loop-peeling induction reduces T by 6 per
+step before the direct search takes over.  Every witness, mapped from its
+orbit's search or glued by the induction, passes one exact re-check
+(`_check_split`).  The four-state probe scans the same composition blocks
+for a lattice-and-cone point that splits into no words.
 """
 
 from __future__ import annotations
@@ -49,16 +51,6 @@ class SaturationPoint:
     n: int
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All nonnegative integer vectors of given length summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
-
-
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(u, v))
 
@@ -74,8 +66,8 @@ _BLOCK = 4096
 
 
 def _composition_blocks(total: int, parts: int) -> Iterator[np.ndarray]:
-    """The rows of _compositions(total, parts), in the same lexicographic
-    order, as int64 arrays of at most _BLOCK rows.
+    """All nonnegative integer vectors of length parts summing to total, in
+    lexicographic order, as int64 arrays of at most _BLOCK rows.
 
     Stars and bars: the sorted bar positions c_1 < ... < c_{parts-1} among
     total + parts - 1 slots give the parts as the gaps between bars, and
@@ -136,26 +128,33 @@ def saturation_points(
     return out
 
 
-def _mapped_witness(
-    paths: Sequence[Word], g: Symmetry, x: tuple[int, ...], n: int, T: int, S: int
-) -> list[Word]:
-    """The image under g of the words splitting g's preimage of x, re-checked
-    in exact integers: n self-loop-free words of length T over 1..S whose
+def _check_split(
+    words: Sequence[Word], x: tuple[int, ...], n: int, T: int, S: int
+) -> None:
+    """Re-check a witness in exact integers: n words of length T whose
     transition counts sum to x.  Anything else raises AssertionError."""
-    try:
-        words = [g.word(w) for w in paths]
-    except ValueError as exc:
-        raise AssertionError(
-            f"mapped witness for {list(x)} is not a word list: {exc}"
-        ) from None
     if (
         len(words) != n
         or any(len(w) != T for w in words)
         or state_graph(words, S) != x
     ):
         raise AssertionError(
-            f"mapped witness {[w.text for w in words]} does not split {list(x)}"
+            f"witness {[w.text for w in words]} does not split {list(x)}"
         )
+
+
+def _mapped_witness(
+    paths: Sequence[Word], g: Symmetry, x: tuple[int, ...], n: int, T: int, S: int
+) -> list[Word]:
+    """The image under g of the words splitting g's preimage of x, re-checked
+    by _check_split; self-loops or labels outside 1..S raise AssertionError."""
+    try:
+        words = [g.word(w) for w in paths]
+    except ValueError as exc:
+        raise AssertionError(
+            f"mapped witness for {list(x)} is not a word list: {exc}"
+        ) from None
+    _check_split(words, x, n, T, S)
     return words
 
 
@@ -296,7 +295,8 @@ def witness_by_induction(x: Sequence[int], T: int) -> list[Word]:
     Minkowski decomposition, read off the facets of the residue polyhedron,
     is large (two-loops need > 3n, three-loops > 2n), strip 3n (resp. 2n)
     copies, recurse at T-6, and glue six-step loop blocks back onto each
-    witness word.
+    witness word.  The result passes _check_split: a wrong word count,
+    length or count vector raises AssertionError.
     """
     x = tuple(int(c) for c in x)
     total = sum(x)
@@ -313,24 +313,22 @@ def witness_by_induction(x: Sequence[int], T: int) -> list[Word]:
                 chosen = (name, threshold)
                 break
     if chosen is None:
-        paths = decompose_into_paths(x, n, T)
-        if paths is None:
+        out = decompose_into_paths(x, n, T)
+        if out is None:
             raise ValueError(f"decomposition not found for {x} at T={T}")
-        return paths
-    name, copies = chosen
-    e = LOOP_RAYS[name]
-    reduced = tuple(c - copies * f for c, f in zip(x, e))
-    if any(c < 0 for c in reduced):
-        raise ValueError("loop peeling produced a negative count")
-    sub = witness_by_induction(reduced, T - 6)
-    if name in _TWO_LOOPS:
-        i, j = _TWO_LOOPS[name]
-        out = [_append_two_loop(w, i, j) for w in sub]
     else:
-        out = [_append_three_loop(w, _THREE_LOOPS[name]) for w in sub]
-    got = state_graph(out, 3)
-    if got != x:
-        raise AssertionError(f"witness counts {got} do not match target {x}")
+        name, copies = chosen
+        e = LOOP_RAYS[name]
+        reduced = tuple(c - copies * f for c, f in zip(x, e))
+        if any(c < 0 for c in reduced):
+            raise ValueError("loop peeling produced a negative count")
+        sub = witness_by_induction(reduced, T - 6)
+        if name in _TWO_LOOPS:
+            i, j = _TWO_LOOPS[name]
+            out = [_append_two_loop(w, i, j) for w in sub]
+        else:
+            out = [_append_three_loop(w, _THREE_LOOPS[name]) for w in sub]
+    _check_split(out, x, n, T, 3)
     return out
 
 
@@ -407,12 +405,18 @@ def s4_nonnormality_probe(T: int = 8) -> dict:
             "in_semigroup": False,
         }
 
+    def compositions(total: int, parts: int) -> Iterator[list[int]]:
+        # lexicographic, so each scan stops at its first witness in that order
+        return chain.from_iterable(
+            X.tolist() for X in _composition_blocks(total, parts)
+        )
+
     witness = None
     scanned = {"degree1": 0, "degree2_two_cycle_pairs": 0}
     # degree 1: all nonnegative vectors with coordinate sum T-1
-    for x in _compositions(T - 1, A.dim):
+    for x in compositions(T - 1, A.dim):
         scanned["degree1"] += 1
-        found = verify_witness(x, 1)
+        found = verify_witness(tuple(x), 1)
         if found:
             witness = found
             break
@@ -423,7 +427,7 @@ def s4_nonnormality_probe(T: int = 8) -> dict:
             if witness:
                 break
             slots = (idx[(a, b)], idx[(b, a)], idx[(c, d)], idx[(d, c)])
-            for comp in _compositions(2 * (T - 1), 4):
+            for comp in compositions(2 * (T - 1), 4):
                 scanned["degree2_two_cycle_pairs"] += 1
                 x = [0] * A.dim
                 for s, v in zip(slots, comp):

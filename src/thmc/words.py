@@ -211,81 +211,20 @@ def support_components(x: Sequence[int], S: int) -> list[set[int]]:
     return comps
 
 
-def has_eulerian_path(x: Sequence[int]) -> bool:
-    """True iff G(x) admits a trail using every edge exactly once.
-
-    Conditions: weak connectivity of the support (non-isolated vertices) and
-    at most one vertex each with out-in = +1 / in-out = +1, rest balanced.
-    """
-    if sum(x) == 0:
-        return False
-    S = states_for_dim(len(x))
-    if any(c < 0 for c in x):
-        return False
-    delta = degree_imbalances(x)
-    if any(abs(d) > 1 for d in delta):
-        return False
-    if sum(1 for d in delta if d == 1) > 1:
-        return False
-    return len(support_components(x, S)) == 1
-
-
-def eulerian_path(x: Sequence[int]) -> Optional[Word]:
-    """A word w with transition_counts(w) = x, or None (Hierholzer)."""
-    if not has_eulerian_path(x):
-        return None
-    S = states_for_dim(len(x))
-    idx = pair_index(S)
-    remaining = list(x)
-    out_edges: dict[int, list[int]] = {i: [] for i in range(1, S + 1)}
-    for (i, j), k in idx.items():
-        if x[k] > 0:
-            out_edges[i].append(j)
-    delta = degree_imbalances(x)
-    starts = [v + 1 for v, d in enumerate(delta) if d == 1]
-    if starts:
-        start = starts[0]
-    else:
-        start = min(i for i in out_edges if any(remaining[idx[(i, j)]] for j in out_edges[i]))
-    # Hierholzer with an explicit stack; smallest available target first.
-    stack = [start]
-    trail: list[int] = []
-    while stack:
-        v = stack[-1]
-        nxt = None
-        for j in out_edges[v]:
-            if remaining[idx[(v, j)]] > 0:
-                nxt = j
-                break
-        if nxt is None:
-            trail.append(stack.pop())
-        else:
-            remaining[idx[(v, nxt)]] -= 1
-            stack.append(nxt)
-    trail.reverse()
-    return Word(trail)
-
-
-def _boundary_feasible(counts: list[int], S: int, T: int) -> bool:
+def _boundary_feasible(counts: list[int], delta: list[int], T: int) -> bool:
     """Can the remaining multigraph split into trails of exactly T-1 edges?
 
     Necessary conditions only: per weak component, the edge count must be a
-    multiple of T-1 and the positive imbalances must fit the trail budget.
+    multiple of T-1 and the positive imbalances (delta, the
+    degree_imbalances of counts) must fit the trail budget.
     """
+    S = len(delta)
     idx = pair_index(S)
     for comp in support_components(counts, S):
         edges = sum(counts[k] for (i, j), k in idx.items() if i in comp)
         if edges % (T - 1):
             return False
-        budget = edges // (T - 1)
-        pos = 0
-        for v in comp:
-            d = sum(counts[idx[(v, j)]] for j in range(1, S + 1) if j != v) - sum(
-                counts[idx[(j, v)]] for j in range(1, S + 1) if j != v
-            )
-            if d > 0:
-                pos += d
-        if pos > budget:
+        if sum(delta[v - 1] for v in comp if delta[v - 1] > 0) > edges // (T - 1):
             return False
     return True
 
@@ -316,11 +255,6 @@ def decompose_into_paths(
     current: list[int] = []
     nodes = 0
 
-    def out_surplus(v: int) -> int:
-        return sum(counts[idx[(v, j)]] for j in targets[v]) - sum(
-            counts[idx[(j, v)]] for j in targets[v]
-        )
-
     def search(k: int, cur: int) -> bool:
         # cur == 0 encodes the boundary before starting path k.
         nonlocal nodes
@@ -333,12 +267,13 @@ def decompose_into_paths(
         if key in dead:
             return False
         if cur == 0:
-            if not _boundary_feasible(counts, S, T):
+            delta = degree_imbalances(counts)
+            if not _boundary_feasible(counts, delta, T):
                 dead.add(key)
                 return False
             cands = sorted(
                 (v for v in range(1, S + 1) if any(counts[idx[(v, j)]] for j in targets[v])),
-                key=lambda v: (-out_surplus(v), v),
+                key=lambda v: (-delta[v - 1], v),
             )
             for v in cands:
                 current.append(v)

@@ -1,12 +1,15 @@
-"""Membership oracles for the tests: an H-form and a V-form polyhedron check.
+"""Brute-force oracles for the tests: an H-form and a V-form polyhedron
+check, and a recursive composition generator.
 
 The library never asks whether a single point lies in a polyhedron given by
 its inequalities or by its vertices and rays; the tests ask it to compare the
-two descriptions with each other and with the design matrix's columns.
+two descriptions with each other and with the design matrix's columns.  The
+library enumerates compositions in int64 blocks (stars and bars); the tests
+compare that against the plain recursion below.
 """
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from thmc.exactla import in_cone
 from thmc.polytope import HPolyhedron, VPolyhedron
@@ -33,3 +36,14 @@ def membership(x: Sequence[int | Fraction], V: VPolyhedron) -> bool:
         cols.append((Fraction(0),) + tuple(Fraction(c) for c in r))
     target = (Fraction(1),) + tuple(Fraction(c) for c in x)
     return in_cone(cols, target) is not None
+
+
+def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """All nonnegative integer vectors of given length summing to total,
+    in lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in compositions(total - head, parts - 1):
+            yield (head,) + tail

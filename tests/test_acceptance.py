@@ -9,7 +9,7 @@ from collections import Counter
 from fractions import Fraction
 
 
-from oracles import contains
+from oracles import compositions, contains
 from thmc.design import get_design
 from thmc.exactla import in_cone, primitive
 from thmc.facets import (
@@ -34,7 +34,6 @@ from thmc.markov import (
 )
 from thmc.mcmc import WalkConfig, walk
 from thmc.normality import (
-    _compositions,
     check_normality,
     s4_nonnormality_probe,
 )
@@ -202,7 +201,7 @@ def test_criterion_08_lattice_point_identity():
         A = get_design(3, T)
         H = model_hull(T, 3)
         points = sorted(
-            x for x in _compositions(T - 1, 6) if contains(H, x)
+            x for x in compositions(T - 1, 6) if contains(H, x)
         )
         ok &= points == A.distinct_columns()
     report(8, ok, "integer hull points equal distinct columns, T=4..10")

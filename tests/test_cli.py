@@ -200,6 +200,8 @@ class TestInputErrors:
             ("12132\n12321\n", "", ()),
             ("12132\n12321\n", "# no moves here\n\n", ()),
             ("12132\n12321\n", None, ("--burn-in", -1)),
+            # T=2: every fiber is a single table, so the default basis is empty
+            ("12\n21\n13\n", None, ()),
         ],
     )
     @pytest.mark.parametrize("command", ["walk", "test-fit"])
@@ -210,11 +212,12 @@ class TestInputErrors:
         if moves is not None:
             (tmp_path / "bad.moves").write_text(moves)
             argv += ["--moves-file", tmp_path / "bad.moves"]
-        rc, _ = run(tmp_path, *argv, "--out-dir", tmp_path)
+        rc, _ = run(tmp_path, *argv, "--out-dir", tmp_path / "new")
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        assert not (tmp_path / "new").exists()
 
     def test_no_out_dir_left_behind(self, tmp_path):
         data = tmp_path / "bad.words"

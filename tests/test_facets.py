@@ -20,7 +20,7 @@ from thmc.facets import (
     verify_window_inequalities,
 )
 from thmc.polytope import recession_rays
-from thmc.words import Word, symmetry_group, transition_counts
+from thmc.words import Word, enumerate_words, symmetry_group, transition_counts
 
 
 class TestFamilies:
@@ -328,6 +328,21 @@ class TestCompleteness:
             assert e["induction_witness_word"]
             w = Word.from_text(e["induction_witness_word"])
             assert list(transition_counts(w, 3)) == [int(c) for c in e["point"]]
+
+    @pytest.mark.parametrize("T", range(5, 10))
+    def test_witness_word_is_least_word_with_those_counts(self, T):
+        # the trail search tries the largest out-surplus start, then the
+        # smallest next state, so it meets the lexicographically least word
+        # first; enumerate_words lists words in that order
+        least = {}
+        for w in enumerate_words(3, T):
+            least.setdefault(transition_counts(w, 3), w.text)
+        rep = verify_facet_completeness(T)
+        witnessed = [e for e in rep["extensions"] if "induction_witness_word" in e]
+        assert witnessed
+        for e in witnessed:
+            point = tuple(int(c) for c in e["point"])
+            assert e["induction_witness_word"] == least[point]
 
 
 class TestWindows:

@@ -102,3 +102,48 @@ def test_no_private_imports_across_modules():
                 if alias.name.startswith("_") and not alias.name.endswith("__")
             ]
     assert not private, "private names imported across modules: " + ", ".join(private)
+
+
+def test_benchmark_patch_targets_resolve():
+    """Every `tracer.patch(<thmc module or class>, "<name>", ...)` in the
+    benchmark harness names an attribute thmc still has, so renaming or
+    deleting a traced entry point fails here, not in a traced bench run."""
+    import thmc
+    import thmc.cli  # noqa: F401  (loads every module the harness patches)
+
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    # local aliases such as `ex, nm = thmc.exactla, thmc.normality`
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            names, values = node.targets[0], node.value
+            if isinstance(names, ast.Tuple) and isinstance(values, ast.Tuple):
+                pairs = zip(names.elts, values.elts)
+            else:
+                pairs = [(names, values)]
+            aliases.update((n.id, v) for n, v in pairs if isinstance(n, ast.Name))
+
+    def resolve(expr):
+        if isinstance(expr, ast.Name):
+            return thmc if expr.id == "thmc" else resolve(aliases[expr.id])
+        assert isinstance(expr, ast.Attribute), ast.dump(expr)
+        return getattr(resolve(expr.value), expr.attr)
+
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "patch"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "tracer"
+    ]
+    assert len(calls) >= 10
+    missing = []
+    for call in calls:
+        target, name = resolve(call.args[0]), call.args[1].value
+        owner = getattr(target, "__module__", None) or target.__name__
+        assert owner.split(".")[0] == "thmc", owner
+        if not hasattr(target, name):
+            missing.append(f"{owner}.{name}")
+    assert not missing, "benchmark patches names thmc lacks: " + ", ".join(missing)

@@ -198,9 +198,18 @@ class TestMarkovBasis:
         assert is_markov_basis(mb, A, 2)[0]
 
     def test_minimal_basis_rejects_too_low_max_degree(self):
-        # degree-2 fibers at T=4 need degree-2 moves
-        with pytest.raises(ValueError):
-            minimal_markov_basis(get_design(3, 4), 1, 2)
+        # degree-2 fibers at T=4 need degree-2 moves; the error names the
+        # first disconnected fiber as is_markov_basis reports it
+        A = get_design(3, 4)
+        with pytest.raises(ValueError) as err:
+            minimal_markov_basis(A, 1, 2)
+        ok, fiber = is_markov_basis(minimal_markov_basis(A, 1, 1), A, 2)
+        assert not ok
+        assert fiber == {"marginal": [2, 2, 1, 0, 1, 0], "degree": 2, "fiber_size": 2}
+        assert str(err.value) == (
+            "moves of degree <= 1 do not connect the fiber with "
+            "marginal [2, 2, 1, 0, 1, 0], degree 2, fiber size 2"
+        )
 
 
 class TestMovesIO:

@@ -69,13 +69,14 @@ class TestSaturationPoints:
     def test_equals_brute_force_filter(self, S, T, n):
         # every composition, the exact lattice test, then the hull test
         from thmc.facets import model_hull
-        from thmc.normality import _compositions, _cone_test
+        from thmc.normality import _cone_test
+        from oracles import compositions
 
         A = get_design(S, T)
         hull = model_hull(T, S).inequalities
         expected = [
             x
-            for x in _compositions(n * (T - 1), A.dim)
+            for x in compositions(n * (T - 1), A.dim)
             if list(x) in A.lattice and _cone_test(x, hull, n)
         ]
         got = saturation_points(T, n, S=S)
@@ -93,8 +94,8 @@ class TestSaturationPoints:
         # n-dilated polytope points; cross-check the inequality route against
         # LP membership in the V-form, both directions, on a drawn sample
         from thmc.facets import model_hull
-        from thmc.normality import _compositions, _cone_test
-        from oracles import membership
+        from thmc.normality import _cone_test
+        from oracles import compositions, membership
         from thmc.polytope import convex_hull, vertex_enumeration
 
         rng = random.Random(17)
@@ -104,7 +105,7 @@ class TestSaturationPoints:
             hull = model_hull(T, 3).inequalities
             cands = [
                 x
-                for x in _compositions(n * (T - 1), 6)
+                for x in compositions(n * (T - 1), 6)
                 if rng.random() < 0.02
             ]
             inside = outside = 0
@@ -265,6 +266,27 @@ class TestWitnessByInduction:
             assert out is not None and direct is not None
             assert state_graph(out, 3) == x
 
+    @pytest.mark.parametrize(
+        "valid, wrong",
+        [
+            # right counts and word count, lengths 5 and 7 instead of 6, 6
+            (["121212", "212121"], ["12121", "2121212"]),
+            # right counts, two words where one is due
+            (["121321"], ["121", "1321"]),
+        ],
+    )
+    def test_wrong_split_is_caught(self, valid, wrong, monkeypatch):
+        # a split with the right transition counts but the wrong shape must
+        # fail the re-check, never come back as a witness
+        import thmc.normality
+
+        x = state_graph([Word.from_text(w) for w in valid], 3)
+        split = [Word.from_text(w) for w in wrong]
+        assert state_graph(split, 3) == x
+        monkeypatch.setattr(thmc.normality, "decompose_into_paths", lambda *a: split)
+        with pytest.raises(AssertionError, match="does not split"):
+            witness_by_induction(x, 6)
+
 
 class TestMaxLoopCoefficient:
     """The loop coefficient read off the 24 facets of Q^r, against an LP over
@@ -335,6 +357,10 @@ class TestS4Probe:
         assert rep["witness_found"]
         w = rep["witness"]
         assert w["in_lattice"] and w["in_cone"] and not w["in_semigroup"]
+        # both scans walk the compositions in lexicographic order and stop at
+        # the first witness
+        assert rep["scanned"] == {"degree1": 31824, "degree2_two_cycle_pairs": 141}
+        assert w["x"] == [1, 0, 0, 1, 0, 0, 0, 0, 6, 0, 0, 6] and w["n"] == 2
 
     def test_witness_verified_independently(self):
         rep = s4_nonnormality_probe(8)

@@ -9,10 +9,9 @@ from thmc.words import (
     decompose_into_paths,
     degree_imbalances,
     enumerate_words,
-    eulerian_path,
-    has_eulerian_path,
     read_words,
     state_graph,
+    support_components,
     symmetry_group,
     transition_counts,
     word_count,
@@ -147,44 +146,58 @@ class TestStateGraph:
             assert paths is not None and state_graph(Counter(paths), 3) == x
 
 
+def single_word(x):
+    """The one-word split of x by the trail-decomposition oracle, or None."""
+    paths = decompose_into_paths(x, 1, sum(x) + 1)
+    return None if paths is None else paths[0]
+
+
 class TestEulerian:
+    """A count vector is one word's exactly when G(x) has a trail through
+    every edge; the trail-decomposition oracle at n = 1 finds it."""
+
     def test_simple_cases(self):
-        assert has_eulerian_path((1, 0, 1, 0, 0, 0)) is True
-        assert has_eulerian_path((2, 0, 0, 0, 0, 0)) is False
-        assert has_eulerian_path((0, 2, 0, 0, 0, 0)) is False
-        assert has_eulerian_path((0, 0, 0, 0, 0, 0)) is False
+        assert single_word((1, 0, 1, 0, 0, 0)) is not None
+        assert single_word((2, 0, 0, 0, 0, 0)) is None
+        assert single_word((0, 2, 0, 0, 0, 0)) is None
 
     def test_every_word_graph_has_trail(self):
         for T in (3, 5, 8):
             for w in enumerate_words(3, T):
                 x = transition_counts(w, 3)
-                assert has_eulerian_path(x)
-                v = eulerian_path(x)
+                v = single_word(x)
                 assert v is not None and transition_counts(v, 3) == x
 
     def test_balanced_connected_vectors_have_trail(self):
-        # all x with sum T-1, |out-in| <= 1 everywhere, connected support
+        # every x with sum T-1 has a trail iff its support is connected and
+        # |out-in| <= 1 everywhere with at most one start (Euler's condition)
         T = 6
         from itertools import product
 
         for x in product(range(T), repeat=6):
             if sum(x) != T - 1:
                 continue
-            if has_eulerian_path(x):
-                w = eulerian_path(x)
-                assert w is not None and transition_counts(w, 3) == x
+            delta = degree_imbalances(x)
+            euler = (
+                all(abs(d) <= 1 for d in delta)
+                and delta.count(1) <= 1
+                and len(support_components(x, 3)) == 1
+            )
+            w = single_word(x)
+            assert (w is not None) == euler, x
+            assert w is None or transition_counts(w, 3) == x
 
     def test_specific_paths(self):
-        assert eulerian_path((2, 0, 1, 0, 0, 0)).text == "1212"
-        w = eulerian_path((1, 0, 0, 1, 1, 0))
+        assert single_word((2, 0, 1, 0, 0, 0)).text == "1212"
+        w = single_word((1, 0, 0, 1, 1, 0))
         assert w is not None and transition_counts(w, 3) == (1, 0, 0, 1, 1, 0)
-        assert eulerian_path((0, 2, 0, 0, 0, 0)) is None
+        assert single_word((0, 2, 0, 0, 0, 0)) is None
 
     def test_disconnected_balanced_vector(self):
         # S=4, two disjoint 2-cycles 1<->2 and 3<->4: balanced but disconnected
         x = [0] * 12
         x[0], x[3], x[8], x[11] = 1, 1, 1, 1
-        assert has_eulerian_path(x) is False
+        assert single_word(x) is None
 
 
 class TestDecompose:
