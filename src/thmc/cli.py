@@ -264,7 +264,7 @@ def cmd_normality(args) -> int:
         f"{len(rep['undecided'])} undecided {verdict}"
     )
     if args.probe_s4:
-        probe = s4_nonnormality_probe(8)
+        probe = s4_nonnormality_probe()
         run.write_json("s4-probe.json", probe)
         print(
             f"S=4 probe: half-sum integral={probe['half_sum_integral']}, "

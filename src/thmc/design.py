@@ -14,7 +14,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -104,12 +104,6 @@ class DesignMatrix:
                 lat.add(col)
             self._lattice = lat
         return self._lattice
-
-    def lattice_membership(self, x: Sequence[int]) -> bool:
-        """True iff x is an integer combination of columns."""
-        if len(x) != self.dim:
-            raise ValueError("dimension mismatch")
-        return list(map(int, x)) in self.lattice
 
     # -- export -------------------------------------------------------------
 

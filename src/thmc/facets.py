@@ -36,6 +36,7 @@ from .polytope import (
     vertex_enumeration,
 )
 from .words import (
+    Word,
     decompose_into_paths,
     enumerate_words,
     pair_index,
@@ -43,13 +44,11 @@ from .words import (
     transition_counts,
 )
 
-# the five loops without self-intersection: 121, 131, 232, 1231, 1321
+# the five loops without self-intersection, each keyed by its closed word
+# and valued by that word's transition counts
 LOOP_RAYS: dict[str, tuple[int, ...]] = {
-    "121": (1, 0, 1, 0, 0, 0),
-    "131": (0, 1, 0, 0, 1, 0),
-    "232": (0, 0, 0, 1, 0, 1),
-    "1231": (1, 0, 0, 1, 1, 0),
-    "1321": (0, 1, 1, 0, 0, 1),
+    loop: transition_counts(Word.from_text(loop), 3)
+    for loop in ("121", "131", "232", "1231", "1321")
 }
 
 

@@ -1,17 +1,21 @@
 """Integral closure of the transition-count semigroup, with path witnesses.
 
-A saturation point at degree n is a nonnegative integer vector with
-coordinate sum n(T-1) lying in both the lattice and the cone of the design
-matrix columns.  They are enumerated in int64 blocks of compositions: one
-matrix product against the model polytope's facets keeps the rows inside
-its n-th dilation, and only those pay the exact lattice test.  The semigroup
-is normal when every such point splits into n words; the splitting oracle is
-exhaustive backtracking, run once per orbit of the state relabellings and
-word reversal.  For long chains a loop-peeling induction reduces T by 6 per
-step before the direct search takes over.  Every witness, mapped from its
-orbit's search or glued by the induction, passes one exact re-check
+A saturation point at degree n is a point of ZA ∩ cone(A) with coordinate
+sum n(T-1).  Every column sums to T-1, and changing a word's last state
+(..ab -> ..ad) or first state (ba.. -> da..) puts e_ab - e_ad and
+e_ba - e_da in ZA; for S >= 3 these differences link all pairs, so ZA is
+{x in Z^d : (T-1) | sum(x)}.  For S = 2 the same holds at even T, and at odd
+T the polytope is one point of ZA.  The saturation points of degree n are
+therefore the integer points of nP, P the model polytope.  They are
+enumerated in int64 blocks of compositions, one matrix product against the
+hull's facets and equations per block.  The semigroup is normal when
+every such point splits into n words; the splitting oracle is exhaustive
+backtracking, run once per orbit of the state relabellings and word
+reversal.  For long chains a loop-peeling induction reduces T by 6 per step
+before the direct search takes over.  Every witness, mapped from its orbit's
+search or glued by the induction, passes one exact re-check
 (`_check_split`).  The four-state probe scans the same composition blocks
-for a lattice-and-cone point that splits into no words.
+for a point of nP that splits into no words.
 """
 
 from __future__ import annotations
@@ -31,11 +35,11 @@ from .words import (
     CapExceededError,
     Symmetry,
     Word,
+    component_budgets,
     decompose_into_paths,
     degree_imbalances,
     pair_index,
     state_graph,
-    support_components,
     symmetry_group,
     transition_counts,
 )
@@ -45,7 +49,8 @@ DEFAULT_POINT_CAP = 2_000_000
 
 @dataclass(frozen=True)
 class SaturationPoint:
-    """A lattice-and-cone point x with coordinate sum n(T-1)."""
+    """An integer point x of nP (P the model polytope), so a point of
+    ZA ∩ cone(A) with coordinate sum n(T-1)."""
 
     x: tuple[int, ...]
     n: int
@@ -95,37 +100,41 @@ def saturation_points(
     S: int = 3,
     cap: int = DEFAULT_POINT_CAP,
 ) -> list[SaturationPoint]:
-    """All lattice-and-cone members with coordinate sum n(T-1), sorted.
+    """All integer points of nP, P the model polytope, sorted.
 
-    The candidates are all compositions of n(T-1), taken block by block; one
-    int64 matrix product per block keeps the rows inside the n-th dilation
-    of the model polytope, and only those pay the exact lattice test.
+    These are the members of ZA ∩ cone(A) with coordinate sum n(T-1), since
+    ZA holds every integer vector of that sum (module docstring).  The
+    candidates are all compositions of n(T-1), taken block by block; one
+    int64 matrix product per block keeps the rows that satisfy the hull's
+    inequalities and equations, dilated by n.
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
-    A = get_design(S, T)
+    hull = model_hull(T, S)
     total = n * (T - 1)
-    dim = A.dim
+    dim = hull.dim
     space = comb(total + dim - 1, dim - 1)
     if space > cap:
         raise CapExceededError(
             f"{space} candidate vectors for sum {total} in {dim} parts exceeds cap {cap}"
         )
-    hull = model_hull(T, S).inequalities
-    normals = np.array([normal for normal, _ in hull], dtype=np.int64).reshape(-1, dim)
-    bounds = n * np.array([rhs for _, rhs in hull], dtype=np.int64)
-    largest = max((abs(e) for normal, rhs in hull for e in (*normal, rhs)), default=0)
+    # e.x = f is read as e.x >= f and -e.x >= -f
+    rows = [
+        *hull.inequalities,
+        *hull.equations,
+        *((tuple(-e for e in normal), -rhs) for normal, rhs in hull.equations),
+    ]
+    normals = np.array([normal for normal, _ in rows], dtype=np.int64).reshape(-1, dim)
+    bounds = n * np.array([rhs for _, rhs in rows], dtype=np.int64)
+    largest = max((abs(e) for normal, rhs in rows for e in (*normal, rhs)), default=0)
     # |normal.x| <= largest * total and |n * rhs| <= largest * total, so
     # every int64 entry below is exact
     assert largest * total * dim < 2**62, "facet products overflow int64"
-    lattice = A.lattice
-    out = []
-    for X in _composition_blocks(total, dim):
-        inside = (X @ normals.T >= bounds).all(axis=1)
-        for x in X[inside].tolist():
-            if x in lattice:
-                out.append(SaturationPoint(x=tuple(x), n=n))
-    return out
+    return [
+        SaturationPoint(x=tuple(x), n=n)
+        for X in _composition_blocks(total, dim)
+        for x in X[(X @ normals.T >= bounds).all(axis=1)].tolist()
+    ]
 
 
 def _check_split(
@@ -167,8 +176,10 @@ def check_normality(
 ) -> dict:
     """Verify every saturation point of degree <= n_max splits into words.
 
-    This is desk-scale exhaustive verification; the report states the scanned
-    bounds so the claim is never wider than the computation.  Relabelling the
+    The saturation points of degree n are the integer points of nP, because
+    ZA = {x : (T-1) | sum(x)} (module docstring).  This is desk-scale
+    exhaustive verification; the report states the scanned bounds so the
+    claim is never wider than the computation.  Relabelling the
     states and reversing words map saturation points to saturation points and
     splittings to splittings, so the path search runs once per orbit of that
     group, on the orbit's least member; every other member gets the mapped
@@ -229,11 +240,6 @@ def check_normality(
 # ---------------------------------------------------------------------------
 # Inductive witness construction
 
-# loop order: three two-loops then the two three-loops
-_LOOP_ORDER = ("121", "131", "232", "1231", "1321")
-_TWO_LOOPS = {"121": (1, 2), "131": (1, 3), "232": (2, 3)}
-_THREE_LOOPS = {"1231": (1, 2, 3), "1321": (1, 3, 2)}
-
 # at or below this length the direct search splits a point without peeling
 BASE_T = 12
 
@@ -259,33 +265,24 @@ def _max_loop_coefficient(x: Sequence[int], n: int, r: int, loop: str) -> Fracti
     return min(ratios)
 
 
-def _append_two_loop(w: Word, i: int, j: int) -> Word:
+def _glue(w: Word, cycle: tuple[int, ...]) -> Word:
+    """w with six steps around the state cycle glued on: appended when w ends
+    on the cycle, else prepended.  The counts grow by 6/len(cycle) copies of
+    the cycle's loop ray.
+
+    A word whose endpoints both avoid a two-loop starts and ends on the third
+    state, so it is a closed trail; it is first rotated to start on the loop.
+    """
     seq = list(w)
-    if seq[-1] == i:
-        return Word(seq + [j, i, j, i, j, i])
-    if seq[-1] == j:
-        return Word(seq + [i, j, i, j, i, j])
-    if seq[0] == i:
-        return Word([i, j, i, j, i, j] + seq)
-    if seq[0] == j:
-        return Word([j, i, j, i, j, i] + seq)
-    # both endpoints avoid {i,j}: the word is a cycle; rotate it so it
-    # starts just after its (equal) endpoints, then prepend a block that
-    # ends on the loop state other than the new head
-    assert seq[0] == seq[-1], "two distinct endpoints cannot both avoid {i,j}"
-    rotated = seq[1:] + [seq[1]]
-    head = rotated[0]
-    block = [j, i, j, i, j, i] if head == j else [i, j, i, j, i, j]
-    return Word(block + rotated)
-
-
-def _append_three_loop(w: Word, cycle: tuple[int, int, int]) -> Word:
-    block = []
-    cur = cycle.index(w[-1])
-    for _ in range(6):
-        cur = (cur + 1) % 3
-        block.append(cycle[cur])
-    return Word(list(w) + block)
+    k = len(cycle)
+    if seq[-1] in cycle:
+        at = cycle.index(seq[-1])
+        return Word(seq + [cycle[(at + s) % k] for s in range(1, 7)])
+    if seq[0] not in cycle:
+        assert seq[0] == seq[-1], "two distinct endpoints cannot both avoid the loop"
+        seq = seq[1:] + seq[1:2]
+    at = cycle.index(seq[0])
+    return Word([cycle[(at - s) % k] for s in range(6, 0, -1)] + seq)
 
 
 def witness_by_induction(x: Sequence[int], T: int) -> list[Word]:
@@ -293,9 +290,9 @@ def witness_by_induction(x: Sequence[int], T: int) -> list[Word]:
 
     While T exceeds BASE_T, find a loop whose largest coefficient in a
     Minkowski decomposition, read off the facets of the residue polyhedron,
-    is large (two-loops need > 3n, three-loops > 2n), strip 3n (resp. 2n)
-    copies, recurse at T-6, and glue six-step loop blocks back onto each
-    witness word.  The result passes _check_split: a wrong word count,
+    exceeds 6/k*n for its k-cycle (two-loops 3n, three-loops 2n), strip that
+    many copies, recurse at T-6, and glue six steps around the cycle onto
+    each witness word.  The result passes _check_split: a wrong word count,
     length or count vector raises AssertionError.
     """
     x = tuple(int(c) for c in x)
@@ -305,29 +302,25 @@ def witness_by_induction(x: Sequence[int], T: int) -> list[Word]:
     n = total // (T - 1)
     if n == 0:
         return []
-    chosen = None
+    peel = None
     if T > BASE_T:
-        for name in _LOOP_ORDER:
-            threshold = 3 * n if name in _TWO_LOOPS else 2 * n
-            if _max_loop_coefficient(x, n, T % 6, name) > threshold:
-                chosen = (name, threshold)
+        for loop, ray in LOOP_RAYS.items():
+            # the peeling cycle is the loop word without its closing state
+            cycle = tuple(map(int, loop[:-1]))
+            copies = 6 // len(cycle) * n
+            if _max_loop_coefficient(x, n, T % 6, loop) > copies:
+                peel = (ray, cycle, copies)
                 break
-    if chosen is None:
+    if peel is None:
         out = decompose_into_paths(x, n, T)
         if out is None:
             raise ValueError(f"decomposition not found for {x} at T={T}")
     else:
-        name, copies = chosen
-        e = LOOP_RAYS[name]
-        reduced = tuple(c - copies * f for c, f in zip(x, e))
+        ray, cycle, copies = peel
+        reduced = tuple(c - copies * f for c, f in zip(x, ray))
         if any(c < 0 for c in reduced):
             raise ValueError("loop peeling produced a negative count")
-        sub = witness_by_induction(reduced, T - 6)
-        if name in _TWO_LOOPS:
-            i, j = _TWO_LOOPS[name]
-            out = [_append_two_loop(w, i, j) for w in sub]
-        else:
-            out = [_append_three_loop(w, _THREE_LOOPS[name]) for w in sub]
+        out = [_glue(w, cycle) for w in witness_by_induction(reduced, T - 6)]
     _check_split(out, x, n, T, 3)
     return out
 
@@ -336,16 +329,18 @@ def witness_by_induction(x: Sequence[int], T: int) -> list[Word]:
 # Four-state probe
 
 
-def s4_nonnormality_probe(T: int = 8) -> dict:
-    """Evaluate the quoted four-state half-sum and search for a genuine
-    lattice-and-cone point outside the semigroup.
+def s4_nonnormality_probe() -> dict:
+    """Evaluate the quoted four-state half-sum at T = 8 and search for a
+    genuine point of ZA ∩ cone(A) outside the semigroup.
 
-    The search is bounded and deterministic: all degree-1 candidate vectors,
+    Every integer vector of coordinate sum n(T-1) lies in ZA (module
+    docstring), so a candidate needs only the cone and the word search.  The
+    search is bounded and deterministic: all degree-1 candidate vectors,
     then all degree-2 vectors supported on two disjoint 2-cycles (the natural
     disconnection family).  Either the first verified witness or the
     exhausted bounds are reported.
     """
-    S = 4
+    S, T = 4, 8
     A = get_design(S, T)
     idx = pair_index(S)
     alternating = lambda a, b: Word(([a, b] * T)[:T])
@@ -355,16 +350,12 @@ def s4_nonnormality_probe(T: int = 8) -> dict:
         Fraction(a + b, 2)
         for a, b in zip(transition_counts(w1, S), transition_counts(w2, S))
     )
-    integral = all(c.denominator == 1 for c in half_sum)
     report: dict = {
         "S": S,
         "T": T,
         "half_sum": [str(c) for c in half_sum],
-        "half_sum_integral": integral,
+        "half_sum_integral": all(c.denominator == 1 for c in half_sum),
     }
-    if integral:
-        hs = tuple(int(c) for c in half_sum)
-        report["half_sum_in_lattice"] = A.lattice_membership(hs)
     cols = A.distinct_columns()
     # the doubled combination is integral; it splits into the two words
     doubled = tuple(int(2 * c) for c in half_sum)
@@ -379,19 +370,13 @@ def s4_nonnormality_probe(T: int = 8) -> dict:
         delta = degree_imbalances(x)
         if any(abs(d) > n for d in delta):
             return False
-        for comp in support_components(x, S):
-            mass = sum(
-                x[k] for (i, j), k in idx.items() if i in comp
-            )
-            pos = sum(delta[v - 1] for v in comp if delta[v - 1] > 0)
-            if pos * (T - 1) > mass:
-                return False
-        return True
+        return all(
+            positive * (T - 1) <= edges
+            for edges, positive in component_budgets(x, delta)
+        )
 
     def verify_witness(x: tuple[int, ...], n: int) -> Optional[dict]:
         if not cone_plausible(x, n):
-            return None
-        if list(x) not in A.lattice:
             return None
         if decompose_into_paths(x, n, T) is not None:
             return None

@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 DEFAULT_WORD_CAP = 2**20
 
@@ -211,6 +211,23 @@ def support_components(x: Sequence[int], S: int) -> list[set[int]]:
     return comps
 
 
+def component_budgets(
+    counts: Sequence[int], delta: Sequence[int]
+) -> Iterator[tuple[int, int]]:
+    """(edges, positive imbalance) of each weak component of G(counts), with
+    delta the degree_imbalances of counts.
+
+    In a split into words of length T each word stays inside one component,
+    and each unit of positive imbalance starts one of them, so a component's
+    positive imbalance is at most its edges / (T-1).
+    """
+    S = len(delta)
+    idx = pair_index(S)
+    for comp in support_components(counts, S):
+        edges = sum(counts[k] for (i, j), k in idx.items() if i in comp)
+        yield edges, sum(delta[v - 1] for v in comp if delta[v - 1] > 0)
+
+
 def _boundary_feasible(counts: list[int], delta: list[int], T: int) -> bool:
     """Can the remaining multigraph split into trails of exactly T-1 edges?
 
@@ -218,13 +235,10 @@ def _boundary_feasible(counts: list[int], delta: list[int], T: int) -> bool:
     multiple of T-1 and the positive imbalances (delta, the
     degree_imbalances of counts) must fit the trail budget.
     """
-    S = len(delta)
-    idx = pair_index(S)
-    for comp in support_components(counts, S):
-        edges = sum(counts[k] for (i, j), k in idx.items() if i in comp)
+    for edges, positive in component_budgets(counts, delta):
         if edges % (T - 1):
             return False
-        if sum(delta[v - 1] for v in comp if delta[v - 1] > 0) > edges // (T - 1):
+        if positive > edges // (T - 1):
             return False
     return True
 

@@ -74,19 +74,33 @@ class TestLattice:
     def test_columns_in_lattice(self):
         A = get_design(3, 5)
         for col in A.distinct_columns():
-            assert A.lattice_membership(col)
+            assert list(col) in A.lattice
 
     def test_sum_obstruction(self):
         A = get_design(3, 5)
-        assert not A.lattice_membership((1, 1, 1, 1, 1, 1))
+        assert [1, 1, 1, 1, 1, 1] not in A.lattice
 
     def test_difference_closure(self):
         A = get_design(3, 5)
         rng = random.Random(8)
         for _ in range(20):
             c1, c2 = rng.sample(A.distinct_columns(), 2)
-            diff = tuple(a - b for a, b in zip(c1, c2))
-            assert A.lattice_membership(diff)
+            diff = [a - b for a, b in zip(c1, c2)]
+            assert diff in A.lattice
+
+    @pytest.mark.parametrize(
+        "S,T", [(3, T) for T in range(2, 13)] + [(4, T) for T in range(2, 9)]
+    )
+    def test_index_is_T_minus_1(self, S, T):
+        # ZA lies in L = {x : (T-1) | sum(x)}, which has index T-1 in Z^d; a
+        # full-rank ZA of index T-1 is therefore all of L, the fact that lets
+        # the saturation points skip a lattice test
+        lat = get_design(S, T).lattice
+        assert lat.rank == S * (S - 1)
+        index = 1
+        for row in lat.rows:
+            index *= next(e for e in row if e)
+        assert index == T - 1
 
 
 class TestCone:

@@ -147,3 +147,22 @@ def test_benchmark_patch_targets_resolve():
         if not hasattr(target, name):
             missing.append(f"{owner}.{name}")
     assert not missing, "benchmark patches names thmc lacks: " + ", ".join(missing)
+
+
+def test_benchmark_workloads_set_up(tmp_path, monkeypatch):
+    """Each benchmark workload builds its inputs and its job list against the
+    current thmc (set-up reads derived design views such as `A.lattice` and
+    `A.np_columns`), so removing one fails here, not in a bench run.  The
+    jobs themselves are not run."""
+    import thmc
+    import thmc.cli  # noqa: F401  (the fit and markov jobs call it)
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from workloads import WORKLOADS
+
+    assert sorted(WORKLOADS) == ["fit", "markov", "normality", "verify"]
+    for name, workload in WORKLOADS.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        jobs = workload(thmc, 1, workdir).jobs()
+        assert jobs and all(callable(job) for _, job in jobs), name

@@ -10,7 +10,7 @@ from thmc.exactla import in_cone
 from thmc.facets import LOOP_RAYS, q_polyhedron, q_vertices
 from thmc.normality import (
     SaturationPoint,
-    _append_two_loop,
+    _glue,
     _max_loop_coefficient,
     check_normality,
     s4_nonnormality_probe,
@@ -64,10 +64,13 @@ class TestSaturationPoints:
     @pytest.mark.parametrize(
         "S,T,n",
         [(3, T, n) for T in range(3, 9) for n in (1, 2, 3)]
-        + [(4, 3, 1), (4, 3, 2), (4, 4, 1)],
+        + [(4, 3, 1), (4, 3, 2), (4, 4, 1)]
+        # at odd T the S = 2 polytope is one point, cut out by equations only
+        + [(2, T, n) for T in range(3, 8) for n in (1, 2, 3)],
     )
     def test_equals_brute_force_filter(self, S, T, n):
-        # every composition, the exact lattice test, then the hull test
+        # the reference: every composition, the exact lattice test, then the
+        # hull's inequalities
         from thmc.facets import model_hull
         from thmc.normality import _cone_test
         from oracles import compositions
@@ -235,7 +238,7 @@ class TestWitnessByInduction:
         # both endpoints avoid the loop states 1, 2; the rotated word starts
         # with 1 or 2, and the glued block must not end on that state
         w = Word.from_text(text)
-        out = _append_two_loop(w, 1, 2)
+        out = _glue(w, (1, 2))
         assert len(out) == len(w) + 6
         before, after = transition_counts(w, 3), transition_counts(out, 3)
         assert tuple(a - b for a, b in zip(after, before)) == (3, 0, 3, 0, 0, 0)
@@ -286,6 +289,24 @@ class TestWitnessByInduction:
         monkeypatch.setattr(thmc.normality, "decompose_into_paths", lambda *a: split)
         with pytest.raises(AssertionError, match="does not split"):
             witness_by_induction(x, 6)
+
+
+class TestGlue:
+    @pytest.mark.parametrize("loop", list(LOOP_RAYS))
+    def test_adds_the_loop_block_to_every_short_word(self, loop):
+        # the gluing lemma, checked over every endpoint pair up to length 5:
+        # six steps around a k-cycle add exactly 6/k copies of its loop ray
+        cycle = tuple(map(int, loop[:-1]))
+        copies = 6 // len(cycle)
+        for T in range(2, 6):
+            for w in get_design(3, T).words:
+                out = _glue(w, cycle)
+                assert len(out) == T + 6
+                grown = [
+                    a - b
+                    for a, b in zip(transition_counts(out, 3), transition_counts(w, 3))
+                ]
+                assert grown == [copies * e for e in LOOP_RAYS[loop]], (w, loop)
 
 
 class TestMaxLoopCoefficient:
@@ -349,7 +370,7 @@ class TestMaxLoopCoefficient:
 
 class TestS4Probe:
     def test_report(self):
-        rep = s4_nonnormality_probe(8)
+        rep = s4_nonnormality_probe()
         assert rep["half_sum_integral"] is False
         # quoted combination has x12 = 2 but x21 = 3/2
         assert rep["half_sum"][0] == "2" and rep["half_sum"][3] == "3/2"
@@ -363,11 +384,11 @@ class TestS4Probe:
         assert w["x"] == [1, 0, 0, 1, 0, 0, 0, 0, 6, 0, 0, 6] and w["n"] == 2
 
     def test_witness_verified_independently(self):
-        rep = s4_nonnormality_probe(8)
+        rep = s4_nonnormality_probe()
         x = tuple(rep["witness"]["x"])
         n = rep["witness"]["n"]
         A = get_design(4, 8)
-        assert A.lattice_membership(x)
+        assert list(x) in A.lattice
         assert in_cone(A.distinct_columns(), x) is not None
         assert decompose_into_paths(x, n, 8) is None
 
