@@ -3,8 +3,8 @@
 Everything here is arbitrary precision: rationals are `fractions.Fraction`,
 matrices are plain lists of rows.  No floating point.  One Gaussian
 elimination, `rref`, answers every question about rank, kernels, independent
-rows and inverses.  Every linear program is a feasibility question (cone and
-convex-hull membership) and goes through `simplex_standard`, phase 1 of a
+rows and inverses.  The one linear program is cone membership, a
+feasibility question answered by `simplex_standard`, phase 1 of a
 fraction-free integer tableau simplex.
 """
 
@@ -225,15 +225,3 @@ def simplex_standard(
     if obj[m]:
         return None
     return {v: Fraction(row[m], D) for v, row in zip(basis, rows) if v >= 0 and row[m]}
-
-
-def in_cone(columns: Sequence[Sequence[int]], x: Vec) -> Optional[dict[int, Fraction]]:
-    """Witness of x in cone(columns) (nonnegative combination), else None."""
-    return simplex_standard(columns, x)
-
-
-def in_convex_hull(
-    columns: Sequence[Sequence[int]], x: Vec
-) -> Optional[dict[int, Fraction]]:
-    """Witness of x in conv(columns) (convex combination), else None."""
-    return in_cone([tuple(col) + (1,) for col in columns], tuple(x) + (1,))

@@ -14,7 +14,11 @@ ctilde - a/(T-1)*(1,...,1); the same map reads the facets of the computed
 hull.  The affine shapes at n=1 cut out one fixed polyhedron per residue
 class; its vertices and its five loop rays drive the completeness proof:
 stretch every vertex along every ray until the coordinate sum hits T-1 and
-show the result lies in conv(A^T).
+show the result lies in conv(A^T).  The certificate is the paper's own kind:
+with k the least common denominator of the point p, k*p splits into k
+words of length T, so p is their mean.  Normality promises such a split for
+every point of conv(A^T) (k*p is an integer point of kP, and those are the
+saturation points), and a split found is re-checked exactly.
 """
 
 from __future__ import annotations
@@ -22,21 +26,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .design import get_design
-from .exactla import in_convex_hull, mat_rank, primitive
+from .exactla import mat_rank, primitive
 from .polytope import (
     HPolyhedron,
     VPolyhedron,
     convex_hull,
+    in_dilation,
     recession_rays,
     vertex_enumeration,
 )
 from .words import (
     Word,
+    check_split,
     decompose_into_paths,
     enumerate_words,
     pair_index,
@@ -406,38 +413,39 @@ def hull_facets_homogeneous(T: int) -> set[tuple[int, ...]]:
     return _homogeneous_normals(model_hull(T, 3), T)
 
 
-def _is_convex_witness(cols, p, lam: Optional[dict[int, Fraction]]) -> bool:
-    """True iff the weights lam are >= 0, sum to 1 and combine cols to p."""
-    return (
-        lam is not None
-        and all(w >= 0 for w in lam.values())
-        and sum(lam.values()) == 1
-        and all(sum(w * cols[j][i] for j, w in lam.items()) == c for i, c in enumerate(p))
-    )
-
-
 def verify_facet_completeness(T: int) -> dict:
     """Run the completeness check that the 24 known facets cut out conv(A^T).
 
-    Two independent routes: (1) every vertex-ray extension point of the
-    residue polyhedron lies in conv(A^T) by exact LP over the columns, each
-    LP witness re-checked as a convex combination in exact arithmetic, and
-    (2) the hull facets computed by double description equal the 24 affine
-    facet inequalities of the residue class, both read as homogeneous normals
-    at time T.
+    Two routes: (1) every vertex-ray extension point p of the residue
+    polyhedron lies in conv(A^T): with k the least common denominator of p,
+    the trail search splits k*p into k words of length T, and the split is
+    re-checked in exact integers (a wrong one raises AssertionError).  Only
+    when the words miss does route 1 lean on the double-description hull:
+    p is then decided exactly against its inequalities and equations, so
+    `in_polytope` is an exact verdict either way.  (2) The hull facets
+    computed by double description equal the 24 affine facet inequalities of
+    the residue class, both read as homogeneous normals at time T.  An
+    integral point (k = 1) records its word, the lexicographically least
+    one with its counts.
     """
     r = T % 6
     V = q_vertices(r)
     rays = recession_rays(q_polyhedron(r))
-    cols = get_design(3, T).distinct_columns()
     extensions = []
     all_inside = True
     for v in V.vertices:
         for e in rays:
             p = extend_vertex_along_ray(v, e, T)
-            inside = _is_convex_witness(cols, p, in_convex_hull(cols, p))
+            k = lcm(*(c.denominator for c in p))
+            kp = tuple(int(k * c) for c in p)
+            split = decompose_into_paths(kp, k, T)
+            if split is None:
+                inside = in_dilation(model_hull(T, 3), p, 1)
+            else:
+                check_split(split, kp, k, T, 3)
+                inside = True
             all_inside &= inside
-            integral = all(c.denominator == 1 for c in p)
+            integral = k == 1
             entry = {
                 "vertex": [str(c) for c in v],
                 "ray": list(e),
@@ -446,7 +454,6 @@ def verify_facet_completeness(T: int) -> dict:
                 "integral": integral,
             }
             if integral and inside:
-                split = decompose_into_paths(tuple(int(c) for c in p), 1, T)
                 entry["induction_witness_word"] = split[0].text if split else None
             extensions.append(entry)
     hull_set = hull_facets_homogeneous(T)

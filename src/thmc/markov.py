@@ -20,7 +20,7 @@ from .design import DesignMatrix
 from .words import CapExceededError, Word
 
 DEFAULT_MULTISET_CAP = 2_000_000
-DEFAULT_MOVE_CAP = 2_000_000
+MOVE_CAP = 2_000_000
 DEFAULT_FIBER_CAP = 100_000
 
 
@@ -128,7 +128,6 @@ def enumerate_moves(
     A: DesignMatrix,
     max_degree: int,
     multiset_cap: int = DEFAULT_MULTISET_CAP,
-    move_cap: int = DEFAULT_MOVE_CAP,
 ) -> list[Move]:
     """All support-disjoint kernel moves of degree <= max_degree, up to sign.
 
@@ -142,8 +141,8 @@ def enumerate_moves(
             z = Move.from_multisets(u, v)
             if z is not None:
                 found.add(z)
-                if len(found) > move_cap:
-                    raise CapExceededError(f"move count exceeds cap {move_cap}")
+                if len(found) > MOVE_CAP:
+                    raise CapExceededError(f"move count exceeds cap {MOVE_CAP}")
     return sorted(found, key=lambda z: (z.degree, z.entries))
 
 

@@ -14,8 +14,8 @@ backtracking, run once per orbit of the state relabellings and word
 reversal.  For long chains a loop-peeling induction reduces T by 6 per step
 before the direct search takes over.  Every witness, mapped from its orbit's
 search or glued by the induction, passes one exact re-check
-(`_check_split`).  The four-state probe scans the same composition blocks
-for a point of nP that splits into no words.
+(`words.check_split`).  The four-state probe scans the same composition
+blocks for a point of nP that splits into no words.
 """
 
 from __future__ import annotations
@@ -29,17 +29,18 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .design import get_design
-from .exactla import in_cone
+from .exactla import simplex_standard
 from .facets import LOOP_RAYS, model_hull, q_polyhedron
+from .polytope import in_dilation
 from .words import (
     CapExceededError,
     Symmetry,
     Word,
+    check_split,
     component_budgets,
     decompose_into_paths,
     degree_imbalances,
     pair_index,
-    state_graph,
     symmetry_group,
     transition_counts,
 )
@@ -58,12 +59,6 @@ class SaturationPoint:
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(u, v))
-
-
-def _cone_test(x: Sequence[int], hull_ineqs, n: int) -> bool:
-    # cone(A) cut at coordinate sum n(T-1) is the n-th dilation of the
-    # polytope, so scale the hull inequalities by n
-    return all(_dot(normal, x) >= n * rhs for normal, rhs in hull_ineqs)
 
 
 # rows per int64 block of candidate compositions
@@ -137,33 +132,18 @@ def saturation_points(
     ]
 
 
-def _check_split(
-    words: Sequence[Word], x: tuple[int, ...], n: int, T: int, S: int
-) -> None:
-    """Re-check a witness in exact integers: n words of length T whose
-    transition counts sum to x.  Anything else raises AssertionError."""
-    if (
-        len(words) != n
-        or any(len(w) != T for w in words)
-        or state_graph(words, S) != x
-    ):
-        raise AssertionError(
-            f"witness {[w.text for w in words]} does not split {list(x)}"
-        )
-
-
 def _mapped_witness(
     paths: Sequence[Word], g: Symmetry, x: tuple[int, ...], n: int, T: int, S: int
 ) -> list[Word]:
     """The image under g of the words splitting g's preimage of x, re-checked
-    by _check_split; self-loops or labels outside 1..S raise AssertionError."""
+    by check_split; self-loops or labels outside 1..S raise AssertionError."""
     try:
         words = [g.word(w) for w in paths]
     except ValueError as exc:
         raise AssertionError(
             f"mapped witness for {list(x)} is not a word list: {exc}"
         ) from None
-    _check_split(words, x, n, T, S)
+    check_split(words, x, n, T, S)
     return words
 
 
@@ -253,12 +233,12 @@ def _max_loop_coefficient(x: Sequence[int], n: int, r: int, loop: str) -> Fracti
     exactly while alpha is at most every ratio (c.x - n*a) / c.e over the
     facets c.y >= a of Q^r with c.e > 0.
     """
-    ineqs = q_polyhedron(r).inequalities
-    if not _cone_test(x, ineqs, n):
+    Q = q_polyhedron(r)
+    if not in_dilation(Q, x, n):
         raise ValueError("point is outside the dilated residue polyhedron")
     e = LOOP_RAYS[loop]
     ratios = []
-    for c, a in ineqs:
+    for c, a in Q.inequalities:
         rate = _dot(c, e)
         if rate > 0:
             ratios.append(Fraction(_dot(c, x) - n * a, rate))
@@ -292,7 +272,7 @@ def witness_by_induction(x: Sequence[int], T: int) -> list[Word]:
     Minkowski decomposition, read off the facets of the residue polyhedron,
     exceeds 6/k*n for its k-cycle (two-loops 3n, three-loops 2n), strip that
     many copies, recurse at T-6, and glue six steps around the cycle onto
-    each witness word.  The result passes _check_split: a wrong word count,
+    each witness word.  The result passes check_split: a wrong word count,
     length or count vector raises AssertionError.
     """
     x = tuple(int(c) for c in x)
@@ -321,7 +301,7 @@ def witness_by_induction(x: Sequence[int], T: int) -> list[Word]:
         if any(c < 0 for c in reduced):
             raise ValueError("loop peeling produced a negative count")
         out = [_glue(w, cycle) for w in witness_by_induction(reduced, T - 6)]
-    _check_split(out, x, n, T, 3)
+    check_split(out, x, n, T, 3)
     return out
 
 
@@ -380,7 +360,7 @@ def s4_nonnormality_probe() -> dict:
             return None
         if decompose_into_paths(x, n, T) is not None:
             return None
-        if in_cone(cols, x) is None:
+        if simplex_standard(cols, x) is None:
             return None
         return {
             "x": list(x),

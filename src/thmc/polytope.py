@@ -75,6 +75,18 @@ class HPolyhedron:
         )
 
 
+def in_dilation(H: HPolyhedron, x: Sequence[int | Fraction], n: int) -> bool:
+    """True iff x lies in nH: a.x >= n*b for every inequality and e.x = n*f
+    for every equation, in exact arithmetic."""
+
+    def dot(normal: IntVec) -> int | Fraction:
+        return sum(a * v for a, v in zip(normal, x))
+
+    return all(dot(a) >= n * b for a, b in H.inequalities) and all(
+        dot(e) == n * f for e, f in H.equations
+    )
+
+
 @dataclass(frozen=True)
 class VPolyhedron:
     """Convex hull of vertices plus nonnegative span of rays."""
@@ -82,14 +94,6 @@ class VPolyhedron:
     dim: int
     vertices: tuple[FracVec, ...]
     rays: tuple[IntVec, ...]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "vertices": [[str(c) for c in v] for v in self.vertices],
-                "rays": [[str(c) for c in r] for r in self.rays],
-            }
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,8 @@ from itertools import permutations
 from typing import Iterable, Iterator, Optional, Sequence
 
 DEFAULT_WORD_CAP = 2**20
+# search nodes one trail decomposition may visit
+NODE_CAP = 20_000_000
 
 
 class CapExceededError(RuntimeError):
@@ -243,9 +245,7 @@ def _boundary_feasible(counts: list[int], delta: list[int], T: int) -> bool:
     return True
 
 
-def decompose_into_paths(
-    x: Sequence[int], n: int, T: int, node_cap: int = 20_000_000
-) -> Optional[list[Word]]:
+def decompose_into_paths(x: Sequence[int], n: int, T: int) -> Optional[list[Word]]:
     """Split x into n words of length T, or None if impossible.
 
     Exhaustive depth-first backtracking over edge assignments with dead-state
@@ -273,8 +273,8 @@ def decompose_into_paths(
         # cur == 0 encodes the boundary before starting path k.
         nonlocal nodes
         nodes += 1
-        if nodes > node_cap:
-            raise CapExceededError(f"decomposition search exceeded {node_cap} nodes")
+        if nodes > NODE_CAP:
+            raise CapExceededError(f"decomposition search exceeded {NODE_CAP} nodes")
         if k == n:
             return True
         key = (tuple(counts), cur)
@@ -319,6 +319,21 @@ def decompose_into_paths(
     if search(0, 0):
         return [Word(p) for p in paths]
     return None
+
+
+def check_split(
+    words: Sequence[Word], x: Sequence[int], n: int, T: int, S: int
+) -> None:
+    """Re-check a split in exact integers: n words of length T whose
+    transition counts sum to x.  Anything else raises AssertionError."""
+    if (
+        len(words) != n
+        or any(len(w) != T for w in words)
+        or state_graph(words, S) != tuple(x)
+    ):
+        raise AssertionError(
+            f"witness {[w.text for w in words]} does not split {list(x)}"
+        )
 
 
 def read_words(lines: Iterable[str], S: Optional[int] = None) -> Counter:

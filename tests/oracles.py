@@ -1,17 +1,19 @@
 """Brute-force oracles for the tests: an H-form and a V-form polyhedron
-check, and a recursive composition generator.
+check, convex-hull membership by LP, and a recursive composition generator.
 
-The library never asks whether a single point lies in a polyhedron given by
-its inequalities or by its vertices and rays; the tests ask it to compare the
-two descriptions with each other and with the design matrix's columns.  The
-library enumerates compositions in int64 blocks (stars and bars); the tests
-compare that against the plain recursion below.
+The library tests H-membership with `polytope.in_dilation` and never asks
+whether a point lies in the hull of given vertices and rays; the V-form and
+hull checks here put the cone LP (`exactla.simplex_standard`) behind both
+questions, so the tests can compare the two descriptions with each other
+and with the design matrix's columns.  The library enumerates compositions
+in int64 blocks (stars and bars); the tests compare that against the plain
+recursion below.
 """
 
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
-from thmc.exactla import in_cone
+from thmc.exactla import simplex_standard
 from thmc.polytope import HPolyhedron, VPolyhedron
 
 
@@ -35,7 +37,14 @@ def membership(x: Sequence[int | Fraction], V: VPolyhedron) -> bool:
     for r in V.rays:
         cols.append((Fraction(0),) + tuple(Fraction(c) for c in r))
     target = (Fraction(1),) + tuple(Fraction(c) for c in x)
-    return in_cone(cols, target) is not None
+    return simplex_standard(cols, target) is not None
+
+
+def in_convex_hull(
+    columns: Sequence[Sequence[int]], x: Sequence[int | Fraction]
+) -> Optional[dict[int, Fraction]]:
+    """Witness of x in conv(columns) (convex combination), else None."""
+    return simplex_standard([tuple(col) + (1,) for col in columns], tuple(x) + (1,))
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from oracles import compositions, contains
 from thmc.design import get_design
-from thmc.exactla import in_cone, primitive
+from thmc.exactla import primitive, simplex_standard
 from thmc.facets import (
     LOOP_RAYS,
     certify_all,
@@ -281,7 +281,7 @@ def test_criterion_11_s4_probe():
     # independent reverification of the witness
     A = get_design(4, 8)
     x = tuple(w["x"])
-    verified &= list(x) in A.lattice and in_cone(A.distinct_columns(), x) is not None
+    verified &= list(x) in A.lattice and simplex_standard(A.distinct_columns(), x) is not None
     verified &= decompose_into_paths(x, w["n"], 8) is None
     report(
         11,

@@ -16,7 +16,7 @@ from sympy import Matrix, Rational
 from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
 
 from thmc.design import get_design
-from thmc.exactla import IntegerLattice, in_cone, rref, simplex_standard
+from thmc.exactla import IntegerLattice, rref, simplex_standard
 from thmc.polytope import convex_hull, vertex_enumeration
 
 
@@ -151,7 +151,7 @@ class TestSimplexAgainstHighs:
                 x = tuple(sum(c[i] * l for c, l in zip(cols, lam)) for i in range(k))
             else:
                 x = tuple(rng.randint(0, 12) for _ in range(k))
-            exact = in_cone(cols, x) is not None
+            exact = simplex_standard(cols, x) is not None
             res = linprog(
                 c=[0.0] * m,
                 A_eq=np.array(cols, dtype=float).T,

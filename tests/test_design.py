@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from thmc.design import DesignMatrix, get_design
-from thmc.exactla import in_cone
+from thmc.exactla import simplex_standard
 from thmc.words import CapExceededError, Word, state_graph
 
 
@@ -111,12 +111,12 @@ class TestCone:
         for _ in range(10):
             c1, c2 = rng.sample(cols, 2)
             x = tuple(2 * a + b for a, b in zip(c1, c2))
-            assert in_cone(cols, x) is not None
-            assert in_cone(cols, tuple(2 * a for a in c1)) is not None
+            assert simplex_standard(cols, x) is not None
+            assert simplex_standard(cols, tuple(2 * a for a in c1)) is not None
 
     def test_negative_coordinate_outside(self):
         A = get_design(3, 5)
-        assert in_cone(A.distinct_columns(), (-1, 0, 0, 0, 0, 0)) is None
+        assert simplex_standard(A.distinct_columns(), (-1, 0, 0, 0, 0, 0)) is None
 
 
 class TestExport:
@@ -153,7 +153,7 @@ class TestSaturationShapeInvariant:
 
 class TestColumnHullMembership:
     def test_column_in_own_hull(self):
-        from thmc.exactla import in_convex_hull
+        from oracles import in_convex_hull
 
         A = get_design(3, 4)
         col = A.columns[A.word_index[Word.from_text("1212")]]

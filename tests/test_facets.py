@@ -1,3 +1,6 @@
+import hashlib
+import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -296,16 +299,81 @@ class TestCompleteness:
             assert rep["hull_equals_expansion"]
             assert rep["all_extensions_inside"]
 
-    def test_wrong_lp_witness_is_not_trusted(self, monkeypatch):
+    # sha256 of json.dumps(report, indent=1, default=str) + "\n", the bytes
+    # of `thmc facets --action verify24`'s verify24-T{T}.json
+    REPORT_SHA256 = {
+        5: "bfbbfb56fd38a7fb636c86e34a302d7ebc9d7cb762b1d2d1ba78d624d860f46c",
+        6: "678d271225b0c3bcb4bb663b667661736e3eaa50443676c54ac0929e87b23be1",
+        7: "c31654f412049bd71600c750c69ce0d3677f1c04aaafde3aa032cf4ebb2e5982",
+        8: "eb74068adeb06ad66eccc8825994b4ae7a9263ec07b8427b3af81df001b17f4e",
+        9: "ae0c2cd8dd2116fd53b7e1922ade7964b6fe75ecee841b4861d370425ffd822d",
+        10: "7f192c072f456b8896a8c57b334e934af53163050bfe86adb1f4184c02652aa8",
+        11: "3db61d5e81f7fc9510d5f95c2938b70320be743af3899cd27b5f03a61d6281d2",
+        12: "679ad4b615343acb4a36d0d3cc2f15a9f708a952e947cb3b836e5f28e9b82d79",
+    }
+
+    @pytest.mark.parametrize("T", sorted(REPORT_SHA256))
+    def test_report_bytes_are_pinned(self, T):
+        text = json.dumps(verify_facet_completeness(T), indent=1, default=str) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == self.REPORT_SHA256[T]
+
+    def test_wrong_split_is_not_trusted(self, monkeypatch):
         import thmc.facets
 
-        # convex weights, but they combine to the first column, not the point
-        monkeypatch.setattr(thmc.facets, "in_convex_hull", lambda cols, p: {0: Fraction(1)})
-        rep = verify_facet_completeness(5)
-        assert not rep["ok"] and not rep["all_extensions_inside"]
-        first = list(get_design(3, 5).distinct_columns()[0])
-        for e in rep["extensions"]:
-            assert e["in_polytope"] == ([Fraction(c) for c in e["point"]] == first)
+        # k words of length T, but their counts are not k times the point
+        def wrong(x, k, T):
+            return [Word(([1, 2] * T)[:T])] * k
+
+        monkeypatch.setattr(thmc.facets, "decompose_into_paths", wrong)
+        with pytest.raises(AssertionError):
+            verify_facet_completeness(5)
+
+    def test_hull_decides_when_the_words_miss(self, monkeypatch):
+        import thmc.facets
+
+        expected = verify_facet_completeness(6)
+        monkeypatch.setattr(thmc.facets, "decompose_into_paths", lambda x, k, T: None)
+        rep = verify_facet_completeness(6)
+        assert rep["ok"] and rep["all_extensions_inside"]
+        got = rep["extensions"]
+        assert [e["in_polytope"] for e in got] == [
+            e["in_polytope"] for e in expected["extensions"]
+        ]
+        integral = [e for e in got if e["integral"]]
+        assert integral
+        assert all(e["induction_witness_word"] is None for e in integral)
+
+    def test_point_outside_reads_outside(self, monkeypatch):
+        import thmc.facets
+
+        T = 7
+        real = thmc.facets.extend_vertex_along_ray
+        calls = []
+
+        def inject(v, e, T):
+            calls.append(1)
+            if len(calls) == 1:
+                return (Fraction(T - 1),) + (Fraction(0),) * 5
+            return real(v, e, T)
+
+        monkeypatch.setattr(thmc.facets, "extend_vertex_along_ray", inject)
+        rep = verify_facet_completeness(T)
+        first = rep["extensions"][0]
+        assert first["point"] == [str(T - 1)] + ["0"] * 5
+        assert first["integral"] and not first["in_polytope"]
+        assert "induction_witness_word" not in first
+        assert all(e["in_polytope"] for e in rep["extensions"][1:])
+        assert not rep["all_extensions_inside"] and not rep["ok"]
+
+    def test_runs_no_lp(self, monkeypatch):
+        def no_lp(*args):
+            raise AssertionError("the completeness pipeline ran an LP")
+
+        # every thmc module that bound the simplex, the defining one included
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "thmc" and hasattr(module, "simplex_standard"):
+                monkeypatch.setattr(module, "simplex_standard", no_lp)
+        assert verify_facet_completeness(7)["ok"]
 
     def test_T4_hull_has_12_facets(self):
         assert len(hull_facets_homogeneous(4)) == 12

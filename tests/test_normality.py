@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from thmc.design import get_design
-from thmc.exactla import in_cone
+from thmc.exactla import simplex_standard
 from thmc.facets import LOOP_RAYS, q_polyhedron, q_vertices
 from thmc.normality import (
     SaturationPoint,
@@ -72,15 +72,15 @@ class TestSaturationPoints:
         # the reference: every composition, the exact lattice test, then the
         # hull's inequalities
         from thmc.facets import model_hull
-        from thmc.normality import _cone_test
+        from thmc.polytope import in_dilation
         from oracles import compositions
 
         A = get_design(S, T)
-        hull = model_hull(T, S).inequalities
+        hull = model_hull(T, S)
         expected = [
             x
             for x in compositions(n * (T - 1), A.dim)
-            if list(x) in A.lattice and _cone_test(x, hull, n)
+            if list(x) in A.lattice and in_dilation(hull, x, n)
         ]
         got = saturation_points(T, n, S=S)
         assert [p.x for p in got] == expected
@@ -97,15 +97,14 @@ class TestSaturationPoints:
         # n-dilated polytope points; cross-check the inequality route against
         # LP membership in the V-form, both directions, on a drawn sample
         from thmc.facets import model_hull
-        from thmc.normality import _cone_test
         from oracles import compositions, membership
-        from thmc.polytope import convex_hull, vertex_enumeration
+        from thmc.polytope import convex_hull, in_dilation, vertex_enumeration
 
         rng = random.Random(17)
         for T, n in ((5, 2), (5, 3), (6, 2), (7, 2), (8, 2)):
             A = get_design(3, T)
             V = vertex_enumeration(convex_hull(A.distinct_columns()))
-            hull = model_hull(T, 3).inequalities
+            hull = model_hull(T, 3)
             cands = [
                 x
                 for x in compositions(n * (T - 1), 6)
@@ -114,7 +113,7 @@ class TestSaturationPoints:
             inside = outside = 0
             for x in cands:
                 scaled = tuple(Fraction(c, n) for c in x)
-                in_by_ineq = _cone_test(x, hull, n)
+                in_by_ineq = in_dilation(hull, x, n)
                 if in_by_ineq:
                     inside += 1
                 else:
@@ -389,7 +388,7 @@ class TestS4Probe:
         n = rep["witness"]["n"]
         A = get_design(4, 8)
         assert list(x) in A.lattice
-        assert in_cone(A.distinct_columns(), x) is not None
+        assert simplex_standard(A.distinct_columns(), x) is not None
         assert decompose_into_paths(x, n, 8) is None
 
 

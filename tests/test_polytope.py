@@ -189,9 +189,6 @@ class TestSerialization:
         H = convex_hull([(0, 0), (1, 0), (0, 1)])
         doc = json.loads(H.to_json())
         assert len(doc["inequalities"]) == 3
-        V = vertex_enumeration(H)
-        vdoc = json.loads(V.to_json())
-        assert len(vdoc["vertices"]) == 3 and vdoc["rays"] == []
 
 
 class TestRayMembership:
