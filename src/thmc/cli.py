@@ -256,12 +256,12 @@ def cmd_normality(args) -> int:
         path = run.write(f"normality-witnesses-T{args.T}.words", "\n".join(lines) + "\n")
         rep["witnesses_file"] = str(path)
     run.write_json(f"normality-T{args.T}.json", rep)
-    run.counters.update(saturation_points=rep["points_checked"], orbits=rep["orbits"])
-    verdict = "PASS" if rep["ok"] else "UNDECIDED" if not rep["failures"] else "FAIL"
+    run.counters.update(saturation_points=rep["points_checked"], sums=rep["sums"])
     print(
-        f"T={args.T} n<={args.n_max}: {rep['points_checked']} saturation points "
-        f"in {rep['orbits']} orbits, {len(rep['failures'])} failures, "
-        f"{len(rep['undecided'])} undecided {verdict}"
+        f"T={args.T} n<={args.n_max}: {rep['points_checked']} saturation points, "
+        f"{len(rep['failures'])} failures, "
+        f"{'exact' if rep['exact'] else 'bounded'}: {rep['scope']} "
+        f"{'PASS' if rep['ok'] else 'FAIL'}"
     )
     if args.probe_s4:
         probe = s4_nonnormality_probe()

@@ -1,4 +1,4 @@
-"""Integral closure of the transition-count semigroup, with path witnesses.
+"""Integral closure of the transition-count semigroup, with word witnesses.
 
 A saturation point at degree n is a point of ZA ∩ cone(A) with coordinate
 sum n(T-1).  Every column sums to T-1, and changing a word's last state
@@ -8,19 +8,19 @@ e_ba - e_da in ZA; for S >= 3 these differences link all pairs, so ZA is
 T the polytope is one point of ZA.  The saturation points of degree n are
 therefore the integer points of nP, P the model polytope.  They are
 enumerated in int64 blocks of compositions, one matrix product against the
-hull's facets and equations per block.  The semigroup is normal when
-every such point splits into n words; the splitting oracle is exhaustive
-backtracking, run once per orbit of the state relabellings and word
-reversal.  For long chains a loop-peeling induction reduces T by 6 per step
-before the direct search takes over.  Every witness, mapped from its orbit's
-search or glued by the induction, passes one exact re-check
-(`words.check_split`).  The four-state probe scans the same composition
-blocks for a point of nP that splits into no words.
+hull's facets and equations per block.  The degree-n part of the semigroup
+is the n-fold sumset of the columns, so the semigroup is normal at degree n
+exactly when that sumset is all of nP ∩ Z^d; `check_normality` compares the
+two by counting int64 keys, and degrees up to dim P - 1 decide every degree.
+For long chains a loop-peeling induction reduces T by 6 per step before the
+exhaustive trail search takes over.  Every witness, read off the sumset or
+glued by the induction, passes one exact re-check (`words.check_split`).
+The four-state probe scans the same composition blocks for a point of nP
+that splits into no words.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, islice
 from math import comb
@@ -34,27 +34,16 @@ from .facets import LOOP_RAYS, model_hull, q_polyhedron
 from .polytope import in_dilation
 from .words import (
     CapExceededError,
-    Symmetry,
     Word,
     check_split,
     component_budgets,
     decompose_into_paths,
     degree_imbalances,
     pair_index,
-    symmetry_group,
     transition_counts,
 )
 
 DEFAULT_POINT_CAP = 2_000_000
-
-
-@dataclass(frozen=True)
-class SaturationPoint:
-    """An integer point x of nP (P the model polytope), so a point of
-    ZA ∩ cone(A) with coordinate sum n(T-1)."""
-
-    x: tuple[int, ...]
-    n: int
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -94,7 +83,7 @@ def saturation_points(
     n: int,
     S: int = 3,
     cap: int = DEFAULT_POINT_CAP,
-) -> list[SaturationPoint]:
+) -> list[tuple[int, ...]]:
     """All integer points of nP, P the model polytope, sorted.
 
     These are the members of ZA ∩ cone(A) with coordinate sum n(T-1), since
@@ -126,25 +115,10 @@ def saturation_points(
     # every int64 entry below is exact
     assert largest * total * dim < 2**62, "facet products overflow int64"
     return [
-        SaturationPoint(x=tuple(x), n=n)
+        tuple(x)
         for X in _composition_blocks(total, dim)
         for x in X[(X @ normals.T >= bounds).all(axis=1)].tolist()
     ]
-
-
-def _mapped_witness(
-    paths: Sequence[Word], g: Symmetry, x: tuple[int, ...], n: int, T: int, S: int
-) -> list[Word]:
-    """The image under g of the words splitting g's preimage of x, re-checked
-    by check_split; self-loops or labels outside 1..S raise AssertionError."""
-    try:
-        words = [g.word(w) for w in paths]
-    except ValueError as exc:
-        raise AssertionError(
-            f"mapped witness for {list(x)} is not a word list: {exc}"
-        ) from None
-    check_split(words, x, n, T, S)
-    return words
 
 
 def check_normality(
@@ -154,63 +128,92 @@ def check_normality(
     cap: int = DEFAULT_POINT_CAP,
     keep_witnesses: bool = False,
 ) -> dict:
-    """Verify every saturation point of degree <= n_max splits into words.
+    """Compare the semigroup's degree-n part, the n-fold sumset S_n of the
+    columns, with the saturation points nP ∩ Z^dim, for every n <= n_max.
 
-    The saturation points of degree n are the integer points of nP, because
-    ZA = {x : (T-1) | sum(x)} (module docstring).  This is desk-scale
-    exhaustive verification; the report states the scanned bounds so the
-    claim is never wider than the computation.  Relabelling the
-    states and reversing words map saturation points to saturation points and
-    splittings to splittings, so the path search runs once per orbit of that
-    group, on the orbit's least member; every other member gets the mapped
-    words, re-checked against its own counts (a wrong map raises
-    AssertionError, never a pass).  The report keeps one entry per point, in
-    point order, and counts the searches under `orbits`.  A point whose orbit
-    search trips the oracle's node cap is listed as undecided, not as a
-    failure, and keeps the report from being ok.
+    The failures are the points of nP missing from S_n, in point order.  A
+    vector is one int64 key in base n_max(T-1)+1: no coordinate reaches the
+    base, so the key of a sum is the sum of the keys and key order is point
+    order.  S_n is np.unique of the key sums of S_{n-1} and the columns, and
+    keeps one parent per key, a key of S_{n-1} and a column.  Walking the
+    parents back gives each point of S_n its columns, each column its first
+    word, and every such witness passes check_split (a wrong word raises
+    AssertionError, never a pass).
+
+    With d = dim P, every lattice point of (c+1)P is one of cP plus one of P
+    once c >= d-1 (Bruns, Gubeladze & Trung 1997, J. reine angew. Math. 485,
+    Thm 1.3.3), so n_max >= max(1, d-1) decides every degree and the report
+    says `exact`; otherwise it covers n <= n_max only.  Keys that would
+    overflow int64 raise CapExceededError before any hull work.
     """
-    group = symmetry_group(S)
-    # (x, n, orbit, g) with g carrying the orbit's representative to x
-    points: list[tuple[tuple[int, ...], int, int, Symmetry]] = []
-    tasks: list[tuple[tuple[int, ...], int, int]] = []
-    for n in range(1, n_max + 1):
-        carried: dict[tuple[int, ...], tuple[int, Symmetry]] = {}
-        for pt in saturation_points(T, n, S=S, cap=cap):
-            if pt.x not in carried:
-                # points come sorted, so the first one met is its orbit's least
-                for g in group:
-                    carried.setdefault(g.vector(pt.x), (len(tasks), g))
-                tasks.append((pt.x, n, T))
-            points.append((pt.x, n, *carried[pt.x]))
-    # per orbit: its words, None, or the CapExceededError that left it undecided
-    results = []
-    for task in tasks:
-        try:
-            results.append(decompose_into_paths(*task))
-        except CapExceededError as exc:
-            results.append(exc)
+    dim = S * (S - 1)
+    base = n_max * (T - 1) + 1
+    if base**dim >= 2**63:
+        raise CapExceededError(
+            f"key range {base}^{dim} exceeds cap 2^63 of the int64 normality keys"
+        )
+    d = dim - len(model_hull(T, S).equations)
+    enough = max(1, d - 1)
+    A = get_design(S, T)
+    weights = base ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+    # the distinct columns' keys, in column order, and each one's first word
+    col_keys, first_word = np.unique(weights @ A.np_columns, return_index=True)
+    col_words = [A.words[j] for j in first_word]
+    # per degree: S_n's sorted keys, and each key's parent index in S_{n-1}
+    # and column index
+    keys = np.zeros(1, dtype=np.int64)
+    parents: list[tuple[np.ndarray, np.ndarray]] = []
     failures = []
-    undecided = []
     witnesses = {}
-    for x, n, orbit, g in points:
-        paths = results[orbit]
-        if isinstance(paths, CapExceededError):
-            undecided.append({"x": list(x), "n": n})
-        elif paths is None:
-            failures.append({"x": list(x), "n": n})
-        else:
-            words = _mapped_witness(paths, g, x, n, T, S)
+    points_checked = sums = 0
+    for n in range(1, n_max + 1):
+        # the key sums of S_{n-1} and the columns, 2^15 at a time, each block's
+        # distinct sums kept with their first index; the blocks are freed
+        # before the points are enumerated, to keep the peak memory low
+        rows = range(0, len(keys), max(1, 2**15 // len(col_keys)))
+        blocks = [
+            np.unique((keys[r : r + rows.step, None] + col_keys).ravel(), return_index=True)
+            for r in rows
+        ]
+        sums += len(keys) * len(col_keys)
+        keys, first = np.unique(np.concatenate([u for u, _ in blocks]), return_index=True)
+        flat = np.concatenate([i + r * len(col_keys) for (_, i), r in zip(blocks, rows)])
+        parents.append(np.divmod(flat[first], len(col_keys)))
+        del blocks, flat, first
+        points = saturation_points(T, n, S=S, cap=cap)
+        points_checked += len(points)
+        point_keys = np.array(points, dtype=np.int64).reshape(-1, dim) @ weights
+        hit = np.isin(point_keys, keys)
+        # S_n lies in nP, so every key of S_n is one of the points
+        assert hit.sum() == len(keys), "a sum of columns lies outside nP"
+        failures += [{"x": list(x), "n": n} for x, h in zip(points, hit) if not h]
+        at = np.searchsorted(keys, point_keys[hit])
+        picks = []
+        for parent, column in reversed(parents):
+            picks.append(column[at])
+            at = parent[at]
+        hits = (x for x, h in zip(points, hit) if h)
+        for x, row in zip(hits, np.transpose(picks).tolist()):
+            words = [col_words[c] for c in row]
+            check_split(words, x, n, T, S)
             if keep_witnesses:
                 witnesses[x] = words
     report = {
         "S": S,
         "T": T,
         "n_max": n_max,
-        "points_checked": len(points),
-        "orbits": len(tasks),
+        "polytope_dim": d,
+        "exact": n_max >= enough,
+        "scope": (
+            f"dim P = {d}, so n <= {enough} decides every degree "
+            "(Bruns-Gubeladze-Trung 1997, Thm 1.3.3)"
+            if n_max >= enough
+            else f"degrees n <= {n_max} only; n <= {enough} would decide every degree"
+        ),
+        "points_checked": points_checked,
+        "sums": sums,
         "failures": failures,
-        "undecided": undecided,
-        "ok": not failures and not undecided,
+        "ok": not failures,
     }
     if keep_witnesses:
         report["witnesses"] = witnesses

@@ -131,15 +131,10 @@ class Symmetry:
     sigma: tuple[int, ...]  # sigma[i-1] is the new label of state i
     reverse: bool
     source: tuple[int, ...]
-    table: bytes  # bytes.translate table of the relabelling
 
     def vector(self, x: Sequence) -> tuple:
         """Image of a count vector (or of any vector over the pair slots)."""
         return tuple(x[k] for k in self.source)
-
-    def word(self, w: bytes) -> "Word":
-        t = w.translate(self.table)
-        return Word(t[::-1] if self.reverse else t, S=len(self.sigma))
 
 
 @lru_cache(maxsize=None)
@@ -152,13 +147,12 @@ def symmetry_group(S: int) -> tuple[Symmetry, ...]:
     idx = pair_index(S)
     group = []
     for sigma in permutations(range(1, S + 1)):
-        table = bytes([0, *sigma] + list(range(S + 1, 256)))
         for reverse in (False, True):
             source = [0] * len(idx)
             for (i, j), k in idx.items():
                 a, b = sigma[i - 1], sigma[j - 1]
                 source[idx[(b, a) if reverse else (a, b)]] = k
-            group.append(Symmetry(sigma, reverse, tuple(source), table))
+            group.append(Symmetry(sigma, reverse, tuple(source)))
     return tuple(group)
 
 

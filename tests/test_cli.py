@@ -143,37 +143,31 @@ class TestOptions:
             main([str(a) for a in argv])
         assert exc.value.code == 2
 
-    def test_normality_undecided(self, tmp_path, monkeypatch, capsys):
-        import thmc.normality
-        from thmc.words import CapExceededError
-
-        def decompose(x, n, T):
-            raise CapExceededError("decomposition search exceeded 0 nodes")
-
-        monkeypatch.setattr(thmc.normality, "decompose_into_paths", decompose)
-        rc, _ = run(tmp_path, "normality", "-T", 3, "--n-max", 1, "--out-dir", tmp_path)
-        assert rc == 1
-        rep = json.loads((tmp_path / "normality-T3.json").read_text())
-        assert rep["failures"] == [] and not rep["ok"]
-        assert len(rep["undecided"]) == rep["points_checked"] > 0
-        assert capsys.readouterr().out.strip().endswith(
-            f"0 failures, {rep['points_checked']} undecided UNDECIDED"
-        )
-
-
     def test_normality_reports_orbits(self, tmp_path, capsys):
+        # the counters of the sumset comparison: points checked, key sums formed
         rc, _ = run(tmp_path, "normality", "-T", 5, "--n-max", 2, "--out-dir", tmp_path)
         assert rc == 0
         rep = json.loads((tmp_path / "normality-T5.json").read_text())
         manifest = json.loads((tmp_path / "normality-manifest.json").read_text())
-        assert 0 < rep["orbits"] < rep["points_checked"]
+        assert 0 < rep["points_checked"] < rep["sums"]
+        assert "orbits" not in rep and "undecided" not in rep
         assert manifest["counters"] == {
             "saturation_points": rep["points_checked"],
-            "orbits": rep["orbits"],
+            "sums": rep["sums"],
         }
-        assert (
-            f"{rep['points_checked']} saturation points in {rep['orbits']} orbits"
-            in capsys.readouterr().out
+        assert capsys.readouterr().out.strip() == (
+            f"T=5 n<=2: {rep['points_checked']} saturation points, 0 failures, "
+            "bounded: degrees n <= 2 only; n <= 4 would decide every degree PASS"
+        )
+
+    def test_normality_exact(self, tmp_path, capsys):
+        rc, _ = run(tmp_path, "normality", "-T", 4, "--n-max", 4, "--out-dir", tmp_path)
+        assert rc == 0
+        rep = json.loads((tmp_path / "normality-T4.json").read_text())
+        assert rep["exact"] and rep["polytope_dim"] == 5
+        assert capsys.readouterr().out.strip().endswith(
+            "0 failures, exact: dim P = 5, so n <= 4 decides every degree "
+            "(Bruns-Gubeladze-Trung 1997, Thm 1.3.3) PASS"
         )
 
 
@@ -250,6 +244,8 @@ class TestInputErrors:
         [
             ("gen-matrix", "-T", 30),
             ("normality", "-T", 30),
+            # 5^42 >= 2^63: the int64 keys of the normality check would wrap
+            ("normality", "-S", 7, "-T", 3),
             ("markov", "-T", 4, "--multiset-cap", 5),
         ],
     )

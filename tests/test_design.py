@@ -146,9 +146,9 @@ class TestSaturationShapeInvariant:
         from thmc.words import degree_imbalances
 
         for T, n in ((5, 2), (6, 2), (7, 1)):
-            for pt in saturation_points(T, n):
-                assert sum(pt.x) == n * (T - 1)
-                assert all(abs(d) <= n for d in degree_imbalances(pt.x))
+            for x in saturation_points(T, n):
+                assert sum(x) == n * (T - 1)
+                assert all(abs(d) <= n for d in degree_imbalances(x))
 
 
 class TestColumnHullMembership:

@@ -12,7 +12,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "thmc"
 
 # fiber_enumerate is the full-fiber oracle of the fiber and walk tests; it
-# stays in the library because the exact Markov-degree scan (ROADMAP item 5)
+# stays in the library because the exact Markov-degree scan (ROADMAP item 8)
 # will stream fibers through it
 ALLOWED_WITHOUT_CALLER = {"fiber_enumerate"}
 
@@ -166,3 +166,29 @@ def test_benchmark_workloads_set_up(tmp_path, monkeypatch):
         workdir.mkdir()
         jobs = workload(thmc, 1, workdir).jobs()
         assert jobs and all(callable(job) for _, job in jobs), name
+
+
+def test_benchmark_workloads_run_once(tmp_path, monkeypatch):
+    """One pass of each benchmark workload's job list, judged by the
+    workload's own first-pass check: no wrong result and no failed operation,
+    stricter than the bench, which tolerates up to MAX_KNOWN_FAILURES
+    witness failures on `normality`."""
+    import thmc
+    import thmc.cli  # noqa: F401  (the fit and markov jobs call it)
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from workloads import WORKLOADS, Report
+
+    for name, workload in WORKLOADS.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        bench = workload(thmc, 1, workdir)
+        results = []
+        for label, job in bench.jobs():
+            try:
+                results.append((label, job()))
+            except Exception as exc:  # the check counts it, as a bench pass does
+                results.append((label, exc))
+        report = Report()
+        bench.check(results, report, first=True)
+        assert report.problems == [] and report.failed == 0, (name, report.problems)

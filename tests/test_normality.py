@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -9,7 +8,6 @@ from thmc.design import get_design
 from thmc.exactla import simplex_standard
 from thmc.facets import LOOP_RAYS, q_polyhedron, q_vertices
 from thmc.normality import (
-    SaturationPoint,
     _glue,
     _max_loop_coefficient,
     check_normality,
@@ -30,18 +28,18 @@ from thmc.words import (
 class TestSaturationPoints:
     @pytest.mark.parametrize("T", range(4, 9))
     def test_degree_one_equals_distinct_columns(self, T):
-        pts = sorted(p.x for p in saturation_points(T, 1))
+        pts = sorted(saturation_points(T, 1))
         assert pts == get_design(3, T).distinct_columns()
 
     def test_T3_no_exceptional_points(self):
         # the lattice-point identity is only claimed from T=4 up, but the
         # enumeration shows no exceptional degree-1 points at T=3 either
-        pts = sorted(p.x for p in saturation_points(3, 1))
+        pts = sorted(saturation_points(3, 1))
         assert pts == get_design(3, 3).distinct_columns()
 
     def test_degree_two_contains_pairwise_sums(self):
         T = 5
-        pts = {p.x for p in saturation_points(T, 2)}
+        pts = set(saturation_points(T, 2))
         cols = get_design(3, T).distinct_columns()
         rng = random.Random(1)
         for _ in range(50):
@@ -83,12 +81,12 @@ class TestSaturationPoints:
             if list(x) in A.lattice and in_dilation(hull, x, n)
         ]
         got = saturation_points(T, n, S=S)
-        assert [p.x for p in got] == expected
-        assert all(p.n == n and type(p.x[0]) is int for p in got)
+        assert got == expected
+        assert all(type(x[0]) is int for x in got)
 
     @pytest.mark.parametrize("S,T,n", [(3, 5, 2), (3, 6, 2), (3, 7, 1), (4, 3, 2)])
     def test_group_maps_points_onto_themselves(self, S, T, n):
-        points = {p.x for p in saturation_points(T, n, S=S)}
+        points = set(saturation_points(T, n, S=S))
         for g in symmetry_group(S):
             assert {g.vector(x) for x in points} == points
 
@@ -139,67 +137,80 @@ class TestCheckNormality:
             assert state_graph(Counter(paths), 3) == x
             assert all(len(w) == 4 for w in paths)
 
-    def test_cap_reports_undecided(self, monkeypatch):
-        # a tripped node cap is neither a failure nor a traceback; the search
-        # runs once per orbit, so the whole orbit of the stuck point is
-        # undecided, listed per point in point order
-        import thmc.normality
+    # the sumset's holes are the points the exhaustive trail search cannot split
+    @pytest.mark.parametrize(
+        "S,T,n_max", [(3, T, 2) for T in range(3, 7)] + [(4, 4, 2)]
+    )
+    def test_agrees_with_path_oracle(self, S, T, n_max):
+        rep = check_normality(T, n_max, S=S)
+        holes = {(tuple(f["x"]), f["n"]) for f in rep["failures"]}
+        points = [(x, n) for n in range(1, n_max + 1) for x in saturation_points(T, n, S=S)]
+        assert rep["points_checked"] == len(points)
+        for x, n in points:
+            assert ((x, n) in holes) == (decompose_into_paths(x, n, T) is None), (x, n)
 
-        stuck = saturation_points(4, 2)[5].x
-        orbit = {g.vector(stuck) for g in symmetry_group(3)}
-        assert len(orbit) > 1
-        real = thmc.normality.decompose_into_paths
-
-        def decompose(x, n, T):
-            if tuple(x) in orbit:
-                raise CapExceededError("decomposition search exceeded 0 nodes")
-            return real(x, n, T)
-
-        monkeypatch.setattr(thmc.normality, "decompose_into_paths", decompose)
-        rep = check_normality(4, 2)
-        assert rep["undecided"] == [
-            {"x": list(p.x), "n": 2} for p in saturation_points(4, 2) if p.x in orbit
+    def test_four_state_holes_are_failures(self):
+        # S = 4 is not normal: holes at degree 2 for T = 4, at degree 1 for T = 5
+        rep = check_normality(4, 2, S=4)
+        assert not rep["ok"] and {f["n"] for f in rep["failures"]} == {2}
+        assert {"x": [0, 0, 1, 0, 2, 0, 0, 2, 0, 1, 0, 0], "n": 2} in rep["failures"]
+        rep = check_normality(5, 1, S=4)
+        assert rep["failures"] == [
+            {"x": [0, 0, 1, 0, 1, 0, 0, 1, 0, 1, 0, 0], "n": 1},
+            {"x": [0, 1, 0, 0, 0, 1, 1, 0, 0, 0, 1, 0], "n": 1},
+            {"x": [1, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 1], "n": 1},
         ]
-        assert rep["failures"] == []
-        assert not rep["ok"]
-        assert rep["points_checked"] == len(saturation_points(4, 1)) + len(
-            saturation_points(4, 2)
-        )
 
-    def test_one_search_per_orbit(self, monkeypatch):
+    def test_runs_no_path_search(self, monkeypatch):
         import thmc.normality
 
-        searched = []
-        real = thmc.normality.decompose_into_paths
-
-        def decompose(x, n, T):
-            searched.append((tuple(x), n))
-            return real(x, n, T)
+        def decompose(*args):
+            raise AssertionError("check_normality ran the trail search")
 
         monkeypatch.setattr(thmc.normality, "decompose_into_paths", decompose)
-        rep = check_normality(5, 2)
-        assert len(searched) == rep["orbits"]
-        for n in (1, 2):
-            points = {p.x for p in saturation_points(5, n)}
-            reps = {x for x, m in searched if m == n}
-            orbits = {min(g.vector(x) for g in symmetry_group(3)) for x in points}
-            assert reps == orbits
+        rep = check_normality(5, 3, keep_witnesses=True)
+        assert rep["ok"] and len(rep["witnesses"]) == rep["points_checked"]
 
-    @pytest.mark.parametrize("broken", ["relabel", "self-loop"])
-    def test_wrong_word_map_is_caught(self, broken, monkeypatch):
-        # a word map that disagrees with the coordinate action must fail
-        # the re-check of the mapped witness, never count as a pass
+    @pytest.mark.parametrize(
+        "S,T,n_max,dim,exact",
+        [(3, 5, 3, 5, False), (3, 5, 4, 5, True), (3, 3, 4, 5, True),
+         # at odd T the S = 2 polytope is one point, so degree 1 decides
+         (2, 5, 1, 0, True)],
+    )
+    def test_exact_from_the_polytope_dimension(self, S, T, n_max, dim, exact):
+        rep = check_normality(T, n_max, S=S)
+        assert rep["polytope_dim"] == dim and rep["exact"] is exact
+        if exact:
+            assert "Bruns-Gubeladze-Trung 1997, Thm 1.3.3" in rep["scope"]
+        else:
+            assert rep["scope"].startswith(f"degrees n <= {n_max} only")
+
+    def test_key_overflow_raises_before_hull_work(self, monkeypatch):
+        # 5^42 >= 2^63: the keys of a 42-coordinate vector would wrap
         import thmc.normality
 
-        group = list(symmetry_group(3))
-        k = next(i for i, g in enumerate(group) if g.sigma == (2, 1, 3) and not g.reverse)
-        if broken == "relabel":
-            wrong = group[next(i for i, g in enumerate(group) if g.sigma == (1, 3, 2))].table
-        else:
-            wrong = bytes([0, 1, 1, 3]) + bytes(range(4, 256))
-        group[k] = dataclasses.replace(group[k], table=wrong)
-        monkeypatch.setattr(thmc.normality, "symmetry_group", lambda S: tuple(group))
-        with pytest.raises(AssertionError):
+        def hull(*args):
+            raise AssertionError("hull computed before the overflow guard")
+
+        monkeypatch.setattr(thmc.normality, "model_hull", hull)
+        with pytest.raises(CapExceededError, match="exceeds cap 2\\^63"):
+            check_normality(3, 2, S=7)
+
+    @pytest.mark.parametrize("wrong", ["other-column", "wrong-length"])
+    def test_wrong_column_word_is_caught(self, wrong, monkeypatch):
+        # a column mapped to a word without its counts must fail the
+        # re-check of the witness, never count as a pass
+        import copy
+
+        import thmc.normality
+
+        A = copy.copy(get_design(3, 4))
+        words = list(A.words)
+        # words[0] is the first word of its column
+        words[0] = words[-1] if wrong == "other-column" else Word.from_text("12121")
+        A.words = words
+        monkeypatch.setattr(thmc.normality, "get_design", lambda S, T: A)
+        with pytest.raises(AssertionError, match="does not split"):
             check_normality(4, 2)
 
 
