@@ -3,9 +3,10 @@
 Everything here is arbitrary precision: rationals are `fractions.Fraction`,
 matrices are plain lists of rows.  No floating point.  One Gaussian
 elimination, `rref`, answers every question about rank, kernels, independent
-rows and inverses.  The one linear program is cone membership, a
-feasibility question answered by `simplex_standard`, phase 1 of a
-fraction-free integer tableau simplex.
+rows and inverses; it scales rows to integers and eliminates fraction-free,
+so the only rationals it makes are its reduced rows.  The one linear program
+is cone membership, a feasibility question answered by `simplex_standard`,
+phase 1 of a fraction-free integer tableau simplex.
 """
 
 from __future__ import annotations
@@ -17,10 +18,26 @@ from typing import Iterable, Optional, Sequence
 Vec = Sequence[int | Fraction]
 
 
+def _integer_row(row: Iterable[int | Fraction]) -> list[int]:
+    """row scaled by the lcm of its denominators (ints have denominator 1)."""
+    row = list(row)
+    den = lcm(*(e.denominator for e in row))
+    if den == 1:
+        return [int(e) for e in row]
+    return [int(e.numerator) * (den // int(e.denominator)) for e in row]
+
+
 def rref(M: Iterable[Vec]) -> tuple[list[list[Fraction]], list[int]]:
     """Nonzero rows of the reduced row echelon form of M, and their pivot
-    columns, by Gauss-Jordan elimination over the rationals."""
-    rows = [[Fraction(e) for e in row] for row in M]
+    columns, by fraction-free Gauss-Jordan elimination.
+
+    Each row is scaled to integers by the lcm of its denominators, which does
+    not change the reduced form.  Eliminating a column sets every other row to
+    p*row - f*pivot_row, p the pivot and f the row's entry, and divides the
+    result by the gcd of its entries; each pivot row is divided by its pivot
+    once at the end.  Every intermediate value is an integer.
+    """
+    rows = [_integer_row(row) for row in M]
     pivots: list[int] = []
     for col in range(len(rows[0]) if rows else 0):
         r = len(pivots)
@@ -30,14 +47,18 @@ def rref(M: Iterable[Vec]) -> tuple[list[list[Fraction]], list[int]]:
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        prow = rows[r] = [a * inv for a in rows[r]]
+        prow = rows[r]
+        p = prow[col]
         for i, row in enumerate(rows):
             f = row[col]
             if f and i != r:
-                rows[i] = [a - f * b for a, b in zip(row, prow)]
+                new = [p * a - f * b for a, b in zip(row, prow)]
+                g = gcd(*new)
+                rows[i] = [a // g for a in new] if g > 1 else new
         pivots.append(col)
-    return rows[: len(pivots)], pivots
+    return [
+        [Fraction(a, row[c]) for a in row] for row, c in zip(rows, pivots)
+    ], pivots
 
 
 def mat_rank(M: Iterable[Vec]) -> int:
@@ -66,14 +87,9 @@ def nullspace(M: Iterable[Vec]) -> list[tuple[Fraction, ...]]:
 
 def primitive(v: Sequence[int | Fraction]) -> tuple[int, ...]:
     """Scale v by a positive rational to a primitive integer vector."""
-    den = lcm(*(Fraction(e).denominator for e in v)) if v else 1
-    ints = [int(Fraction(e) * den) for e in v]
-    g = 0
-    for e in ints:
-        g = gcd(g, e)
-    if g > 1:
-        ints = [e // g for e in ints]
-    return tuple(ints)
+    ints = _integer_row(v)
+    g = gcd(*ints)
+    return tuple(e // g for e in ints) if g > 1 else tuple(ints)
 
 
 def nullspace_int(M: Iterable[Vec]) -> list[tuple[int, ...]]:
@@ -174,12 +190,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 # ---------------------------------------------------------------------------
 # Exact simplex
-
-
-def _integer_row(row: Sequence[int | Fraction]) -> list[int]:
-    """row scaled by the lcm of its denominators."""
-    den = lcm(*(e.denominator for e in row))
-    return [e.numerator * (den // e.denominator) for e in row]
 
 
 def simplex_standard(

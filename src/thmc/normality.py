@@ -13,8 +13,10 @@ is the n-fold sumset of the columns, so the semigroup is normal at degree n
 exactly when that sumset is all of nP ∩ Z^d; `check_normality` compares the
 two by counting int64 keys, and degrees up to dim P - 1 decide every degree.
 For long chains a loop-peeling induction reduces T by 6 per step before the
-exhaustive trail search takes over.  Every witness, read off the sumset or
-glued by the induction, passes one exact re-check (`words.check_split`).
+exhaustive trail search takes over.  Every witness is re-checked exactly:
+those read off the sumset all at once per degree, by summing their columns'
+recounted int64 count rows, and those glued by the induction one by one
+(`words.check_split`).
 The four-state probe scans the same composition blocks for a point of nP
 that splits into no words.
 """
@@ -136,9 +138,12 @@ def check_normality(
     base, so the key of a sum is the sum of the keys and key order is point
     order.  S_n is np.unique of the key sums of S_{n-1} and the columns, and
     keeps one parent per key, a key of S_{n-1} and a column.  Walking the
-    parents back gives each point of S_n its columns, each column its first
-    word, and every such witness passes check_split (a wrong word raises
-    AssertionError, never a pass).
+    parents back gives each point of S_n its columns and each column its
+    first word.  Each first word is recounted once, its transition counts and
+    its length, and one int64 step per degree re-checks every witness: n
+    words of length T whose counts sum to the point.  A wrong word raises
+    AssertionError naming the point, never a pass.  The word lists are built
+    only when keep_witnesses asks for them.
 
     With d = dim P, every lattice point of (c+1)P is one of cP plus one of P
     once c >= d-1 (Bruns, Gubeladze & Trung 1997, J. reine angew. Math. 485,
@@ -156,9 +161,14 @@ def check_normality(
     enough = max(1, d - 1)
     A = get_design(S, T)
     weights = base ** np.arange(dim - 1, -1, -1, dtype=np.int64)
-    # the distinct columns' keys, in column order, and each one's first word
+    # the distinct columns' keys, in column order, and each one's first word,
+    # recounted once: its transition counts and its length
     col_keys, first_word = np.unique(weights @ A.np_columns, return_index=True)
     col_words = [A.words[j] for j in first_word]
+    col_counts = np.array(
+        [transition_counts(w, S) for w in col_words], dtype=np.int64
+    ).reshape(-1, dim)
+    col_wrong_length = np.array([len(w) != T for w in col_words])
     # per degree: S_n's sorted keys, and each key's parent index in S_{n-1}
     # and column index
     keys = np.zeros(1, dtype=np.int64)
@@ -182,22 +192,34 @@ def check_normality(
         del blocks, flat, first
         points = saturation_points(T, n, S=S, cap=cap)
         points_checked += len(points)
-        point_keys = np.array(points, dtype=np.int64).reshape(-1, dim) @ weights
+        X = np.array(points, dtype=np.int64).reshape(-1, dim)
+        point_keys = X @ weights
         hit = np.isin(point_keys, keys)
         # S_n lies in nP, so every key of S_n is one of the points
         assert hit.sum() == len(keys), "a sum of columns lies outside nP"
         failures += [{"x": list(x), "n": n} for x, h in zip(points, hit) if not h]
         at = np.searchsorted(keys, point_keys[hit])
-        picks = []
-        for parent, column in reversed(parents):
-            picks.append(column[at])
+        picks = np.empty((len(at), n), dtype=np.int64)
+        for k, (parent, column) in enumerate(reversed(parents)):
+            picks[:, k] = column[at]
             at = parent[at]
-        hits = (x for x, h in zip(points, hit) if h)
-        for x, row in zip(hits, np.transpose(picks).tolist()):
-            words = [col_words[c] for c in row]
-            check_split(words, x, n, T, S)
-            if keep_witnesses:
-                witnesses[x] = words
+        # every witness at once: n words of length T whose recounted
+        # transition counts sum to the point, in int64 (entries <= n(T-1));
+        # the words are taken off the point one pick at a time, so no
+        # temporary grows past one row per point
+        rest = X[hit]
+        for column in picks.T:
+            rest -= col_counts[column]
+        bad = rest.any(axis=1) | col_wrong_length[picks].any(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            words = [col_words[c].text for c in picks[i]]
+            raise AssertionError(f"witness {words} does not split {X[hit][i].tolist()}")
+        if keep_witnesses:
+            hits = (x for x, h in zip(points, hit) if h)
+            witnesses.update(
+                (x, [col_words[c] for c in row]) for x, row in zip(hits, picks.tolist())
+            )
     report = {
         "S": S,
         "T": T,

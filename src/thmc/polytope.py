@@ -201,10 +201,9 @@ def convex_hull(
     if not points:
         raise ValueError("need at least one point")
     dim = len(points[0])
-    uniq = sorted(set(tuple(Fraction(e) for e in p) for p in points))
     uniq_rays = sorted(set(primitive(r) for r in rays))
     # homogenized generators (1, p) and (0, r), scaled to integers row-wise
-    gens = [primitive((Fraction(1),) + p) for p in uniq]
+    gens = [primitive((1, *p)) for p in sorted(set(map(tuple, points)))]
     gens += [(0,) + r for r in uniq_rays]
     # equations of the hull = kernel of the generator matrix; the pointed
     # part of the dual cone {y : g.y >= 0} lives in its orthogonal complement

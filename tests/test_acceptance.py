@@ -182,7 +182,7 @@ def test_criterion_07_normality_desk_scale():
     failures = []
     checked = 0
     exact = True
-    for T in range(3, 11):
+    for T in range(3, 13):
         rep = check_normality(T, 4)
         checked += rep["points_checked"]
         failures.extend(rep["failures"])
@@ -192,7 +192,7 @@ def test_criterion_07_normality_desk_scale():
         7,
         not failures and exact and elapsed < 1800,
         f"normal, exact: {checked} saturation points in the column sumsets, "
-        f"T=3..10, n<=4, {elapsed:.0f}s",
+        f"T=3..12, n<=4, {elapsed:.0f}s",
     )
 
 

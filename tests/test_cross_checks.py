@@ -8,6 +8,7 @@ comfortable margin; the exact side is the reference everywhere else.
 
 import random
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 from scipy.optimize import linprog
@@ -52,11 +53,12 @@ class TestHullAgainstQhull:
 
 
 class TestEliminationAgainstSympy:
-    def test_rref_matches(self):
+    SHAPES = [(7, 3), (3, 7), (5, 5), (1, 4), (4, 1), (6, 6)]
+
+    def _rational_inputs(self):
         rng = random.Random(31)
-        shapes = [(7, 3), (3, 7), (5, 5), (1, 4), (4, 1), (6, 6)]
         for trial in range(60):
-            r, c = shapes[trial % len(shapes)]
+            r, c = self.SHAPES[trial % len(self.SHAPES)]
             M = [
                 [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(c)]
                 for _ in range(r)
@@ -68,10 +70,30 @@ class TestEliminationAgainstSympy:
             if rng.random() < 0.3:
                 zero = rng.randrange(c)
                 M = [row[:zero] + [Fraction(0)] + row[zero + 1 :] for row in M]
+            yield M
+
+    def _integer_inputs(self):
+        # plain ints, every third matrix with entries near 10^15; trials cycle
+        # through full, rank-deficient, zero-row and zero-column cases
+        rng = random.Random(37)
+        for trial in range(60):
+            r, c = self.SHAPES[trial % len(self.SHAPES)]
+            bound = 10**15 if trial % 3 == 0 else 9
+            M = [[rng.randint(-bound, bound) for _ in range(c)] for _ in range(r)]
+            if r > 2 and trial % 4 == 1:  # rank-deficient: a row combines two others
+                M[2] = [3 * a - 5 * b for a, b in zip(M[0], M[1])]
+            if trial % 4 == 2:
+                M[rng.randrange(r)] = [0] * c
+            if trial % 4 == 3:
+                zero = rng.randrange(c)
+                M = [row[:zero] + [0] + row[zero + 1 :] for row in M]
+            yield M
+        yield [[0] * 4 for _ in range(3)]
+
+    def test_rref_matches(self):
+        for M in chain(self._rational_inputs(), self._integer_inputs()):
             rows, pivots = rref(M)
-            R, sympy_pivots = Matrix(
-                [[Rational(e.numerator, e.denominator) for e in row] for row in M]
-            ).rref()
+            R, sympy_pivots = Matrix([[Rational(e) for e in row] for row in M]).rref()
             assert pivots == list(sympy_pivots)
             assert rows == [
                 [Fraction(int(e.p), int(e.q)) for e in R.row(i)]

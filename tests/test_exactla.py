@@ -140,6 +140,15 @@ class TestHelpers:
         assert primitive([Fraction(1, 2), Fraction(1, 3)]) == (3, 2)
         assert primitive([2, 4, 6]) == (1, 2, 3)
         assert primitive([-2, 4]) == (-1, 2)
+        assert primitive([0, 0, 0]) == (0, 0, 0)
+        assert primitive([Fraction(0), Fraction(0)]) == (0, 0)
+        # mixed ints and Fractions: the lcm of the denominators clears them
+        assert primitive([2, Fraction(1, 3), Fraction(-3, 4), 0]) == (24, 4, -9, 0)
+        assert primitive([Fraction(4), 6]) == (2, 3)
+        # negative Fractions: a positive scale keeps every sign
+        assert primitive([Fraction(-1, 2), Fraction(-1, 3)]) == (-3, -2)
+        assert primitive([Fraction(-2, 3), Fraction(4, 9)]) == (-3, 2)
+        assert all(type(e) is int for e in primitive([Fraction(-5, 6), 1]))
 
     def test_independent_rows(self):
         M = [[1, 0], [2, 0], [0, 1]]

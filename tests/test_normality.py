@@ -18,6 +18,7 @@ from thmc.normality import (
 from thmc.words import (
     CapExceededError,
     Word,
+    check_split,
     decompose_into_paths,
     state_graph,
     symmetry_group,
@@ -162,14 +163,22 @@ class TestCheckNormality:
         ]
 
     def test_runs_no_path_search(self, monkeypatch):
+        # no trail search and no per-witness check_split: the witnesses are
+        # re-checked all at once, and each one passes check_split afterwards
         import thmc.normality
 
         def decompose(*args):
             raise AssertionError("check_normality ran the trail search")
 
+        def per_witness(*args):
+            raise AssertionError("check_normality re-checked one witness at a time")
+
         monkeypatch.setattr(thmc.normality, "decompose_into_paths", decompose)
+        monkeypatch.setattr(thmc.normality, "check_split", per_witness)
         rep = check_normality(5, 3, keep_witnesses=True)
         assert rep["ok"] and len(rep["witnesses"]) == rep["points_checked"]
+        for x, words in rep["witnesses"].items():
+            check_split(words, x, sum(x) // 4, 5, 3)
 
     @pytest.mark.parametrize(
         "S,T,n_max,dim,exact",
