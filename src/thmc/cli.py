@@ -20,6 +20,7 @@ from . import __version__
 from .design import get_design
 from .facets import (
     certify_all,
+    model_hull,
     verify_facet_completeness,
     verify_known_vertices,
     verify_window_inequalities,
@@ -36,7 +37,7 @@ from .markov import (
 )
 from .mcmc import STATISTICS, WalkConfig, exact_test, kept_tables
 from .normality import check_normality, s4_nonnormality_probe
-from .polytope import convex_hull, vertex_enumeration
+from .polytope import vertex_enumeration
 from .words import DEFAULT_WORD_CAP, CapExceededError, read_words
 
 
@@ -169,8 +170,7 @@ def cmd_stats(args) -> int:
 def cmd_hull(args) -> int:
     _check_sizes(args)
     run = Run("hull", args)
-    A = get_design(3, args.T, cap=args.word_cap)
-    H = convex_hull(A.distinct_columns())
+    H = model_hull(args.T, 3)
     V = vertex_enumeration(H)
     run.write_json(
         f"hull-T{args.T}.json",
@@ -410,7 +410,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("hull", help="facet description of the model polytope")
     p.add_argument("-T", type=int, required=True)
-    common(p, "word-cap")
+    common(p)
     p.set_defaults(func=cmd_hull)
 
     p = sub.add_parser("facets", help="facet certification pipelines")

@@ -4,7 +4,8 @@ The design matrix for S states at time T has one row per ordered state pair
 (lexicographic) and one column per word of length T (lexicographic); the
 column of a word is its transition-count vector.  Data multisets map to
 sufficient statistics b = A.u; the matrix also holds the integer lattice ZA
-of its columns.
+of its columns.  The geometry reads only the distinct columns (1,704 for
+25,165,824 words at T = 24), from `column_table`, a DP that lists no words.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -23,9 +25,42 @@ from .words import (
     DEFAULT_WORD_CAP,
     Word,
     enumerate_words,
+    pair_index,
     pair_list,
     transition_counts,
 )
+
+
+@lru_cache(maxsize=64)
+def endpoint_table(S: int, T: int) -> Mapping:
+    """(start, end, counts) -> (word count, lexicographically least word)
+    over the words of length T, built from length T-1 by appending a state."""
+    if S < 2 or T < 2:
+        raise ValueError(f"need S >= 2 and T >= 2, got S={S}, T={T}")
+    idx = pair_index(S)
+    prev = endpoint_table(S, T - 1) if T > 2 else {
+        (s, s, (0,) * len(idx)): (1, bytes((s,))) for s in range(1, S + 1)
+    }
+    table: dict = {}
+    for (start, end, counts), (count, word) in prev.items():
+        for j in range(1, S + 1):
+            if j != end:
+                step = list(counts)
+                step[idx[(end, j)]] += 1
+                key, longer = (start, j, tuple(step)), bytes.__new__(Word, word + bytes((j,)))
+                total, least = table.get(key, (0, longer))
+                table[key] = (total + count, min(least, longer))
+    return MappingProxyType(table)
+
+
+@lru_cache(maxsize=64)
+def column_table(S: int, T: int) -> Mapping:
+    """Distinct column -> (word count, least word), in column order."""
+    table: dict = {}
+    for (_, _, counts), (count, word) in endpoint_table(S, T).items():
+        total, least = table.get(counts, (0, word))
+        table[counts] = (total + count, min(least, word))
+    return MappingProxyType(dict(sorted(table.items())))
 
 
 @dataclass(frozen=True)
@@ -54,7 +89,6 @@ class DesignMatrix:
         self.word_index: dict[Word, int] = {w: j for j, w in enumerate(self.words)}
         self._np: Optional[np.ndarray] = None
         self._lattice: Optional[IntegerLattice] = None
-        self._distinct: Optional[list[tuple[int, ...]]] = None
 
     @property
     def dim(self) -> int:
@@ -71,9 +105,7 @@ class DesignMatrix:
         return self._np
 
     def distinct_columns(self) -> list[tuple[int, ...]]:
-        if self._distinct is None:
-            self._distinct = sorted(set(self.columns))
-        return self._distinct
+        return list(column_table(self.S, self.T))
 
     # -- statistics ---------------------------------------------------------
 

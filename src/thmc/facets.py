@@ -18,7 +18,8 @@ show the result lies in conv(A^T).  The certificate is the paper's own kind:
 with k the least common denominator of the point p, k*p splits into k
 words of length T, so p is their mean.  Normality promises such a split for
 every point of conv(A^T) (k*p is an integer point of kP, and those are the
-saturation points), and a split found is re-checked exactly.
+saturation points), and a split found is re-checked exactly.  The hull and
+the certificates read `design.column_table`, which lists no words.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .design import get_design
+from .design import column_table, endpoint_table
 from .exactla import mat_rank, primitive
 from .polytope import (
     HPolyhedron,
@@ -166,20 +167,36 @@ def symmetry_orbit(c: Sequence[int]) -> set[tuple[int, ...]]:
 
 
 def certify_facet(c: Sequence[int], T: int) -> FacetCertificate:
-    """Exact minimum of c.a_w over all columns plus tight-set rank."""
-    A = get_design(3, T)
-    vals = np.asarray(c, dtype=np.int64) @ A.np_columns
-    min_value = int(vals.min())
-    tight_idx = np.nonzero(vals == 0)[0]
-    tight_cols = sorted({A.columns[int(j)] for j in tight_idx})
-    samples = tuple(A.words[int(j)].text for j in tight_idx[:5])
+    """Exact minimum of c.x over the distinct columns x, their tight rank and
+    tight count in words (c.x = 0), and the first five tight words: reach[k]
+    holds (s, v) when a k-step walk from s weighs v under c, and the search,
+    from a state 0 whose steps weigh 0, enters only prefixes a suffix zeroes."""
+    table = column_table(3, T)
+    vals = np.array(list(table), dtype=np.int64) @ np.asarray(c, dtype=np.int64)
+    tight = [col for col, v in zip(table, vals.tolist()) if v == 0]
+    weight = {pair: c[k] for pair, k in pair_index(3).items()} | {(0, s): 0 for s in (1, 2, 3)}
+    reach = [{(s, 0) for s in (1, 2, 3)}]
+    for _ in range(T - 1):
+        reach.append({(i, weight[i, j] + v) for j, v in reach[-1] for i in (1, 2, 3) if i != j})
+    samples: list[str] = []
+
+    def extend(word: list[int], value: int) -> None:
+        if len(word) > T:
+            samples.append(Word(word[1:]).text)
+            return
+        for j in (1, 2, 3):
+            v = value + weight.get((word[-1], j), 0)
+            if len(samples) < 5 and j != word[-1] and (j, -v) in reach[T - len(word)]:
+                extend(word + [j], v)
+
+    extend([0], 0)
     return FacetCertificate(
         c=tuple(int(e) for e in c),
         T=T,
-        min_value=min_value,
-        tight_count=int(tight_idx.size),
-        tight_rank=mat_rank(tight_cols),
-        sample_tight_words=samples,
+        min_value=int(vals.min()),
+        tight_count=sum(table[col][0] for col in tight),
+        tight_rank=mat_rank(tight),
+        sample_tight_words=tuple(samples),
     )
 
 
@@ -400,8 +417,8 @@ def extend_vertex_along_ray(
 
 @lru_cache(maxsize=32)
 def model_hull(T: int, S: int) -> HPolyhedron:
-    """Facet description of conv(A^T), computed by double description."""
-    return convex_hull(get_design(S, T).distinct_columns())
+    """Facet description of conv(A^T): double description of its columns."""
+    return convex_hull(list(column_table(S, T)))
 
 
 def _homogeneous_normals(H: HPolyhedron, T: int) -> set[tuple[int, ...]]:
@@ -475,23 +492,6 @@ def verify_facet_completeness(T: int) -> dict:
 # Window inequalities over short path segments
 
 
-@lru_cache(maxsize=None)
-def _endpoint_counts(T: int) -> frozenset:
-    """All (start, end, counts) triples realized by paths of length T."""
-    idx = pair_index(3)
-    frontier = {(s, s, (0,) * 6) for s in (1, 2, 3)}
-    for _ in range(T - 1):
-        nxt = set()
-        for start, end, counts in frontier:
-            for j in (1, 2, 3):
-                if j != end:
-                    lst = list(counts)
-                    lst[idx[(end, j)]] += 1
-                    nxt.add((start, j, tuple(lst)))
-        frontier = nxt
-    return frozenset(frontier)
-
-
 def verify_window_inequalities(max_k: int = 3) -> dict:
     """Exhaustively confirm the short-window count inequalities.
 
@@ -524,10 +524,7 @@ def verify_window_inequalities(max_k: int = 3) -> dict:
     words4 = enumerate_words(3, 4)
     assert len(words4) == 24
     for i, j, t in triples:
-        vals = []
-        for w in words4:
-            x = transition_counts(w, 3)
-            vals.append(x[idx[(i, j)]] + x[idx[(j, t)]] + x[idx[(i, t)]])
+        vals = [x[idx[(i, j)]] + x[idx[(j, t)]] + x[idx[(i, t)]] for *_, x in endpoint_table(3, 4)]
         record(f"3step-cover-{i}{j}{t}", min(vals) == 1)
 
     # -- 3-step asymmetric window with equality classification
@@ -566,14 +563,13 @@ def verify_window_inequalities(max_k: int = 3) -> dict:
     # stationary nets (e.g. 2132132 has slack 1 and returns to its start),
     # which the terser classification misses; stationary nets cannot move a
     # walker off state i, so the length-6k+1 consequence is unaffected.
-    words7 = enumerate_words(3, 7)
-    assert len(words7) == 192
+    classes7 = endpoint_table(3, 7)
+    assert sum(count for count, _ in classes7.values()) == 192
     for i, j, t in triples:
         ok = True
         eq_seen = False
         slack1_nets = set()
-        for w in words7:
-            x = transition_counts(w, 3)
+        for start, end, x in classes7:
             diff = (
                 2 * x[idx[(i, j)]]
                 + x[idx[(i, t)]]
@@ -585,9 +581,9 @@ def verify_window_inequalities(max_k: int = 3) -> dict:
                 ok = False
             elif diff == 0:
                 eq_seen = True
-                ok &= (w[0], w[-1]) == (j, i)
+                ok &= (start, end) == (j, i)
             elif diff == 1:
-                slack1_nets.add((w[0], w[-1]))
+                slack1_nets.add((start, end))
         moving = {(j, i), (j, t), (t, i)}
         stationary = {(i, i), (j, j), (t, t)}
         ok &= slack1_nets == moving | stationary
@@ -600,10 +596,9 @@ def verify_window_inequalities(max_k: int = 3) -> dict:
     # -- length 6k+1 inequality
     for k in range(1, max_k + 1):
         T = 6 * k + 1
-        stats = _endpoint_counts(T)
         for i, j, t in triples:
             ok = True
-            for _, end, x in stats:
+            for _, end, x in endpoint_table(3, T):
                 diff = (
                     2 * x[idx[(i, j)]]
                     + x[idx[(i, t)]]
@@ -622,7 +617,7 @@ def verify_window_inequalities(max_k: int = 3) -> dict:
     for T in T_even:
         k = T // 2
         ok = True
-        for _, end, x in _endpoint_counts(T):
+        for _, end, x in endpoint_table(3, T):
             lhs = 2 * x[idx[(1, 2)]] + x[idx[(1, 3)]] + x[idx[(3, 2)]]
             if lhs < k - 1:
                 ok = False

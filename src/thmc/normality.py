@@ -30,7 +30,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .design import get_design
+from .design import column_table
 from .exactla import simplex_standard
 from .facets import LOOP_RAYS, model_hull, q_polyhedron
 from .polytope import in_dilation
@@ -138,12 +138,12 @@ def check_normality(
     base, so the key of a sum is the sum of the keys and key order is point
     order.  S_n is np.unique of the key sums of S_{n-1} and the columns, and
     keeps one parent per key, a key of S_{n-1} and a column.  Walking the
-    parents back gives each point of S_n its columns and each column its
-    first word.  Each first word is recounted once, its transition counts and
-    its length, and one int64 step per degree re-checks every witness: n
-    words of length T whose counts sum to the point.  A wrong word raises
-    AssertionError naming the point, never a pass.  The word lists are built
-    only when keep_witnesses asks for them.
+    parents back gives each point of S_n its columns, and `column_table` each
+    column its least word without listing words.  Each is recounted once, its
+    transition counts and its length, and one int64 step per degree re-checks
+    every witness: n words of length T whose counts sum to the point.  A
+    wrong word raises AssertionError naming the point, never a pass.  The
+    word lists are built only when keep_witnesses asks for them.
 
     With d = dim P, every lattice point of (c+1)P is one of cP plus one of P
     once c >= d-1 (Bruns, Gubeladze & Trung 1997, J. reine angew. Math. 485,
@@ -159,12 +159,12 @@ def check_normality(
         )
     d = dim - len(model_hull(T, S).equations)
     enough = max(1, d - 1)
-    A = get_design(S, T)
     weights = base ** np.arange(dim - 1, -1, -1, dtype=np.int64)
-    # the distinct columns' keys, in column order, and each one's first word,
-    # recounted once: its transition counts and its length
-    col_keys, first_word = np.unique(weights @ A.np_columns, return_index=True)
-    col_words = [A.words[j] for j in first_word]
+    # the distinct columns' keys, in column order (so ascending), and each
+    # one's least word, recounted once: its transition counts and its length
+    table = column_table(S, T)
+    col_keys = np.array(list(table), dtype=np.int64).reshape(-1, dim) @ weights
+    col_words = [word for _, word in table.values()]
     col_counts = np.array(
         [transition_counts(w, S) for w in col_words], dtype=np.int64
     ).reshape(-1, dim)
@@ -346,7 +346,6 @@ def s4_nonnormality_probe() -> dict:
     exhausted bounds are reported.
     """
     S, T = 4, 8
-    A = get_design(S, T)
     idx = pair_index(S)
     alternating = lambda a, b: Word(([a, b] * T)[:T])
     w1 = alternating(1, 2)
@@ -361,7 +360,6 @@ def s4_nonnormality_probe() -> dict:
         "half_sum": [str(c) for c in half_sum],
         "half_sum_integral": all(c.denominator == 1 for c in half_sum),
     }
-    cols = A.distinct_columns()
     # the doubled combination is integral; it splits into the two words
     doubled = tuple(int(2 * c) for c in half_sum)
     report["doubled_in_semigroup"] = (
@@ -385,7 +383,7 @@ def s4_nonnormality_probe() -> dict:
             return None
         if decompose_into_paths(x, n, T) is not None:
             return None
-        if simplex_standard(cols, x) is None:
+        if simplex_standard(list(column_table(S, T)), x) is None:
             return None
         return {
             "x": list(x),
@@ -404,7 +402,7 @@ def s4_nonnormality_probe() -> dict:
     witness = None
     scanned = {"degree1": 0, "degree2_two_cycle_pairs": 0}
     # degree 1: all nonnegative vectors with coordinate sum T-1
-    for x in compositions(T - 1, A.dim):
+    for x in compositions(T - 1, len(idx)):
         scanned["degree1"] += 1
         found = verify_witness(tuple(x), 1)
         if found:
@@ -419,7 +417,7 @@ def s4_nonnormality_probe() -> dict:
             slots = (idx[(a, b)], idx[(b, a)], idx[(c, d)], idx[(d, c)])
             for comp in compositions(2 * (T - 1), 4):
                 scanned["degree2_two_cycle_pairs"] += 1
-                x = [0] * A.dim
+                x = [0] * len(idx)
                 for s, v in zip(slots, comp):
                     x[s] = v
                 found = verify_witness(tuple(x), 2)

@@ -78,7 +78,7 @@ def test_criterion_02_facet_census():
     for T in (3, 4):
         counts[T] = len(hull_facets_homogeneous(T))
     expansion_ok = True
-    for T in range(5, 13):
+    for T in range(5, 26):
         hull = hull_facets_homogeneous(T)
         expansion = set()
         for form in homogeneous_facet_vectors(T):
@@ -89,18 +89,18 @@ def test_criterion_02_facet_census():
     report(
         2,
         passed,
-        f"facets {counts}, hull == reversal-augmented expansion for T=5..12, "
+        f"facets {counts}, hull == reversal-augmented expansion for T=5..25, "
         f"{time.time() - t0:.1f}s",
     )
 
 
 def test_criterion_03_facet_certificates():
     bad = []
-    for T in range(5, 13):
+    for T in range(5, 26):
         for cert in certify_all(T):
             if cert.min_value != 0 or cert.tight_rank != 5:
                 bad.append((T, cert.c))
-    report(3, not bad, "min=0 and tight-rank=5 for every applicable row, T=5..12")
+    report(3, not bad, "min=0 and tight-rank=5 for every applicable row, T=5..25")
 
 
 def test_criterion_04_recession_rays():

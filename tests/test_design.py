@@ -6,9 +6,15 @@ from collections import Counter
 
 import pytest
 
-from thmc.design import DesignMatrix, get_design
+from thmc.design import DesignMatrix, column_table, endpoint_table, get_design
 from thmc.exactla import simplex_standard
-from thmc.words import CapExceededError, Word, state_graph
+from thmc.words import (
+    CapExceededError,
+    Word,
+    enumerate_words,
+    state_graph,
+    transition_counts,
+)
 
 
 class TestBuild:
@@ -36,6 +42,22 @@ class TestBuild:
         A = get_design(3, 5)
         assert len(A.columns) == 48
         assert len(A.distinct_columns()) < 48
+
+    def test_tables_match_word_list(self):
+        # the transfer DP against the word list: each (start, end, counts)
+        # class and each distinct column with its word count and its
+        # lexicographically least word, the columns in sorted order
+        sizes = [(3, T) for T in range(2, 13)]
+        sizes += [(4, T) for T in range(2, 9)] + [(2, T) for T in range(2, 11)]
+        for S, T in sizes:
+            classes, columns = {}, {}
+            for w in enumerate_words(S, T):  # lexicographic: first is least
+                x = transition_counts(w, S)
+                for table, key in ((classes, (w[0], w[-1], x)), (columns, x)):
+                    count, least = table.get(key, (0, w))
+                    table[key] = (count + 1, least)
+            assert endpoint_table(S, T) == classes, (S, T)
+            assert list(column_table(S, T).items()) == sorted(columns.items()), (S, T)
 
 
 class TestSufficientStatistics:

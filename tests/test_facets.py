@@ -1,12 +1,13 @@
 import hashlib
 import json
+import random
 import sys
 from fractions import Fraction
 
 import pytest
 
 from thmc.design import get_design
-from thmc.exactla import primitive
+from thmc.exactla import mat_rank, primitive
 from thmc.facets import (
     LOOP_RAYS,
     affine_facet_rows,
@@ -172,6 +173,25 @@ class TestCertification:
             transition_counts(Word.from_text(w), 3) == (2, 0, 2, 0, 0, 0)
             for w in cert.sample_tight_words
         )
+
+    def test_certificate_matches_word_scan(self):
+        # minimum, rank, tight count and first tight words from the column
+        # table and the pruned word search equal a scan of the word list; the
+        # random vectors cover tight words below a negative minimum and none
+        rng = random.Random(3)
+        for T in (5, 8, 11):
+            words = enumerate_words(3, T)
+            cols = [transition_counts(w, 3) for w in words]
+            vectors = [form.c for form in homogeneous_facet_vectors(T)]
+            vectors += [tuple(rng.randint(-3, 3) for _ in range(6)) for _ in range(30)]
+            for c in vectors:
+                vals = [sum(a * b for a, b in zip(c, x)) for x in cols]
+                tight = [j for j, v in enumerate(vals) if v == 0]
+                cert = certify_facet(c, T)
+                assert cert.min_value == min(vals), (T, c)
+                assert cert.tight_count == len(tight), (T, c)
+                assert cert.tight_rank == mat_rank({cols[j] for j in tight}), (T, c)
+                assert cert.sample_tight_words == tuple(words[j].text for j in tight[:5])
 
     def test_all_ones_not_a_facet(self):
         cert = certify_facet((1, 1, 1, 1, 1, 1), 5)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from thmc.design import get_design
+from thmc.design import column_table, get_design
 from thmc.exactla import simplex_standard
 from thmc.facets import LOOP_RAYS, q_polyhedron, q_vertices
 from thmc.normality import (
@@ -209,16 +209,13 @@ class TestCheckNormality:
     def test_wrong_column_word_is_caught(self, wrong, monkeypatch):
         # a column mapped to a word without its counts must fail the
         # re-check of the witness, never count as a pass
-        import copy
-
         import thmc.normality
 
-        A = copy.copy(get_design(3, 4))
-        words = list(A.words)
-        # words[0] is the first word of its column
-        words[0] = words[-1] if wrong == "other-column" else Word.from_text("12121")
-        A.words = words
-        monkeypatch.setattr(thmc.normality, "get_design", lambda S, T: A)
+        table = dict(column_table(3, 4))
+        first, (count, _) = next(iter(table.items()))
+        last_word = list(table.values())[-1][1]
+        table[first] = (count, last_word if wrong == "other-column" else Word.from_text("12121"))
+        monkeypatch.setattr(thmc.normality, "column_table", lambda S, T: table)
         with pytest.raises(AssertionError, match="does not split"):
             check_normality(4, 2)
 
