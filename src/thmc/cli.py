@@ -14,6 +14,7 @@ import hashlib
 import json
 import sys
 import time
+from functools import lru_cache
 from pathlib import Path
 
 from . import __version__
@@ -372,7 +373,9 @@ def cmd_test_fit(args) -> int:
     return run.finish(True)
 
 
-def main(argv=None) -> int:
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once."""
     parser = argparse.ArgumentParser(
         prog="thmc",
         description=(
@@ -467,8 +470,11 @@ def main(argv=None) -> int:
                    help="also write a CSV trace of sampled statistics")
     common(p, "word-cap", "multiset-cap")
     p.set_defaults(func=cmd_test_fit)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (InputError, CapExceededError) as exc:

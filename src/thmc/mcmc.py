@@ -7,14 +7,18 @@ statistic reaches the observed one estimates the exact conditional p-value
 (observed table included on both sides of the ratio: the usual conservative
 Monte Carlo convention).
 
-The test is one pass over the walk's kept steps.  It scores a kept table
-only when it differs from the previous one, and keeps each sample's
-statistic: the summary fields and the CLI's trace are read off these.
+The walk steps a vector of counts by word index: a proposal reads and
+writes only the move's entries, and `walk` builds the sorted table only
+after an accepted move.  The test is one pass over the same steps.  It
+scores the observed table in full, then updates its statistic from each
+accepted move's entries, and keeps each sample's statistic: the summary
+fields and the CLI's trace are read off these.
 
 Tables and moves stay exact integers; the default Pearson statistic is
-computed in exact rational arithmetic against the time-homogeneous fit
-(empirical transition frequencies of the pooled data), the likelihood-ratio
-alternative uses floats for its logarithms.
+exact against the time-homogeneous fit (empirical transition frequencies
+of the pooled data): a rational for the observed table, one integer over a
+common denominator along the walk.  The likelihood-ratio alternative uses
+floats for its logarithms.
 """
 
 from __future__ import annotations
@@ -114,6 +118,7 @@ class _FittedModel:
             ]
         self.total_mass = sum(vec)
         self._expected: dict[int, Fraction] = {}
+        self._g2_terms: dict[tuple[int, int], float] = {}
 
     def expected(self, j: int) -> Fraction:
         """Fitted expected count of word j: N times its fitted mass."""
@@ -142,8 +147,71 @@ class _FittedModel:
         """Likelihood-ratio statistic 2 sum u log(u/e), floating point."""
         total = 0.0
         for j, u_j in Counter(table).items():
-            total += 2.0 * u_j * math.log(u_j / float(self.expected(j)))
+            total += self.g2_term(j, u_j)
         return total
+
+    def g2_term(self, j: int, u_j: int) -> float:
+        """The term 2 u_j log(u_j/e_j) of word j at count u_j, cached."""
+        term = self._g2_terms.get((j, u_j))
+        if term is None:
+            term = 2.0 * u_j * math.log(u_j / float(self.expected(j)))
+            self._g2_terms[j, u_j] = term
+        return term
+
+
+class _PearsonRun:
+    """Pearson X^2 of the walk's counts, kept as C + S/D in integers.
+
+    C = N*(total_mass - 2) and S = sum_j u_j^2 w_j with w_j = D/e_j, where D
+    is the lcm of the numerators of e_j over the observed words and the move
+    words of positive fitted mass, so every w_j is an integer.  A move with
+    entries (j, c) adds sum (2 u_j c + c^2) w_j, u_j the count before it.
+    """
+
+    def __init__(self, model: _FittedModel, table: tuple[int, ...], moves: Sequence[Move]):
+        words = set(table).union(j for z in moves for j, _ in z.entries)
+        expected = {j: e for j in words if (e := model.expected(j))}
+        D = math.lcm(*(e.numerator for e in expected.values()))
+        self.weight = {j: D // e.numerator * e.denominator for j, e in expected.items()}
+        C = model.N * (model.total_mass - 2)
+        # X^2 = (C.numerator*D + C.denominator*S) / (C.denominator*D)
+        self.scale = C.denominator
+        self.offset = C.numerator * D
+        self.denominator = C.denominator * D
+        self.S = sum(u * u * self.weight[j] for j, u in Counter(table).items())
+        self.observed_S = self.S
+
+    def moved(self, counts: dict[int, int], entries) -> None:
+        """Follow the move just written into counts."""
+        for j, c in entries:
+            w = self.weight.get(j)
+            if w is None:
+                raise AssertionError("observed word with zero fitted mass")
+            # u_j = counts[j] - c before the move: 2 u_j c + c^2 = 2 counts[j] c - c^2
+            self.S += (2 * counts.get(j, 0) * c - c * c) * w
+
+    def sample(self, counts: dict[int, int]) -> tuple[float, bool]:
+        """The statistic as a float (int true division rounds correctly, as
+        float(Fraction) does) and whether it reaches the observed one."""
+        return (self.offset + self.scale * self.S) / self.denominator, self.S >= self.observed_S
+
+
+class _G2Run:
+    """G2 of the walk's counts: the cached terms summed over the support in
+    ascending word order, the float operations of _FittedModel.g2."""
+
+    def __init__(self, model: _FittedModel, observed: float):
+        self.model = model
+        self.observed = observed
+
+    def moved(self, counts: dict[int, int], entries) -> None:
+        pass
+
+    def sample(self, counts: dict[int, int]) -> tuple[float, bool]:
+        total = 0.0
+        for j in sorted(counts):
+            total += self.model.g2_term(j, counts[j])
+        return total, total >= self.observed
 
 
 def chi_square_statistic(u, A: DesignMatrix) -> Fraction:
@@ -160,6 +228,41 @@ def g2_statistic(u, A: DesignMatrix) -> float:
 STATISTICS = ("pearson", "g2")
 
 
+def _steps(
+    table: tuple[int, ...],
+    moves: Sequence[Move],
+    cfg: WalkConfig,
+) -> Iterator[tuple[dict[int, int], Optional[tuple[tuple[int, int], ...]]]]:
+    """The walk's stepping, on counts: after each of the cfg.steps proposals,
+    the live dict of positive counts by word index and the accepted move's
+    entries, or None for a rejected proposal.
+
+    Draw k of range(2 * len(moves)) proposes moves[k] for k < len(moves),
+    else the negation of moves[k - len(moves)].  The proposal is rejected
+    when one of its negative entries exceeds the count it lowers; otherwise
+    its entries are written into the counts in place.
+    """
+    if not moves:
+        raise ValueError("need a nonempty move set")
+    rng = random.Random(cfg.seed)
+    signed = [z.entries for z in moves] + [z.negated().entries for z in moves]
+    counts = dict(Counter(table))
+    for _ in range(cfg.steps):
+        entries = signed[rng.randrange(len(signed))]
+        for j, c in entries:
+            if c < 0 and counts.get(j, 0) < -c:
+                yield counts, None
+                break
+        else:
+            for j, c in entries:
+                u = counts.get(j, 0) + c
+                if u:
+                    counts[j] = u
+                else:
+                    del counts[j]
+            yield counts, entries
+
+
 def walk(
     u0,
     moves: Sequence[Move],
@@ -170,18 +273,14 @@ def walk(
     proposals; u0 is not emitted before the first.
 
     A rejected proposal (one that would go negative) emits the current table
-    again, as the same object.  Every emitted table has the marginal of u0;
-    identical seeds give identical streams.
+    again, as the same object; the sorted table is built only after an
+    accepted move.  Every emitted table has the marginal of u0; identical
+    seeds give identical streams.
     """
-    if not moves:
-        raise ValueError("need a nonempty move set")
     table = as_table(u0, A)
-    rng = random.Random(cfg.seed)
-    signed = [*moves, *(z.negated() for z in moves)]
-    for _ in range(cfg.steps):
-        nxt = signed[rng.randrange(len(signed))].apply(table)
-        if nxt is not None:
-            table = nxt
+    for counts, move in _steps(table, moves, cfg):
+        if move is not None:
+            table = tuple(j for j in sorted(counts) for _ in range(counts[j]))
         yield table
 
 
@@ -203,21 +302,39 @@ def exact_test(
     cfg: WalkConfig,
     statistic: str = "pearson",
 ) -> TestResult:
-    """Monte Carlo exact test of time-homogeneity on the observed fiber."""
+    """Monte Carlo exact test of time-homogeneity on the observed fiber.
+
+    The observed table is scored once, in full.  After that the statistic
+    follows the walk's counts: Pearson's integer S takes each accepted move's
+    entries, and a kept sample is evaluated only when the walk has moved
+    since the sample before it (the first one since the observed table).
+    """
     if statistic not in STATISTICS:
         raise ValueError(f"statistic must be one of {STATISTICS}")
     table = as_table(u_obs, A)
     model = _FittedModel(table, A)
-    evaluate = model.pearson if statistic == "pearson" else model.g2
-    observed = evaluate(table)
+    if statistic == "pearson":
+        observed = model.pearson(table)
+        run = _PearsonRun(model, table, moves)
+    else:
+        observed = model.g2(table)
+        run = _G2Run(model, observed)
     values = array("d")
     n_ge = 0
-    prev, val = table, observed
-    for state in kept_tables(table, moves, cfg, A):
-        if state != prev:
-            prev, val = state, evaluate(state)
-        n_ge += val >= observed
-        values.append(float(val))
+    val, ge = float(observed), True
+    moved = False
+    next_kept = cfg.burn_in
+    for step, (counts, move) in enumerate(_steps(table, moves, cfg)):
+        if move is not None:
+            run.moved(counts, move)
+            moved = True
+        if step == next_kept:
+            next_kept += cfg.thinning
+            if moved:
+                val, ge = run.sample(counts)
+                moved = False
+            n_ge += ge
+            values.append(val)
     n = len(values)  # >= 1, since WalkConfig asks steps > burn_in
     p = (1 + n_ge) / (1 + n)
     return TestResult(

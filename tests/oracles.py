@@ -1,5 +1,6 @@
 """Brute-force oracles for the tests: an H-form and a V-form polyhedron
-check, convex-hull membership by LP, and a recursive composition generator.
+check, convex-hull membership by LP, a recursive composition generator, and
+the exact test on sorted tables, each changed table scored in full.
 
 The library tests H-membership with `polytope.in_dilation` and never asks
 whether a point lies in the hull of given vertices and rays; the V-form and
@@ -7,13 +8,23 @@ hull checks here put the cone LP (`exactla.simplex_standard`) behind both
 questions, so the tests can compare the two descriptions with each other
 and with the design matrix's columns.  The library enumerates compositions
 in int64 blocks (stars and bars); the tests compare that against the plain
-recursion below.
+recursion below.  The library's fiber walk and exact test step a count
+vector and update the statistic from each accepted move; `tuple_walk` and
+`rescored_test` apply each move to the sorted table with `Move.apply` and
+score every changed kept table in full.
 """
 
+import math
+import random
+from array import array
+from collections import Counter
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
+from thmc.design import DesignMatrix
 from thmc.exactla import simplex_standard
+from thmc.markov import Move
+from thmc.mcmc import TestResult, WalkConfig, _FittedModel, as_table
 from thmc.polytope import HPolyhedron, VPolyhedron
 
 
@@ -56,3 +67,70 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     for head in range(total + 1):
         for tail in compositions(total - head, parts - 1):
             yield (head,) + tail
+
+
+def tuple_walk(
+    u0, moves: Sequence[Move], cfg: WalkConfig, A: DesignMatrix
+) -> Iterator[tuple[int, ...]]:
+    """The fiber walk on sorted word-index tuples: one Move.apply per
+    proposal, the current table again (same object) on a rejection."""
+    if not moves:
+        raise ValueError("need a nonempty move set")
+    table = as_table(u0, A)
+    rng = random.Random(cfg.seed)
+    signed = [*moves, *(z.negated() for z in moves)]
+    for _ in range(cfg.steps):
+        nxt = signed[rng.randrange(len(signed))].apply(table)
+        if nxt is not None:
+            table = nxt
+        yield table
+
+
+def _score(model: _FittedModel, table: tuple[int, ...], statistic: str):
+    """Pearson (a Fraction) or G2 (a float) of table, in full."""
+    if statistic == "pearson":
+        stat = model.N * (model.total_mass - 2)
+        for j, u_j in Counter(table).items():
+            e = model.expected(j)
+            if e == 0:
+                raise AssertionError("observed word with zero fitted mass")
+            stat += u_j * u_j / e
+        return stat
+    total = 0.0
+    for j, u_j in Counter(table).items():
+        total += 2.0 * u_j * math.log(u_j / float(model.expected(j)))
+    return total
+
+
+def rescored_test(
+    u_obs, A: DesignMatrix, moves: Sequence[Move], cfg: WalkConfig, statistic: str
+) -> TestResult:
+    """The exact test over tuple_walk's kept tables, each one that differs
+    from the kept table before it scored in full."""
+    table = as_table(u_obs, A)
+    model = _FittedModel(table, A)
+    observed = _score(model, table, statistic)
+    values = array("d")
+    n_ge = 0
+    prev, val = table, observed
+    for step, state in enumerate(tuple_walk(table, moves, cfg, A)):
+        if step < cfg.burn_in or (step - cfg.burn_in) % cfg.thinning:
+            continue
+        if state != prev:
+            prev, val = state, _score(model, state, statistic)
+        n_ge += val >= observed
+        values.append(float(val))
+    n = len(values)
+    p = (1 + n_ge) / (1 + n)
+    return TestResult(
+        statistic=statistic,
+        observed=float(observed),
+        observed_exact=str(observed) if isinstance(observed, Fraction) else None,
+        p_value=p,
+        std_error=math.sqrt(p * (1 - p) / n),
+        samples=n,
+        sample_min=min(values),
+        sample_max=max(values),
+        sample_mean=sum(values) / n,
+        values=values,
+    )

@@ -322,25 +322,26 @@ class TestNewFormats:
 
     @pytest.mark.parametrize("statistic", ["pearson", "g2"])
     def test_statistic_trace_is_one_walk(self, tmp_path, data_file, monkeypatch, statistic):
-        # the trace comes from the test's own pass: one walk, and each line is
+        # the trace comes from the test's own pass: one walk (one run of the
+        # stepping generator that every walk goes through), and each line is
         # the statistic of that step's table scored from scratch
         import thmc.cli
         import thmc.mcmc
         from thmc.design import get_design
         from thmc.markov import minimal_markov_basis
-        from thmc.mcmc import WalkConfig, as_table, chi_square_statistic, g2_statistic
+        from thmc.mcmc import WalkConfig, as_table, chi_square_statistic, g2_statistic, walk
         from thmc.words import read_words
 
         walks = []
-        walk = thmc.mcmc.walk
+        steps = thmc.mcmc._steps
 
         def counted(*args):
             walks.append(args)
-            return walk(*args)
+            return steps(*args)
 
-        monkeypatch.setattr(thmc.mcmc, "walk", counted)
+        monkeypatch.setattr(thmc.mcmc, "_steps", counted)
         # and any copy of the name the command module holds
-        monkeypatch.setattr(thmc.cli, "walk", counted, raising=False)
+        monkeypatch.setattr(thmc.cli, "_steps", counted, raising=False)
         rc, _ = run(tmp_path, "test-fit", data_file, "--steps", 400, "--seed", 2,
                     "--burn-in", 100, "--thin", 3, "--statistic", statistic,
                     "--trace", "--out-dir", tmp_path)

@@ -1,16 +1,20 @@
+import functools
 import math
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from oracles import rescored_test, tuple_walk
 
 from thmc.design import get_design
-from thmc.markov import enumerate_moves, fiber_enumerate
+from thmc.markov import Move, enumerate_moves, fiber_enumerate, minimal_markov_basis
 from thmc.mcmc import (
     TestResult,
     WalkConfig,
     _FittedModel,
+    _G2Run,
+    _PearsonRun,
     as_table,
     chi_square_statistic,
     exact_test,
@@ -322,25 +326,70 @@ class TestExactTest:
 
     @pytest.mark.parametrize("statistic", ["pearson", "g2"])
     def test_scores_each_visited_table_once(self, statistic, monkeypatch):
-        # the observed table, then each kept table that differs from the one
-        # kept before it (the first kept table is compared with the observed)
+        # the observed table is scored in full, once; after that the running
+        # statistic takes every accepted move and is read at each kept step
+        # the walk has moved since the kept step before it (the first kept
+        # step is compared with the observed table)
         A = get_design(3, 5)
         moves = enumerate_moves(A, 2)
         t0 = wtable(A, "12132", "12321", "32131")
         cfg = WalkConfig(seed=7, steps=3000, burn_in=100, thinning=3)
-        scored = []
+        scored, moved, sampled = [], [], []
         evaluate = getattr(_FittedModel, statistic)
+        run = {"pearson": _PearsonRun, "g2": _G2Run}[statistic]
+        update, sample = run.moved, run.sample
 
         def counted(model, table):
             scored.append(table)
             return evaluate(model, table)
 
+        def counted_update(self, counts, entries):
+            moved.append(entries)
+            return update(self, counts, entries)
+
+        def counted_sample(self, counts):
+            sampled.append(dict(counts))
+            return sample(self, counts)
+
         monkeypatch.setattr(_FittedModel, statistic, counted)
+        monkeypatch.setattr(run, "moved", counted_update)
+        monkeypatch.setattr(run, "sample", counted_sample)
         res = exact_test(t0, A, moves, cfg, statistic=statistic)
-        kept = kept_by_filter(t0, moves, cfg, A)
-        changed = sum(a != b for a, b in zip([t0, *kept], kept))
-        assert len(scored) == 1 + changed
-        assert changed < res.samples
+        accepted = changed = 0
+        prev, since = t0, False
+        kept = []
+        for step, state in enumerate(tuple_walk(t0, moves, cfg, A)):
+            if state != prev:  # a move is nonzero: accepted iff the table changes
+                accepted += 1
+                prev, since = state, True
+            if step >= cfg.burn_in and (step - cfg.burn_in) % cfg.thinning == 0:
+                if since:
+                    kept.append(state)
+                changed += since
+                since = False
+        assert scored == [t0]
+        assert len(moved) == accepted
+        assert len(sampled) == changed
+        assert [Counter(state) for state in kept] == sampled
+        assert 0 < changed < res.samples
+
+    def test_return_to_observed_counts_as_a_tie(self):
+        # one move between two tables of the fiber: the walk leaves the
+        # observed table and comes back; each return must read the observed
+        # X^2 = 277/27, which no float equals, and count in the tail
+        A = get_design(3, 4)
+        t0 = wtable(A, "1213", "1232", "2323")
+        t1 = wtable(A, "1232", "1323", "2123")
+        moves = [Move.from_multisets(t1, t0)]
+        assert chi_square_statistic(t1, A) < chi_square_statistic(t0, A) == Fraction(277, 27)
+        cfg = WalkConfig(seed=3, steps=200)
+        res = exact_test(t0, A, moves, cfg)
+        states = list(walk(t0, moves, cfg, A))
+        returns = [k for k in range(1, len(states)) if states[k] == t0 != states[k - 1]]
+        assert returns
+        observed = float(chi_square_statistic(t0, A))
+        assert [res.values[k] for k in returns] == [observed] * len(returns)
+        assert res.p_value == (1 + states.count(t0)) / (1 + len(states))
 
     def test_g2_variant_runs(self):
         A = get_design(3, 5)
@@ -360,3 +409,42 @@ class TestExactTest:
                 WalkConfig(seed=1, steps=10),
                 statistic="wilks",
             )
+
+
+ORACLE_GRID = [
+    (T, basis, N, statistic, burn_in, thinning, seed)
+    for T in (4, 5, 6)
+    for basis in ("minimal", "enumerated")
+    for N in (2, 3, 10, 30)
+    for statistic in ("pearson", "g2")
+    for burn_in, thinning in ((0, 1), (0, 3), (100, 1), (100, 3))
+    for seed in (1, 2)
+]
+
+
+@functools.lru_cache(maxsize=None)
+def basis_moves(T, basis):
+    A = get_design(3, T)
+    return minimal_markov_basis(A, 2, 2) if basis == "minimal" else enumerate_moves(A, 2)
+
+
+class TestAgainstRescoringOracle:
+    """The count-vector walk and the move-by-move statistic against the walk
+    on sorted tuples with each changed kept table scored in full, on a seeded
+    subset of the grid above."""
+
+    @pytest.mark.parametrize(
+        "case", random.Random(19).sample(ORACLE_GRID, 24), ids=lambda c: "-".join(map(str, c))
+    )
+    def test_same_stream_and_result(self, case):
+        T, basis, N, statistic, burn_in, thinning, seed = case
+        A = get_design(3, T)
+        moves = basis_moves(T, basis)
+        rng = random.Random(100 * T + N)
+        t0 = tuple(sorted(rng.randrange(len(A.words)) for _ in range(N)))
+        cfg = WalkConfig(seed=seed, steps=1500, burn_in=burn_in, thinning=thinning)
+        assert list(walk(t0, moves, cfg, A)) == list(tuple_walk(t0, moves, cfg, A))
+        res = exact_test(t0, A, moves, cfg, statistic=statistic)
+        ref = rescored_test(t0, A, moves, cfg, statistic)
+        assert res.to_dict() == ref.to_dict()
+        assert list(res.values) == list(ref.values)
