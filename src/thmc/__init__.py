@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .design import DesignMatrix, Marginal, get_design
+from .design import DesignMatrix, get_design
 from .facets import (
     FacetCertificate,
     FacetForm,
@@ -19,7 +19,6 @@ from .words import Word, decompose_into_paths, enumerate_words, transition_count
 
 __all__ = [
     "DesignMatrix",
-    "Marginal",
     "FacetCertificate",
     "FacetForm",
     "Fiber",

@@ -39,7 +39,7 @@ from .markov import (
 from .mcmc import STATISTICS, WalkConfig, exact_test, kept_tables
 from .normality import check_normality, s4_nonnormality_probe
 from .polytope import vertex_enumeration
-from .words import DEFAULT_WORD_CAP, CapExceededError, read_words
+from .words import DEFAULT_WORD_CAP, CapExceededError, pair_list, read_words, state_graph
 
 
 class InputError(Exception):
@@ -153,16 +153,14 @@ def cmd_stats(args) -> int:
     run = Run("stats", args)
     multiset, T = _read_data(run, args.data, S=args.S)
     S = args.S or max(max(w) for w in multiset)
-    A = get_design(S, T, cap=args.word_cap)
-    m = A.sufficient_statistics(multiset)
     run.write_json(
         "stats.json",
         {
             "S": S,
             "T": T,
-            "n": m.n,
-            "row_order": [f"{a}{b}" for a, b in A.pairs],
-            "marginal": list(m.b),
+            "n": sum(multiset.values()),
+            "row_order": [f"{a}{b}" for a, b in pair_list(S)],
+            "marginal": list(state_graph(multiset, S)),
         },
     )
     return run.finish(True)
@@ -408,7 +406,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="sufficient statistics of a word file")
     p.add_argument("data")
     p.add_argument("-S", type=int, default=None)
-    common(p, "word-cap")
+    common(p)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("hull", help="facet description of the model polytope")

@@ -2,21 +2,20 @@
 
 The design matrix for S states at time T has one row per ordered state pair
 (lexicographic) and one column per word of length T (lexicographic); the
-column of a word is its transition-count vector.  Data multisets map to
-sufficient statistics b = A.u; the matrix also holds the integer lattice ZA
-of its columns.  The geometry reads only the distinct columns (1,704 for
-25,165,824 words at T = 24), from `column_table`, a DP that lists no words.
+column of a word is its transition-count vector.  The sufficient statistic
+b = A.u of a data multiset is its state graph (`words.state_graph`); the
+matrix also holds the integer lattice ZA of its columns.  The geometry reads
+only the distinct columns (1,704 for 25,165,824 words at T = 24), from
+`column_table`, a DP that lists no words.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -63,14 +62,6 @@ def column_table(S: int, T: int) -> Mapping:
     return MappingProxyType(dict(sorted(table.items())))
 
 
-@dataclass(frozen=True)
-class Marginal:
-    """Summed transition counts of a data multiset, with its degree n."""
-
-    b: tuple[int, ...]
-    n: int
-
-
 class DesignMatrix:
     """Word-indexed transition-count matrix, columns in lexicographic order.
 
@@ -106,25 +97,6 @@ class DesignMatrix:
 
     def distinct_columns(self) -> list[tuple[int, ...]]:
         return list(column_table(self.S, self.T))
-
-    # -- statistics ---------------------------------------------------------
-
-    def sufficient_statistics(self, multiset: Counter | Iterable[Word]) -> Marginal:
-        """Marginal b = A.u and degree n = |W| of a word multiset."""
-        if not isinstance(multiset, Counter):
-            multiset = Counter(multiset)
-        b = [0] * self.dim
-        n = 0
-        for w, mult in multiset.items():
-            if len(w) != self.T:
-                raise ValueError(f"word {w.text} has length {len(w)}, matrix has T={self.T}")
-            j = self.word_index.get(w)
-            if j is None:
-                raise ValueError(f"word {w.text} not over 1..{self.S}")
-            n += mult
-            for i, c in enumerate(self.columns[j]):
-                b[i] += mult * c
-        return Marginal(tuple(b), n)
 
     # -- membership ---------------------------------------------------------
 

@@ -18,8 +18,14 @@ show the result lies in conv(A^T).  The certificate is the paper's own kind:
 with k the least common denominator of the point p, k*p splits into k
 words of length T, so p is their mean.  Normality promises such a split for
 every point of conv(A^T) (k*p is an integer point of kP, and those are the
-saturation points), and a split found is re-checked exactly.  The hull and
-the certificates read `design.column_table`, which lists no words.
+saturation points), and a split found is re-checked exactly.  The hull
+reads `design.column_table`, which lists no words.
+
+The facet certificates and the paper's window lemmas (3-step, 6-step,
+length 6k+1 and even length) ask one question: over the words of length
+T, which values does c.x - offset take, and at which (start, end) pairs?
+Both read the answer from `_slack_classes`, which groups the classes of
+`design.endpoint_table` by slack.
 """
 
 from __future__ import annotations
@@ -27,10 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 from math import lcm
-from typing import Optional, Sequence
-
-import numpy as np
+from operator import mul
+from typing import NamedTuple, Optional, Sequence
 
 from .design import column_table, endpoint_table
 from .exactla import mat_rank, primitive
@@ -39,15 +45,14 @@ from .polytope import (
     VPolyhedron,
     convex_hull,
     in_dilation,
-    recession_rays,
     vertex_enumeration,
 )
 from .words import (
     Word,
     check_split,
     decompose_into_paths,
-    enumerate_words,
     pair_index,
+    pair_list,
     symmetry_group,
     transition_counts,
 )
@@ -163,17 +168,28 @@ def symmetry_orbit(c: Sequence[int]) -> set[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# Certification against the design matrix
+# Slacks over the endpoint classes; certification against the columns
+
+
+def _slack_classes(c: Sequence[int], offset: int, T: int) -> dict[int, list[tuple]]:
+    """The endpoint classes of the words of length T grouped by their slack
+    c.x - offset, least slack first: slack -> [(start, end, counts, word
+    count, least word)].  Every window lemma and facet certificate reads
+    its slacks here."""
+    groups: dict[int, list[tuple]] = {}
+    for (start, end, x), (count, word) in endpoint_table(3, T).items():
+        slack = sum(map(mul, c, x)) - offset
+        groups.setdefault(slack, []).append((start, end, x, count, word))
+    return dict(sorted(groups.items()))
 
 
 def certify_facet(c: Sequence[int], T: int) -> FacetCertificate:
-    """Exact minimum of c.x over the distinct columns x, their tight rank and
-    tight count in words (c.x = 0), and the first five tight words: reach[k]
+    """Exact minimum of c.x over the columns x, their tight rank and tight
+    count in words (c.x = 0), and the first five tight words: reach[k]
     holds (s, v) when a k-step walk from s weighs v under c, and the search,
     from a state 0 whose steps weigh 0, enters only prefixes a suffix zeroes."""
-    table = column_table(3, T)
-    vals = np.array(list(table), dtype=np.int64) @ np.asarray(c, dtype=np.int64)
-    tight = [col for col, v in zip(table, vals.tolist()) if v == 0]
+    slacks = _slack_classes(c, 0, T)
+    tight = slacks.get(0, [])
     weight = {pair: c[k] for pair, k in pair_index(3).items()} | {(0, s): 0 for s in (1, 2, 3)}
     reach = [{(s, 0) for s in (1, 2, 3)}]
     for _ in range(T - 1):
@@ -193,9 +209,9 @@ def certify_facet(c: Sequence[int], T: int) -> FacetCertificate:
     return FacetCertificate(
         c=tuple(int(e) for e in c),
         T=T,
-        min_value=int(vals.min()),
-        tight_count=sum(table[col][0] for col in tight),
-        tight_rank=mat_rank(tight),
+        min_value=min(slacks),
+        tight_count=sum(count for *_, count, _ in tight),
+        tight_rank=mat_rank(sorted({x for _, _, x, *_ in tight})),
         sample_tight_words=tuple(samples),
     )
 
@@ -447,11 +463,10 @@ def verify_facet_completeness(T: int) -> dict:
     """
     r = T % 6
     V = q_vertices(r)
-    rays = recession_rays(q_polyhedron(r))
     extensions = []
     all_inside = True
     for v in V.vertices:
-        for e in rays:
+        for e in V.rays:
             p = extend_vertex_along_ray(v, e, T)
             k = lcm(*(c.denominator for c in p))
             kp = tuple(int(k * c) for c in p)
@@ -492,137 +507,102 @@ def verify_facet_completeness(T: int) -> dict:
 # Window inequalities over short path segments
 
 
+class _Window(NamedTuple):
+    """One window lemma: over the words of length T, c.x - offset >= 0, and
+    the (start, end) pairs at slack 0, 1, 2 lie within `allowed` (None: any
+    pair), or equal it when `exact`; `tight` asks for slack 0 to occur, and
+    `paths`, when given, are exactly the words at slack 0."""
+
+    name: str
+    c: tuple[int, ...]
+    offset: int
+    T: int
+    allowed: tuple[Optional[set], ...] = ()
+    exact: bool = False
+    tight: bool = False
+    paths: Optional[set[str]] = None
+    detail: str = ""
+
+
+def _form(weights: dict[tuple[int, int], int]) -> tuple[int, ...]:
+    return tuple(weights.get(pair, 0) for pair in pair_list(3))
+
+
+def _windows(max_k: int) -> list[_Window]:
+    triples = list(permutations((1, 2, 3)))
+    stay = {(1, 1), (2, 2), (3, 3)}
+
+    def asym(i, j, t):  # 2x_ij + x_it + x_tj - x_ji
+        return _form({(i, j): 2, (i, t): 1, (t, j): 1, (j, i): -1})
+
+    out = [
+        _Window(f"3step-cover-{i}{j}{t}", _form({(i, j): 1, (j, t): 1, (i, t): 1}), 1, 4,
+                tight=True)
+        for i, j, t in triples
+    ]
+    out += [
+        _Window(
+            f"3step-asym-{i}{j}{t}", asym(i, j, t), 0, 4,
+            (None, {(j, t), (t, i)} | stay, {(t, j), (i, t)} | stay),
+            paths={f"{j}{i}{j}{i}", f"{j}{t}{j}{i}", f"{j}{i}{t}{i}"},
+        )
+        for i, j, t in triples
+    ]
+    out += [
+        _Window(
+            f"6step-{i}{j}{t}", asym(i, j, t), 1, 7,
+            ({(j, i)}, {(j, i), (j, t), (t, i)} | stay), exact=True,
+            detail="slack-1 nets = three movements + three stationary returns",
+        )
+        for i, j, t in triples
+    ]
+    out += [
+        _Window(f"len{6 * k + 1}-{i}{j}{t}", asym(i, j, t), 2 * k - 1, 6 * k + 1,
+                ({(s, i) for s in (1, 2, 3)},))
+        for k in range(1, max_k + 1)
+        for i, j, t in triples
+    ]
+    out += [
+        _Window(f"even-len{T}", _form({(1, 2): 2, (1, 3): 1, (3, 2): 1}), T // 2 - 1, T,
+                ({(s, e) for s in (1, 2, 3) for e in (1, 3)},))
+        for T in range(2, 6 * max_k + 2, 2)
+    ]
+    return out
+
+
+def _window_check(w: _Window) -> dict:
+    slacks = _slack_classes(w.c, w.offset, w.T)
+    ok = min(slacks) >= 0 and (0 in slacks or not w.tight)
+    for s, want in enumerate(w.allowed):
+        found = {(start, end) for start, end, *_ in slacks.get(s, ())}
+        ok &= want is None or (found == want if w.exact else found <= want)
+    detail = w.detail
+    if w.paths is not None:
+        tight = slacks.get(0, [])
+        words = sorted(word.text for *_, word in tight)
+        ok &= set(words) == w.paths and sum(count for *_, count, _ in tight) == len(words)
+        detail = f"equality paths {words}"
+    return {"name": w.name, "pass": ok, "detail": detail}
+
+
 def verify_window_inequalities(max_k: int = 3) -> dict:
     """Exhaustively confirm the short-window count inequalities.
 
-    Checks, for all ordered distinct state triples (i,j,t):
+    Checks, for all ordered distinct state triples (i,j,t), over every word
+    of the given length, read as the classes of `_slack_classes`:
       * 3 steps:  x_ij + x_jt + x_it >= 1, minimum attained;
       * 3 steps:  2x_ij + x_it + x_tj >= x_ji with the exact equality paths
-        jiji, jtji, jiti and the stated endpoint classes at slack 1 and 2;
-      * 6 steps:  2x_ij + x_it + x_tj >= x_ji + 1, equality only from j to i,
-        slack 1 only with net movement j->i, j->t or t->i;
+        jiji, jtji, jiti; slack 1 only from j to t, from t to i or back to
+        the start, slack 2 only from t to j, from i to t or back to the
+        start;
+      * 6 steps:  2x_ij + x_it + x_tj >= x_ji + 1, equality exactly from j
+        to i; slack 1 exactly at the six endpoint pairs j->i, j->t, t->i,
+        i->i, j->j and t->t, each occurring (for (i,j,t) = (1,2,3), 2132132
+        returns to its start with slack 1);
       * length 6k+1: 2x_ij + x_it + x_tj >= x_ji + 2k-1, equality only
         ending at i (k <= max_k);
       * even length 2k: 2x12 + x13 + x32 >= k-1, strict when ending at 2
         (2k <= 6*max_k + 1).
     """
-    idx = pair_index(3)
-    triples = [
-        (i, j, t)
-        for i in (1, 2, 3)
-        for j in (1, 2, 3)
-        for t in (1, 2, 3)
-        if len({i, j, t}) == 3
-    ]
-    report: dict = {"ok": True, "checks": []}
-
-    def record(name, passed, detail=""):
-        report["checks"].append({"name": name, "pass": bool(passed), "detail": detail})
-        report["ok"] = report["ok"] and bool(passed)
-
-    # -- 3-step windows (24 paths)
-    words4 = enumerate_words(3, 4)
-    assert len(words4) == 24
-    for i, j, t in triples:
-        vals = [x[idx[(i, j)]] + x[idx[(j, t)]] + x[idx[(i, t)]] for *_, x in endpoint_table(3, 4)]
-        record(f"3step-cover-{i}{j}{t}", min(vals) == 1)
-
-    # -- 3-step asymmetric window with equality classification
-    for i, j, t in triples:
-        eq_expected = {
-            (j, i, j, i),
-            (j, t, j, i),
-            (j, i, t, i),
-        }
-        eq_found = set()
-        ok = True
-        for w in words4:
-            x = transition_counts(w, 3)
-            diff = (
-                2 * x[idx[(i, j)]]
-                + x[idx[(i, t)]]
-                + x[idx[(t, j)]]
-                - x[idx[(j, i)]]
-            )
-            if diff < 0:
-                ok = False
-            elif diff == 0:
-                eq_found.add(tuple(w))
-            elif diff == 1:
-                ok &= (w[0], w[-1]) in {(j, t), (t, i), (i, i), (j, j), (t, t)}
-            elif diff == 2:
-                ok &= (w[0], w[-1]) in {(t, j), (i, t), (i, i), (j, j), (t, t)}
-        record(
-            f"3step-asym-{i}{j}{t}",
-            ok and eq_found == eq_expected,
-            f"equality paths {sorted(''.join(map(str, p)) for p in eq_found)}",
-        )
-
-    # -- 6-step windows (192 paths).  The slack-1 endpoint set is derived
-    # exhaustively: besides the three cross movements it contains the three
-    # stationary nets (e.g. 2132132 has slack 1 and returns to its start),
-    # which the terser classification misses; stationary nets cannot move a
-    # walker off state i, so the length-6k+1 consequence is unaffected.
-    classes7 = endpoint_table(3, 7)
-    assert sum(count for count, _ in classes7.values()) == 192
-    for i, j, t in triples:
-        ok = True
-        eq_seen = False
-        slack1_nets = set()
-        for start, end, x in classes7:
-            diff = (
-                2 * x[idx[(i, j)]]
-                + x[idx[(i, t)]]
-                + x[idx[(t, j)]]
-                - x[idx[(j, i)]]
-                - 1
-            )
-            if diff < 0:
-                ok = False
-            elif diff == 0:
-                eq_seen = True
-                ok &= (start, end) == (j, i)
-            elif diff == 1:
-                slack1_nets.add((start, end))
-        moving = {(j, i), (j, t), (t, i)}
-        stationary = {(i, i), (j, j), (t, t)}
-        ok &= slack1_nets == moving | stationary
-        record(
-            f"6step-{i}{j}{t}",
-            ok and eq_seen,
-            "slack-1 nets = three movements + three stationary returns",
-        )
-
-    # -- length 6k+1 inequality
-    for k in range(1, max_k + 1):
-        T = 6 * k + 1
-        for i, j, t in triples:
-            ok = True
-            for _, end, x in endpoint_table(3, T):
-                diff = (
-                    2 * x[idx[(i, j)]]
-                    + x[idx[(i, t)]]
-                    + x[idx[(t, j)]]
-                    - x[idx[(j, i)]]
-                    - (2 * k - 1)
-                )
-                if diff < 0:
-                    ok = False
-                elif diff == 0:
-                    ok &= end == i
-            record(f"len{T}-{i}{j}{t}", ok)
-
-    # -- even-length inequality with strictness at endpoint 2
-    T_even = [T for T in range(2, 6 * max_k + 2) if T % 2 == 0]
-    for T in T_even:
-        k = T // 2
-        ok = True
-        for _, end, x in endpoint_table(3, T):
-            lhs = 2 * x[idx[(1, 2)]] + x[idx[(1, 3)]] + x[idx[(3, 2)]]
-            if lhs < k - 1:
-                ok = False
-            if end == 2 and lhs < k:
-                ok = False
-        record(f"even-len{T}", ok)
-
-    return report
+    checks = [_window_check(w) for w in _windows(max_k)]
+    return {"ok": all(c["pass"] for c in checks), "checks": checks}

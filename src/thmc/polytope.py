@@ -1,8 +1,8 @@
 """Exact polyhedral computations in small dimension.
 
 Double description over the integers drives everything: V-to-H (convex hull
-by dualization), H-to-V (vertex/ray enumeration by homogenization) and
-recession cones.  Rays and facet normals are kept as primitive
+by dualization) and H-to-V (vertices and the rays of the recession cone, by
+homogenization, from one run).  Rays and facet normals are kept as primitive
 integer vectors; vertices as rational tuples.  Inequalities are a.x >= b and
 are scaled only by positive rationals, so orientation is preserved;
 equations e.x = f are sign-normalized to a positive leading entry.
@@ -236,10 +236,3 @@ def vertex_enumeration(H: HPolyhedron) -> VPolyhedron:
     if not vertices:
         raise InfeasibleSystemError("polyhedron is empty")
     return VPolyhedron(H.dim, tuple(sorted(vertices)), tuple(sorted(rec_rays)))
-
-
-def recession_rays(H: HPolyhedron) -> list[IntVec]:
-    """Extreme rays of the recession cone {x : a.x >= 0 for all inequalities}."""
-    ineqs = [normal for normal, _ in H.inequalities]
-    eqs = [normal for normal, _ in H.equations]
-    return cone_extreme_rays(ineqs, eqs)

@@ -1,12 +1,16 @@
 """Brute-force oracles for the tests: an H-form and a V-form polyhedron
-check, convex-hull membership by LP, a recursive composition generator, and
-the exact test on sorted tables, each changed table scored in full.
+check, convex-hull membership by LP, a recession cone by its own double
+description, a recursive composition generator, and the exact test on
+sorted tables, each changed table scored in full.
 
 The library tests H-membership with `polytope.in_dilation` and never asks
 whether a point lies in the hull of given vertices and rays; the V-form and
 hull checks here put the cone LP (`exactla.simplex_standard`) behind both
 questions, so the tests can compare the two descriptions with each other
-and with the design matrix's columns.  The library enumerates compositions
+and with the design matrix's columns.  The library reads a recession cone
+off the homogenized vertex enumeration (`VPolyhedron.rays`);
+`recession_rays` runs a second double description on the cone
+{x : a.x >= 0, e.x = 0} alone.  The library enumerates compositions
 in int64 blocks (stars and bars); the tests compare that against the plain
 recursion below.  The library's fiber walk and exact test step a count
 vector and update the statistic from each accepted move; `tuple_walk` and
@@ -25,7 +29,7 @@ from thmc.design import DesignMatrix
 from thmc.exactla import simplex_standard
 from thmc.markov import Move
 from thmc.mcmc import TestResult, WalkConfig, _FittedModel, as_table
-from thmc.polytope import HPolyhedron, VPolyhedron
+from thmc.polytope import HPolyhedron, VPolyhedron, cone_extreme_rays
 
 
 def contains(H: HPolyhedron, x: Sequence[int | Fraction]) -> bool:
@@ -49,6 +53,13 @@ def membership(x: Sequence[int | Fraction], V: VPolyhedron) -> bool:
         cols.append((Fraction(0),) + tuple(Fraction(c) for c in r))
     target = (Fraction(1),) + tuple(Fraction(c) for c in x)
     return simplex_standard(cols, target) is not None
+
+
+def recession_rays(H: HPolyhedron) -> list[tuple[int, ...]]:
+    """Extreme rays of the recession cone {x : a.x >= 0, e.x = 0} of H."""
+    ineqs = [normal for normal, _ in H.inequalities]
+    eqs = [normal for normal, _ in H.equations]
+    return cone_extreme_rays(ineqs, eqs)
 
 
 def in_convex_hull(

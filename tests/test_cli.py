@@ -1,10 +1,13 @@
 import csv
 import json
+import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from thmc.cli import main
+from thmc.words import Word, state_graph, word_count
 
 
 def run(tmp_path, *argv):
@@ -49,6 +52,26 @@ class TestStats:
         assert sum(doc["marginal"]) == 3 * 4
         manifest = json.loads((tmp_path / "stats-manifest.json").read_text())
         assert str(data_file) in manifest["input_digests"]
+
+    def test_past_word_cap(self, tmp_path):
+        # 3 * 2**20 words of length 21: the marginal is summed from the data
+        # words alone, so no word list is built
+        assert word_count(3, 21) > 2**20
+        rng = random.Random(21)
+        W = Counter()
+        for _ in range(5):
+            w = [rng.choice((1, 2, 3))]
+            while len(w) < 21:
+                w.append(rng.choice([s for s in (1, 2, 3) if s != w[-1]]))
+            W[Word(w)] += 1
+        data = tmp_path / "long.words"
+        data.write_text("".join(f"{w.text}\n" for w in W.elements()))
+        rc, _ = run(tmp_path, "stats", data, "--out-dir", tmp_path)
+        assert rc == 0
+        doc = json.loads((tmp_path / "stats.json").read_text())
+        assert doc["T"] == 21 and doc["n"] == 5
+        assert doc["row_order"] == ["12", "13", "21", "23", "31", "32"]
+        assert doc["marginal"] == list(state_graph(W, 3))
 
 
 class TestChecksExitCodes:
@@ -139,6 +162,7 @@ class TestOptions:
             ("markov", "-T", 3, "--threads", 2),
             ("normality", "-T", 4, "--threads", 2),
             ("hull", "-T", 5, "--word-cap", 10),
+            ("stats", "x.words", "--word-cap", 10),
         ],
     )
     def test_unread_option_rejected(self, argv):

@@ -6,10 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import recession_rays
 from thmc.design import get_design
 from thmc.exactla import mat_rank, primitive
 from thmc.facets import (
     LOOP_RAYS,
+    _slack_classes,
     affine_facet_rows,
     certify_all,
     certify_facet,
@@ -23,7 +25,6 @@ from thmc.facets import (
     verify_known_vertices,
     verify_window_inequalities,
 )
-from thmc.polytope import recession_rays
 from thmc.words import Word, enumerate_words, symmetry_group, transition_counts
 
 
@@ -247,7 +248,11 @@ class TestResiduePolyhedra:
 
     @pytest.mark.parametrize("r", range(6))
     def test_recession_cone_is_loop_cone(self, r):
-        assert sorted(recession_rays(q_polyhedron(r))) == sorted(LOOP_RAYS.values())
+        # the rays come from the vertex enumeration; the oracle runs a
+        # second double description on the recession cone alone
+        rays = list(q_vertices(r).rays)
+        assert rays == sorted(LOOP_RAYS.values())
+        assert rays == recession_rays(q_polyhedron(r))
 
     def test_origin_vertex_of_q1(self):
         assert (Fraction(0),) * 6 in q_vertices(1).vertices
@@ -449,3 +454,38 @@ class TestWindows:
         assert "2121" in check["detail"]
         assert "2321" in check["detail"]
         assert "2131" in check["detail"]
+
+    # sha256 of json.dumps(report, indent=1, default=str) + "\n", the bytes
+    # of `thmc lemmas --max-k k`'s window-lemmas-k{k}.json
+    REPORT_SHA256 = {
+        1: "007aeac315163b76ff5d6efcc47fdd339e94c27e09ab70eea7d890af7e1fd624",
+        2: "9c4622178386b0c195e84a93fa0fbcb8af0220f45b711d91fedc506c9972339b",
+        3: "1299fe69e6dad78439f3c8eaa21f5c38db5eac2be0c431af620578f282520944",
+    }
+
+    @pytest.mark.parametrize("k", sorted(REPORT_SHA256))
+    def test_report_bytes_are_pinned(self, k):
+        text = json.dumps(verify_window_inequalities(k), indent=1, default=str) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == self.REPORT_SHA256[k]
+
+    def test_slack_classes_match_word_scan(self):
+        # slack -> (start, end, counts) -> (word count, least word), least
+        # slack first, against every word of the length
+        rng = random.Random(20)
+        for T in (4, 7, 10):
+            words = enumerate_words(3, T)  # lexicographic: first is least
+            for _ in range(15):
+                c = tuple(rng.randint(-3, 3) for _ in range(6))
+                offset = rng.randint(-4, 4)
+                scan: dict = {}
+                for w in words:
+                    x = transition_counts(w, 3)
+                    group = scan.setdefault(sum(a * b for a, b in zip(c, x)) - offset, {})
+                    count, least = group.get((w[0], w[-1], x), (0, w))
+                    group[w[0], w[-1], x] = (count + 1, least)
+                got = _slack_classes(c, offset, T)
+                assert list(got) == sorted(scan), (T, c, offset)
+                assert {
+                    s: {(a, b, x): (n, w) for a, b, x, n, w in classes}
+                    for s, classes in got.items()
+                } == scan, (T, c, offset)

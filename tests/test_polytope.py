@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from oracles import contains, membership
+from oracles import contains, membership, recession_rays
 from thmc.design import get_design
 from thmc.polytope import (
     HPolyhedron,
@@ -14,7 +14,6 @@ from thmc.polytope import (
     canonical_inequality,
     cone_extreme_rays,
     convex_hull,
-    recession_rays,
     vertex_enumeration,
 )
 
@@ -127,12 +126,16 @@ class TestVertexEnumeration:
         with pytest.raises(InfeasibleSystemError):
             vertex_enumeration(H)
 
+    # the rays of a vertex enumeration against the oracle's separate
+    # double description of the recession cone
     def test_recession_of_bounded_is_empty(self):
         H = convex_hull([(0, 0), (1, 0), (0, 1)])
+        assert vertex_enumeration(H).rays == ()
         assert recession_rays(H) == []
 
     def test_recession_halfline(self):
         H = HPolyhedron.make(1, [((1,), 0)])
+        assert vertex_enumeration(H).rays == ((1,),)
         assert recession_rays(H) == [(1,)]
 
 
