@@ -45,8 +45,9 @@ from .words import DEFAULT_WORD_CAP, CapExceededError, pair_list, read_words, st
 class InputError(Exception):
     """Unreadable or malformed command input: `main` prints it and exits 2.
 
-    A CapExceededError (a size past --word-cap, --multiset-cap or the
-    saturation-point cap) takes the same way out."""
+    A CapExceededError (a size past --word-cap, --multiset-cap, or the
+    point cap of `normality`: at most 2,000,000 lattice points of nP per
+    degree n) takes the same way out."""
 
 
 def _digest(path: Path) -> str:

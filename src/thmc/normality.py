@@ -6,26 +6,29 @@ sum n(T-1).  Every column sums to T-1, and changing a word's last state
 e_ba - e_da in ZA; for S >= 3 these differences link all pairs, so ZA is
 {x in Z^d : (T-1) | sum(x)}.  For S = 2 the same holds at even T, and at odd
 T the polytope is one point of ZA.  The saturation points of degree n are
-therefore the integer points of nP, P the model polytope.  They are
-enumerated in int64 blocks of compositions, one matrix product against the
-hull's facets and equations per block.  The degree-n part of the semigroup
-is the n-fold sumset of the columns, so the semigroup is normal at degree n
-exactly when that sumset is all of nP ∩ Z^d; `check_normality` compares the
-two by counting int64 keys, and degrees up to dim P - 1 decide every degree.
+therefore the integer points of nP, P the model polytope.  They are listed
+one coordinate at a time in int64 arrays: the range of x_k over each prefix
+is read off the facets of nP_k, P_k the projection of P onto its first k
+coordinates, so no vector outside nP is built, and the points are
+re-checked against the hull's facets and equations.  The degree-n part of
+the semigroup is the n-fold sumset of the columns, so the semigroup is
+normal at degree n exactly when that sumset is all of nP ∩ Z^d;
+`check_normality` compares the two by counting int64 keys, and degrees up
+to dim P - 1 decide every degree.
 For long chains a loop-peeling induction reduces T by 6 per step before the
 exhaustive trail search takes over.  Every witness is re-checked exactly:
 those read off the sumset all at once per degree, by summing their columns'
 recounted int64 count rows, and those glued by the induction one by one
 (`words.check_split`).
-The four-state probe scans the same composition blocks for a point of nP
-that splits into no words.
+The four-state probe scans compositions, in stars-and-bars order, for a
+point of the cone that splits into no words.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, combinations, islice
-from math import comb
+from functools import lru_cache
+from itertools import chain, combinations
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -33,7 +36,7 @@ import numpy as np
 from .design import column_table
 from .exactla import simplex_standard
 from .facets import LOOP_RAYS, model_hull, q_polyhedron
-from .polytope import in_dilation
+from .polytope import HPolyhedron, canonical_inequality, convex_hull, in_dilation
 from .words import (
     CapExceededError,
     Word,
@@ -52,32 +55,50 @@ def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(u, v))
 
 
-# rows per int64 block of candidate compositions
-_BLOCK = 4096
+def _rows(H: HPolyhedron) -> list[tuple[tuple[int, ...], int]]:
+    """H's rows as a.x >= b: its inequalities, then each equation e.x = f
+    read as e.x >= f and -e.x >= -f."""
+    return [
+        *H.inequalities,
+        *H.equations,
+        *((tuple(-e for e in normal), -rhs) for normal, rhs in H.equations),
+    ]
 
 
-def _composition_blocks(total: int, parts: int) -> Iterator[np.ndarray]:
-    """All nonnegative integer vectors of length parts summing to total, in
-    lexicographic order, as int64 arrays of at most _BLOCK rows.
+def _int64_rows(rows, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows a.x >= b as a read-only int64 normal matrix and offset vector."""
+    normals = np.array([a for a, _ in rows], dtype=np.int64).reshape(-1, width)
+    offsets = np.array([b for _, b in rows], dtype=np.int64)
+    normals.flags.writeable = offsets.flags.writeable = False
+    return normals, offsets
 
-    Stars and bars: the sorted bar positions c_1 < ... < c_{parts-1} among
-    total + parts - 1 slots give the parts as the gaps between bars, and
-    combinations() lists them in the order that makes the parts ascend
-    lexicographically.
+
+@lru_cache(maxsize=32)
+def _projections(T: int, S: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """For k = 1..dim-1, the rows a.y >= b of P_k, the projection of P onto
+    its first k coordinates, as an int64 normal matrix with k columns and an
+    offset vector.
+
+    For k < dim-1, P_k is the hull of the distinct columns' k-prefixes, one
+    double description each.  P lies on sum(x) = T-1, so substituting
+    x_dim = T-1 - sum(y) into the rows of P gives P_{dim-1} with no new hull
+    (Ziegler 1995, Lectures on Polytopes, Sec. 1.2); the sum equation itself
+    becomes 0 >= 0 and is dropped.
     """
-    bars = combinations(range(total + parts - 1), parts - 1)
-    while True:
-        flat = np.fromiter(
-            chain.from_iterable(islice(bars, _BLOCK)), dtype=np.int64
-        )
-        if not flat.size:
-            return
-        c = flat.reshape(-1, parts - 1)
-        rows = len(c)
-        c = np.hstack(
-            (np.full((rows, 1), -1), c, np.full((rows, 1), total + parts - 1))
-        )
-        yield np.diff(c, axis=1) - 1
+    dim = S * (S - 1)
+    columns = list(column_table(S, T))
+    levels = [
+        _int64_rows(_rows(convex_hull([c[:k] for c in columns])), k)
+        for k in range(1, dim - 1)
+    ]
+    last = set()
+    for normal, rhs in _rows(model_hull(T, S)):
+        reduced = tuple(a - normal[-1] for a in normal[:-1])
+        offset = rhs - normal[-1] * (T - 1)
+        if any(reduced):
+            last.add(canonical_inequality(reduced, offset))
+    levels.append(_int64_rows(sorted(last), dim - 1))
+    return tuple(levels)
 
 
 def saturation_points(
@@ -85,42 +106,63 @@ def saturation_points(
     n: int,
     S: int = 3,
     cap: int = DEFAULT_POINT_CAP,
-) -> list[tuple[int, ...]]:
-    """All integer points of nP, P the model polytope, sorted.
+) -> np.ndarray:
+    """All integer points of nP, P the model polytope, as the rows of an int64
+    array in lexicographic order.
 
     These are the members of ZA ∩ cone(A) with coordinate sum n(T-1), since
-    ZA holds every integer vector of that sum (module docstring).  The
-    candidates are all compositions of n(T-1), taken block by block; one
-    int64 matrix product per block keeps the rows that satisfy the hull's
-    inequalities and equations, dilated by n.
+    ZA holds every integer vector of that sum (module docstring).  The points
+    grow one coordinate at a time: each prefix y of length k-1 takes every
+    integer x_k with (y, x_k) in nP_k (`_projections`), whose range is read
+    off the rows a.x >= n*b as exact integer ceilings and floors, and the
+    sum fixes the last coordinate.  Every point is re-checked against the
+    hull's inequalities and equations in int64, so a wrong projection raises
+    AssertionError and never returns a point outside nP.  The cap bounds the
+    rows of every level, so it bounds the points: a level that would exceed
+    it raises CapExceededError before it is built.
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
     hull = model_hull(T, S)
+    levels = _projections(T, S)
     total = n * (T - 1)
     dim = hull.dim
-    space = comb(total + dim - 1, dim - 1)
-    if space > cap:
-        raise CapExceededError(
-            f"{space} candidate vectors for sum {total} in {dim} parts exceeds cap {cap}"
-        )
-    # e.x = f is read as e.x >= f and -e.x >= -f
-    rows = [
-        *hull.inequalities,
-        *hull.equations,
-        *((tuple(-e for e in normal), -rhs) for normal, rhs in hull.equations),
-    ]
-    normals = np.array([normal for normal, _ in rows], dtype=np.int64).reshape(-1, dim)
-    bounds = n * np.array([rhs for _, rhs in rows], dtype=np.int64)
-    largest = max((abs(e) for normal, rhs in rows for e in (*normal, rhs)), default=0)
-    # |normal.x| <= largest * total and |n * rhs| <= largest * total, so
-    # every int64 entry below is exact
+    normals, offsets = _int64_rows(_rows(hull), dim)
+    largest = max(
+        int(np.abs(M).max(initial=0)) for M in (normals, offsets, *chain(*levels))
+    )
+    # |a.y| <= largest * total and |n * b| <= largest * total at every level
+    # and in the final check, so every int64 entry below is exact
     assert largest * total * dim < 2**62, "facet products overflow int64"
-    return [
-        tuple(x)
-        for X in _composition_blocks(total, dim)
-        for x in X[(X @ normals.T >= bounds).all(axis=1)].tolist()
-    ]
+    X = np.zeros((1, 0), dtype=np.int64)
+    for A, b in levels:
+        k = A.shape[1]
+        # every coordinate of nP lies in [0, total]; each row a.(y, t) >= n*b
+        # with a_k != 0 bounds t by a_k * t >= rest, one row at a time so no
+        # temporary grows past one entry per prefix
+        lo = np.zeros(len(X), dtype=np.int64)
+        hi = np.full(len(X), total, dtype=np.int64)
+        for a, rhs in zip(A, b):
+            rest = n * rhs - X @ a[:-1]
+            if a[-1] > 0:
+                np.maximum(lo, -(-rest // a[-1]), out=lo)
+            elif a[-1] < 0:
+                np.minimum(hi, rest // a[-1], out=hi)
+        width = np.maximum(hi - lo + 1, 0)
+        rows = int(width.sum())
+        if rows > cap:
+            raise CapExceededError(
+                f"{rows} lattice points of {n}P's first {k} coordinates "
+                f"exceeds cap {cap}"
+            )
+        # each prefix repeated once per value of its range, the values ascending
+        t = np.arange(rows) - np.repeat(np.cumsum(width) - width - lo, width)
+        X = np.column_stack((np.repeat(X, width, axis=0), t))
+    X = np.column_stack((X, total - X.sum(axis=1)))
+    for a, rhs in zip(normals, offsets):
+        if (X @ a < n * rhs).any():
+            raise AssertionError(f"a projection of {n}P let a point outside {n}P through")
+    return X
 
 
 def check_normality(
@@ -149,7 +191,9 @@ def check_normality(
     once c >= d-1 (Bruns, Gubeladze & Trung 1997, J. reine angew. Math. 485,
     Thm 1.3.3), so n_max >= max(1, d-1) decides every degree and the report
     says `exact`; otherwise it covers n <= n_max only.  Keys that would
-    overflow int64 raise CapExceededError before any hull work.
+    overflow int64 raise CapExceededError before any hull work, and every
+    degree's points are listed before any sumset, so a point cap trips
+    before the costly work.
     """
     dim = S * (S - 1)
     base = n_max * (T - 1) + 1
@@ -159,6 +203,8 @@ def check_normality(
         )
     d = dim - len(model_hull(T, S).equations)
     enough = max(1, d - 1)
+    # the largest degree first, where a point cap trips
+    points = {n: saturation_points(T, n, S=S, cap=cap) for n in range(n_max, 0, -1)}
     weights = base ** np.arange(dim - 1, -1, -1, dtype=np.int64)
     # the distinct columns' keys, in column order (so ascending), and each
     # one's least word, recounted once: its transition counts and its length
@@ -178,8 +224,7 @@ def check_normality(
     points_checked = sums = 0
     for n in range(1, n_max + 1):
         # the key sums of S_{n-1} and the columns, 2^15 at a time, each block's
-        # distinct sums kept with their first index; the blocks are freed
-        # before the points are enumerated, to keep the peak memory low
+        # distinct sums kept with their first index
         rows = range(0, len(keys), max(1, 2**15 // len(col_keys)))
         blocks = [
             np.unique((keys[r : r + rows.step, None] + col_keys).ravel(), return_index=True)
@@ -190,14 +235,13 @@ def check_normality(
         flat = np.concatenate([i + r * len(col_keys) for (_, i), r in zip(blocks, rows)])
         parents.append(np.divmod(flat[first], len(col_keys)))
         del blocks, flat, first
-        points = saturation_points(T, n, S=S, cap=cap)
-        points_checked += len(points)
-        X = np.array(points, dtype=np.int64).reshape(-1, dim)
+        X = points.pop(n)
+        points_checked += len(X)
         point_keys = X @ weights
         hit = np.isin(point_keys, keys)
         # S_n lies in nP, so every key of S_n is one of the points
         assert hit.sum() == len(keys), "a sum of columns lies outside nP"
-        failures += [{"x": list(x), "n": n} for x, h in zip(points, hit) if not h]
+        failures += [{"x": x, "n": n} for x in X[~hit].tolist()]
         at = np.searchsorted(keys, point_keys[hit])
         picks = np.empty((len(at), n), dtype=np.int64)
         for k, (parent, column) in enumerate(reversed(parents)):
@@ -216,9 +260,9 @@ def check_normality(
             words = [col_words[c].text for c in picks[i]]
             raise AssertionError(f"witness {words} does not split {X[hit][i].tolist()}")
         if keep_witnesses:
-            hits = (x for x, h in zip(points, hit) if h)
             witnesses.update(
-                (x, [col_words[c] for c in row]) for x, row in zip(hits, picks.tolist())
+                (tuple(x), [col_words[c] for c in row])
+                for x, row in zip(X[hit].tolist(), picks.tolist())
             )
     report = {
         "S": S,
@@ -334,6 +378,20 @@ def witness_by_induction(x: Sequence[int], T: int) -> list[Word]:
 # Four-state probe
 
 
+def _compositions(total: int, parts: int) -> Iterator[list[int]]:
+    """All nonnegative integer vectors of length parts summing to total, in
+    lexicographic order.
+
+    Stars and bars: the sorted bar positions c_1 < ... < c_{parts-1} among
+    total + parts - 1 slots give the parts as the gaps between bars, and
+    combinations() lists them in the order that makes the parts ascend
+    lexicographically.
+    """
+    end = total + parts - 1
+    for bars in combinations(range(end), parts - 1):
+        yield [b - a - 1 for a, b in zip((-1, *bars), (*bars, end))]
+
+
 def s4_nonnormality_probe() -> dict:
     """Evaluate the quoted four-state half-sum at T = 8 and search for a
     genuine point of ZA ∩ cone(A) outside the semigroup.
@@ -393,16 +451,12 @@ def s4_nonnormality_probe() -> dict:
             "in_semigroup": False,
         }
 
-    def compositions(total: int, parts: int) -> Iterator[list[int]]:
-        # lexicographic, so each scan stops at its first witness in that order
-        return chain.from_iterable(
-            X.tolist() for X in _composition_blocks(total, parts)
-        )
-
+    # both scans are lexicographic, so each stops at its first witness in
+    # that order
     witness = None
     scanned = {"degree1": 0, "degree2_two_cycle_pairs": 0}
     # degree 1: all nonnegative vectors with coordinate sum T-1
-    for x in compositions(T - 1, len(idx)):
+    for x in _compositions(T - 1, len(idx)):
         scanned["degree1"] += 1
         found = verify_witness(tuple(x), 1)
         if found:
@@ -415,7 +469,7 @@ def s4_nonnormality_probe() -> dict:
             if witness:
                 break
             slots = (idx[(a, b)], idx[(b, a)], idx[(c, d)], idx[(d, c)])
-            for comp in compositions(2 * (T - 1), 4):
+            for comp in _compositions(2 * (T - 1), 4):
                 scanned["degree2_two_cycle_pairs"] += 1
                 x = [0] * len(idx)
                 for s, v in zip(slots, comp):

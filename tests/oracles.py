@@ -10,10 +10,12 @@ questions, so the tests can compare the two descriptions with each other
 and with the design matrix's columns.  The library reads a recession cone
 off the homogenized vertex enumeration (`VPolyhedron.rays`);
 `recession_rays` runs a second double description on the cone
-{x : a.x >= 0, e.x = 0} alone.  The library enumerates compositions
-in int64 blocks (stars and bars); the tests compare that against the plain
-recursion below.  The library's fiber walk and exact test step a count
-vector and update the statistic from each accepted move; `tuple_walk` and
+{x : a.x >= 0, e.x = 0} alone.  The library lists the lattice points of
+nP coordinate by coordinate from the projections of P, and its four-state
+probe scans compositions by stars and bars; the tests compare both against
+the plain recursion below, the points after filtering every composition by
+the hull.  The library's fiber walk and exact test step a count vector and
+update the statistic from each accepted move; `tuple_walk` and
 `rescored_test` apply each move to the sorted table with `Move.apply` and
 score every changed kept table in full.
 """

@@ -164,7 +164,7 @@ class TestSaturationShapeInvariant:
         from thmc.words import degree_imbalances
 
         for T, n in ((5, 2), (6, 2), (7, 1)):
-            for x in saturation_points(T, n):
+            for x in saturation_points(T, n).tolist():
                 assert sum(x) == n * (T - 1)
                 assert all(abs(d) <= n for d in degree_imbalances(x))
 

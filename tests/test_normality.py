@@ -2,14 +2,17 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from thmc.design import column_table, get_design
 from thmc.exactla import simplex_standard
 from thmc.facets import LOOP_RAYS, q_polyhedron, q_vertices
 from thmc.normality import (
+    _compositions,
     _glue,
     _max_loop_coefficient,
+    _projections,
     check_normality,
     s4_nonnormality_probe,
     saturation_points,
@@ -26,21 +29,25 @@ from thmc.words import (
 )
 
 
+def point_tuples(T, n, S=3):
+    return [tuple(x) for x in saturation_points(T, n, S=S).tolist()]
+
+
 class TestSaturationPoints:
     @pytest.mark.parametrize("T", range(4, 9))
     def test_degree_one_equals_distinct_columns(self, T):
-        pts = sorted(saturation_points(T, 1))
+        pts = sorted(point_tuples(T, 1))
         assert pts == get_design(3, T).distinct_columns()
 
     def test_T3_no_exceptional_points(self):
         # the lattice-point identity is only claimed from T=4 up, but the
         # enumeration shows no exceptional degree-1 points at T=3 either
-        pts = sorted(saturation_points(3, 1))
+        pts = sorted(point_tuples(3, 1))
         assert pts == get_design(3, 3).distinct_columns()
 
     def test_degree_two_contains_pairwise_sums(self):
         T = 5
-        pts = set(saturation_points(T, 2))
+        pts = set(point_tuples(T, 2))
         cols = get_design(3, T).distinct_columns()
         rng = random.Random(1)
         for _ in range(50):
@@ -48,7 +55,7 @@ class TestSaturationPoints:
             assert tuple(a + b for a, b in zip(c1, c2)) in pts
 
     def test_cap(self):
-        with pytest.raises(CapExceededError):
+        with pytest.raises(CapExceededError, match="exceeds cap 10"):
             saturation_points(10, 3, cap=10)
 
     def test_one_hull_per_T(self):
@@ -59,6 +66,39 @@ class TestSaturationPoints:
         hull_facets_homogeneous(7)
         saturation_points(7, 1)
         assert model_hull.cache_info().misses == 1
+
+    def test_projections_built_once_per_T(self):
+        # the degrees of one T read the same cached projection rows
+        _projections.cache_clear()
+        for n in (1, 2, 3):
+            saturation_points(7, n)
+        assert _projections.cache_info().misses == 1
+
+    @pytest.mark.parametrize("T,count", [(12, 84_582), (18, 298_092)])
+    def test_point_counts_at_degree_four(self, T, count):
+        # the cap bounds points, not the C(4(T-1)+5, 5) compositions
+        assert len(saturation_points(T, 4, cap=count)) == count
+        with pytest.raises(CapExceededError, match="exceeds cap"):
+            saturation_points(T, 4, cap=count - 1)
+
+    @pytest.mark.parametrize("S,T,n", [(3, 9, 3), (3, 12, 2), (2, 6, 3), (4, 4, 2)])
+    def test_rows_strictly_increase(self, S, T, n):
+        # each row's first difference from the row before it is positive
+        steps = np.diff(saturation_points(T, n, S=S), axis=0)
+        first = (steps != 0).argmax(axis=1)
+        assert (steps[np.arange(len(steps)), first] > 0).all()
+
+    @pytest.mark.parametrize("S,T,n", [(3, 5, 2), (3, 8, 3), (4, 4, 1)])
+    def test_tampered_projection_row_raises(self, S, T, n, monkeypatch):
+        # the last level loosened by one in every row lets points outside nP
+        # through; the exact re-check must raise, never return them
+        import thmc.normality
+
+        *levels, (A, b) = _projections(T, S)
+        loose = (*levels, (A, b - 1))
+        monkeypatch.setattr(thmc.normality, "_projections", lambda T, S: loose)
+        with pytest.raises(AssertionError, match="outside"):
+            saturation_points(T, n, S=S)
 
     @pytest.mark.parametrize(
         "S,T,n",
@@ -82,12 +122,12 @@ class TestSaturationPoints:
             if list(x) in A.lattice and in_dilation(hull, x, n)
         ]
         got = saturation_points(T, n, S=S)
-        assert got == expected
-        assert all(type(x[0]) is int for x in got)
+        assert got.dtype == np.int64 and got.shape == (len(expected), A.dim)
+        assert got.tolist() == [list(x) for x in expected]
 
     @pytest.mark.parametrize("S,T,n", [(3, 5, 2), (3, 6, 2), (3, 7, 1), (4, 3, 2)])
     def test_group_maps_points_onto_themselves(self, S, T, n):
-        points = set(saturation_points(T, n, S=S))
+        points = set(point_tuples(T, n, S=S))
         for g in symmetry_group(S):
             assert {g.vector(x) for x in points} == points
 
@@ -145,7 +185,7 @@ class TestCheckNormality:
     def test_agrees_with_path_oracle(self, S, T, n_max):
         rep = check_normality(T, n_max, S=S)
         holes = {(tuple(f["x"]), f["n"]) for f in rep["failures"]}
-        points = [(x, n) for n in range(1, n_max + 1) for x in saturation_points(T, n, S=S)]
+        points = [(x, n) for n in range(1, n_max + 1) for x in point_tuples(T, n, S=S)]
         assert rep["points_checked"] == len(points)
         for x, n in points:
             assert ((x, n) in holes) == (decompose_into_paths(x, n, T) is None), (x, n)
@@ -179,6 +219,18 @@ class TestCheckNormality:
         assert rep["ok"] and len(rep["witnesses"]) == rep["points_checked"]
         for x, words in rep["witnesses"].items():
             check_split(words, x, sum(x) // 4, 5, 3)
+
+    def test_builds_no_composition(self, monkeypatch):
+        # the points come from the projections; only the four-state probe
+        # scans compositions
+        import thmc.normality
+
+        def compositions(*args):
+            raise AssertionError("check_normality built a composition")
+
+        monkeypatch.setattr(thmc.normality, "_compositions", compositions)
+        for S, T, n_max in ((3, 5, 3), (2, 6, 2), (4, 4, 2)):
+            assert check_normality(T, n_max, S=S)["points_checked"] > 0
 
     @pytest.mark.parametrize(
         "S,T,n_max,dim,exact",
@@ -385,6 +437,13 @@ class TestMaxLoopCoefficient:
 
 
 class TestS4Probe:
+    @pytest.mark.parametrize("total,parts", [(0, 3), (3, 1), (4, 6), (14, 4)])
+    def test_compositions_match_the_recursion(self, total, parts):
+        from oracles import compositions
+
+        got = [tuple(c) for c in _compositions(total, parts)]
+        assert got == list(compositions(total, parts))
+
     def test_report(self):
         rep = s4_nonnormality_probe()
         assert rep["half_sum_integral"] is False
