@@ -6,7 +6,9 @@ elimination, `rref`, answers every question about rank, kernels, independent
 rows and inverses; it scales rows to integers and eliminates fraction-free,
 so the only rationals it makes are its reduced rows.  The one linear program
 is cone membership, a feasibility question answered by `simplex_standard`,
-phase 1 of a fraction-free integer tableau simplex.
+phase 1 of a fraction-free integer tableau simplex.  The library certifies
+cone membership by words instead; the simplex serves the test oracles and
+the benchmark harness.
 """
 
 from __future__ import annotations

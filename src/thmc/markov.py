@@ -87,7 +87,8 @@ class Fiber:
     members: tuple[tuple[int, ...], ...]  # sorted word-index multisets
 
 
-def _marginal_of(A: DesignMatrix, multiset: Sequence[int]) -> tuple[int, ...]:
+def marginal_of(A: DesignMatrix, multiset: Sequence[int]) -> tuple[int, ...]:
+    """The sum of A's columns over a word-index multiset."""
     b = [0] * A.dim
     for j in multiset:
         for i, c in enumerate(A.columns[j]):
@@ -108,7 +109,7 @@ def _multisets_by_marginal(
         )
     buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = defaultdict(list)
     for ms in combinations_with_replacement(range(m), degree):
-        buckets[_marginal_of(A, ms)].append(ms)
+        buckets[marginal_of(A, ms)].append(ms)
     return buckets
 
 
@@ -147,15 +148,8 @@ def enumerate_moves(
 
 
 def verify_kernel(A: DesignMatrix, moves: Iterable[Move]) -> bool:
-    """Every move must have zero marginal (A z = 0)."""
-    for z in moves:
-        b = [0] * A.dim
-        for j, c in z.entries:
-            for i, e in enumerate(A.columns[j]):
-                b[i] += c * e
-        if any(b):
-            return False
-    return True
+    """Every move must have zero marginal (A z = 0): its two sides share one."""
+    return all(marginal_of(A, z.plus) == marginal_of(A, z.minus) for z in moves)
 
 
 def fiber_enumerate(

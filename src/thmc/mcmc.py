@@ -3,16 +3,21 @@
 The walk is the classic symmetric fiber random walk: propose a uniformly
 drawn signed move, stay put when it would go negative.  Its stationary law
 on a connected fiber is uniform, so the fraction of sampled tables whose
-statistic reaches the observed one estimates the exact conditional p-value
-(observed table included on both sides of the ratio: the usual conservative
-Monte Carlo convention).
+statistic reaches the observed one estimates the p-value under the uniform
+law on the fiber (observed table included on both sides of the ratio: the
+usual conservative Monte Carlo convention).  That is not the exact
+conditional p-value of multinomial or Poisson data, whose law given the
+marginal is proportional to 1/prod_j u_j! (Diaconis & Sturmfels 1998,
+Ann. Statist. 26): on the 9-table fiber of {1212, 1321, 1321} at T = 4 the
+uniform-law p-value is 0.333 and the conditional one 0.200.  Sampling the
+conditional law is item 1 of ROADMAP.md.
 
 The walk steps a vector of counts by word index: a proposal reads and
 writes only the move's entries, and `walk` builds the sorted table only
-after an accepted move.  The test is one pass over the same steps.  It
-scores the observed table in full, then updates its statistic from each
-accepted move's entries, and keeps each sample's statistic: the summary
-fields and the CLI's trace are read off these.
+after an accepted move.  The test is one pass over the same steps.  One
+scorer per statistic scores the observed table in full, then updates its
+statistic from each accepted move's entries, and keeps each sample's
+statistic: the summary fields and the CLI's trace are read off these.
 
 Tables and moves stay exact integers; the default Pearson statistic is
 exact against the time-homogeneous fit (empirical transition frequencies
@@ -33,7 +38,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .design import DesignMatrix
-from .markov import Move
+from .markov import Move, marginal_of
 from .words import Word, pair_index
 
 
@@ -95,11 +100,7 @@ class _FittedModel:
         self.A = A
         self.N = len(table)
         idx = pair_index(A.S)
-        b = [0] * A.dim
-        for j in table:
-            for i, c in enumerate(A.columns[j]):
-                b[i] += c
-        self.marginal = tuple(b)
+        b = marginal_of(A, table)
         out_total = [0] * (A.S + 1)
         for (i, _), k in idx.items():
             out_total[i] += b[k]
@@ -131,25 +132,6 @@ class _FittedModel:
             self._expected[j] = e
         return e
 
-    def pearson(self, table: tuple[int, ...]) -> Fraction:
-        """Pearson chi-square against the fitted homogeneous model, exact:
-        sum_j (u_j - e_j)^2 / e_j = sum_{u_j>0} u_j^2 / e_j + N*total_mass - 2N,
-        as the u_j sum to N and the e_j of all words to N*total_mass."""
-        stat = self.N * (self.total_mass - 2)
-        for j, u_j in Counter(table).items():
-            e = self.expected(j)
-            if e == 0:
-                raise AssertionError("observed word with zero fitted mass")
-            stat += u_j * u_j / e
-        return stat
-
-    def g2(self, table: tuple[int, ...]) -> float:
-        """Likelihood-ratio statistic 2 sum u log(u/e), floating point."""
-        total = 0.0
-        for j, u_j in Counter(table).items():
-            total += self.g2_term(j, u_j)
-        return total
-
     def g2_term(self, j: int, u_j: int) -> float:
         """The term 2 u_j log(u_j/e_j) of word j at count u_j, cached."""
         term = self._g2_terms.get((j, u_j))
@@ -164,13 +146,20 @@ class _PearsonRun:
 
     C = N*(total_mass - 2) and S = sum_j u_j^2 w_j with w_j = D/e_j, where D
     is the lcm of the numerators of e_j over the observed words and the move
-    words of positive fitted mass, so every w_j is an integer.  A move with
-    entries (j, c) adds sum (2 u_j c + c^2) w_j, u_j the count before it.
+    words of positive fitted mass, so every w_j is an integer.  This is
+    sum_j (u_j - e_j)^2 / e_j, as the u_j sum to N and the e_j of all words to
+    N*total_mass.  A move with entries (j, c) adds sum (2 u_j c + c^2) w_j,
+    u_j the count before it.  The observed table is scored once, in full, as
+    the exact rational `observed`.
     """
 
-    def __init__(self, model: _FittedModel, table: tuple[int, ...], moves: Sequence[Move]):
-        words = set(table).union(j for z in moves for j, _ in z.entries)
+    def __init__(self, table: tuple[int, ...], A: DesignMatrix, moves: Sequence[Move]):
+        model = _FittedModel(table, A)
+        observed = Counter(table)
+        words = set(observed).union(j for z in moves for j, _ in z.entries)
         expected = {j: e for j in words if (e := model.expected(j))}
+        if observed.keys() - expected.keys():
+            raise AssertionError("observed word with zero fitted mass")
         D = math.lcm(*(e.numerator for e in expected.values()))
         self.weight = {j: D // e.numerator * e.denominator for j, e in expected.items()}
         C = model.N * (model.total_mass - 2)
@@ -178,8 +167,9 @@ class _PearsonRun:
         self.scale = C.denominator
         self.offset = C.numerator * D
         self.denominator = C.denominator * D
-        self.S = sum(u * u * self.weight[j] for j, u in Counter(table).items())
+        self.S = sum(u * u * self.weight[j] for j, u in observed.items())
         self.observed_S = self.S
+        self.observed = Fraction(self.offset + self.scale * self.S, self.denominator)
 
     def moved(self, counts: dict[int, int], entries) -> None:
         """Follow the move just written into counts."""
@@ -197,35 +187,39 @@ class _PearsonRun:
 
 
 class _G2Run:
-    """G2 of the walk's counts: the cached terms summed over the support in
-    ascending word order, the float operations of _FittedModel.g2."""
+    """G2 = 2 sum_j u_j log(u_j/e_j) of the walk's counts, in floats: the
+    cached terms summed over the support in ascending word order, in full at
+    every sample.  `observed` is the same sum over the observed table."""
 
-    def __init__(self, model: _FittedModel, observed: float):
-        self.model = model
-        self.observed = observed
+    def __init__(self, table: tuple[int, ...], A: DesignMatrix, moves: Sequence[Move]):
+        self.model = _FittedModel(table, A)
+        self.observed = self._total(Counter(table))
+
+    def _total(self, counts: dict[int, int]) -> float:
+        total = 0.0
+        for j in sorted(counts):
+            total += self.model.g2_term(j, counts[j])
+        return total
 
     def moved(self, counts: dict[int, int], entries) -> None:
         pass
 
     def sample(self, counts: dict[int, int]) -> tuple[float, bool]:
-        total = 0.0
-        for j in sorted(counts):
-            total += self.model.g2_term(j, counts[j])
+        total = self._total(counts)
         return total, total >= self.observed
 
 
 def chi_square_statistic(u, A: DesignMatrix) -> Fraction:
     """Pearson X^2 of a data multiset against its own homogeneous fit."""
-    table = as_table(u, A)
-    return _FittedModel(table, A).pearson(table)
+    return _PearsonRun(as_table(u, A), A, ()).observed
 
 
 def g2_statistic(u, A: DesignMatrix) -> float:
-    table = as_table(u, A)
-    return _FittedModel(table, A).g2(table)
+    return _G2Run(as_table(u, A), A, ()).observed
 
 
-STATISTICS = ("pearson", "g2")
+_SCORERS = {"pearson": _PearsonRun, "g2": _G2Run}
+STATISTICS = tuple(_SCORERS)
 
 
 def _steps(
@@ -304,21 +298,17 @@ def exact_test(
 ) -> TestResult:
     """Monte Carlo exact test of time-homogeneity on the observed fiber.
 
-    The observed table is scored once, in full.  After that the statistic
-    follows the walk's counts: Pearson's integer S takes each accepted move's
-    entries, and a kept sample is evaluated only when the walk has moved
-    since the sample before it (the first one since the observed table).
+    The scorer scores the observed table once, in full.  After that the
+    statistic follows the walk's counts: Pearson's integer S takes each
+    accepted move's entries, and a kept sample is evaluated only when the
+    walk has moved since the sample before it (the first one since the
+    observed table).
     """
     if statistic not in STATISTICS:
         raise ValueError(f"statistic must be one of {STATISTICS}")
     table = as_table(u_obs, A)
-    model = _FittedModel(table, A)
-    if statistic == "pearson":
-        observed = model.pearson(table)
-        run = _PearsonRun(model, table, moves)
-    else:
-        observed = model.g2(table)
-        run = _G2Run(model, observed)
+    run = _SCORERS[statistic](table, A, moves)
+    observed = run.observed
     values = array("d")
     n_ge = 0
     val, ge = float(observed), True

@@ -21,7 +21,9 @@ those read off the sumset all at once per degree, by summing their columns'
 recounted int64 count rows, and those glued by the induction one by one
 (`words.check_split`).
 The four-state probe scans compositions, in stars-and-bars order, for a
-point of the cone that splits into no words.
+point x of the cone that splits into no words.  The same word search
+certifies both halves: no split of x into words, and a split of k*x for
+some k, which puts x in the cone.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .design import column_table
-from .exactla import simplex_standard
 from .facets import LOOP_RAYS, model_hull, q_polyhedron
 from .polytope import HPolyhedron, canonical_inequality, convex_hull, in_dilation
 from .words import (
@@ -397,11 +398,14 @@ def s4_nonnormality_probe() -> dict:
     genuine point of ZA ∩ cone(A) outside the semigroup.
 
     Every integer vector of coordinate sum n(T-1) lies in ZA (module
-    docstring), so a candidate needs only the cone and the word search.  The
-    search is bounded and deterministic: all degree-1 candidate vectors,
-    then all degree-2 vectors supported on two disjoint 2-cycles (the natural
-    disconnection family).  Either the first verified witness or the
-    exhausted bounds are reported.
+    docstring), so a candidate needs only the cone and the word search.  A
+    candidate x of degree n that splits into no n words is a witness once
+    k*x splits into k*n words for some k in 2..T-1, re-checked by
+    `check_split`; that split writes x/n as the mean of k*n columns, so x
+    is in the cone.  The search is bounded and deterministic: all degree-1 candidate
+    vectors, then all degree-2 vectors supported on two disjoint 2-cycles
+    (the natural disconnection family).  Either the first verified witness
+    or the exhausted bounds are reported.
     """
     S, T = 4, 8
     idx = pair_index(S)
@@ -441,7 +445,13 @@ def s4_nonnormality_probe() -> dict:
             return None
         if decompose_into_paths(x, n, T) is not None:
             return None
-        if simplex_standard(list(column_table(S, T)), x) is None:
+        for k in range(2, T):
+            kx = tuple(k * c for c in x)
+            split = decompose_into_paths(kx, k * n, T)
+            if split is not None:
+                check_split(split, kx, k * n, T, S)
+                break
+        else:
             return None
         return {
             "x": list(x),

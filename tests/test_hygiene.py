@@ -192,3 +192,31 @@ def test_benchmark_workloads_run_once(tmp_path, monkeypatch):
         report = Report()
         bench.check(results, report, first=True)
         assert report.problems == [] and report.failed == 0, (name, report.problems)
+
+
+def test_benchmark_spans_cover_each_workload(tmp_path, monkeypatch):
+    """A traced bench run counts as wrong when the layer spans cover less than
+    `run.MIN_COVERAGE` of a pass, so a change that moves time out of the
+    traced entry points, or makes them faster than the untraced glue around
+    them, fails that run with an ordinary exit code.  Nine traced passes of
+    each workload through the bench's own pass runner, span store and
+    per-pass analysis must keep the median coverage at the floor."""
+    import thmc
+    import thmc.cli  # noqa: F401  (the fit and markov jobs call it)
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import run
+    from spans import Tracer, median
+    from workloads import WORKLOADS
+
+    for name, workload in WORKLOADS.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        bench = workload(thmc, 1, workdir)
+        tracer = Tracer()
+        passes = [run.run_pass(bench, tracer) for _ in range(9)]
+        self_s = tracer.self_times()
+        coverage = [
+            run.PassLayers(tracer, p["root"], self_s, p["factor"]).coverage for p in passes
+        ]
+        assert median(coverage) >= run.MIN_COVERAGE, (name, sorted(coverage))

@@ -146,16 +146,30 @@ class TestStatistic:
     )
     def test_closed_form_on_whole_fibers(self, T, texts):
         # the closed form sum u^2/e + N*total_mass - 2N against the term-by-term
-        # sum (u-e)^2/e on every table of the fiber; all but the second
-        # marginal have a zero transition, so some words have zero fitted mass
+        # sum (u-e)^2/e on every table of the fiber, each scored by a scorer
+        # built on its own counts; all but the second marginal have a zero
+        # transition, so some words have zero fitted mass
         A = get_design(3, T)
         t0 = wtable(A, *texts)
-        model = _FittedModel(t0, A)
         members = fiber_enumerate(marginal(t0, A), A).members
         assert len(members) > 1
         for m in members:
-            assert model.pearson(m) == direct_pearson(m, A)
-            assert model.g2(m) == direct_g2(m, A)
+            assert _PearsonRun(m, A, ()).observed == direct_pearson(m, A)
+            assert _G2Run(m, A, ()).observed == direct_g2(m, A)
+
+    def test_observed_word_of_zero_fitted_mass_raises(self, monkeypatch):
+        # real data cannot do this (an observed transition has a positive
+        # fitted frequency); the scorer must refuse the word, not drop it
+        A = get_design(3, 5)
+        table = wtable(A, "12132", "12321")
+        expected = _FittedModel.expected
+        monkeypatch.setattr(
+            _FittedModel,
+            "expected",
+            lambda self, j: Fraction(0) if j == table[0] else expected(self, j),
+        )
+        with pytest.raises(AssertionError, match="zero fitted mass"):
+            chi_square_statistic(table, A)
 
     def test_g2_nonnegative_ish(self):
         A = get_design(3, 5)
@@ -271,8 +285,7 @@ class TestExactTest:
         moves = enumerate_moves(A, 2)
         t0 = wtable(A, "12132", "12321")
         fib = fiber_enumerate(marginal(t0, A), A)
-        model = _FittedModel(t0, A)
-        stats = {m: model.pearson(m) for m in fib.members}
+        stats = {m: chi_square_statistic(m, A) for m in fib.members}
         lo = min(fib.members, key=lambda m: (stats[m], m))
         hi = max(fib.members, key=lambda m: (stats[m], m))
         cfg = WalkConfig(seed=11, steps=30_000, burn_in=500)
@@ -326,22 +339,22 @@ class TestExactTest:
 
     @pytest.mark.parametrize("statistic", ["pearson", "g2"])
     def test_scores_each_visited_table_once(self, statistic, monkeypatch):
-        # the observed table is scored in full, once; after that the running
-        # statistic takes every accepted move and is read at each kept step
-        # the walk has moved since the kept step before it (the first kept
-        # step is compared with the observed table)
+        # the observed table is scored in full, once, when the scorer is
+        # built; after that the running statistic takes every accepted move
+        # and is read at each kept step the walk has moved since the kept
+        # step before it (the first kept step is compared with the observed
+        # table)
         A = get_design(3, 5)
         moves = enumerate_moves(A, 2)
         t0 = wtable(A, "12132", "12321", "32131")
         cfg = WalkConfig(seed=7, steps=3000, burn_in=100, thinning=3)
         scored, moved, sampled = [], [], []
-        evaluate = getattr(_FittedModel, statistic)
         run = {"pearson": _PearsonRun, "g2": _G2Run}[statistic]
-        update, sample = run.moved, run.sample
+        build, update, sample = run.__init__, run.moved, run.sample
 
-        def counted(model, table):
+        def counted(self, table, A, moves):
             scored.append(table)
-            return evaluate(model, table)
+            return build(self, table, A, moves)
 
         def counted_update(self, counts, entries):
             moved.append(entries)
@@ -351,7 +364,7 @@ class TestExactTest:
             sampled.append(dict(counts))
             return sample(self, counts)
 
-        monkeypatch.setattr(_FittedModel, statistic, counted)
+        monkeypatch.setattr(run, "__init__", counted)
         monkeypatch.setattr(run, "moved", counted_update)
         monkeypatch.setattr(run, "sample", counted_sample)
         res = exact_test(t0, A, moves, cfg, statistic=statistic)

@@ -1,10 +1,13 @@
+import hashlib
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from thmc.cli import main
 from thmc.design import column_table, get_design
 from thmc.exactla import simplex_standard
 from thmc.facets import LOOP_RAYS, q_polyhedron, q_vertices
@@ -466,6 +469,54 @@ class TestS4Probe:
         assert list(x) in A.lattice
         assert simplex_standard(A.distinct_columns(), x) is not None
         assert decompose_into_paths(x, n, 8) is None
+
+    def test_cone_is_certified_without_a_linear_program(self, monkeypatch):
+        def no_lp(*args):
+            raise AssertionError("the probe solved a linear program")
+
+        # every thmc module that bound the simplex, the defining one included
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "thmc" and hasattr(module, "simplex_standard"):
+                monkeypatch.setattr(module, "simplex_standard", no_lp)
+        rep = s4_nonnormality_probe()
+        assert rep["witness"] == {
+            "x": [1, 0, 0, 1, 0, 0, 0, 0, 6, 0, 0, 6],
+            "n": 2,
+            "in_lattice": True,
+            "in_cone": True,
+            "in_semigroup": False,
+        }
+
+    def test_wrong_cone_split_is_not_trusted(self, monkeypatch):
+        import thmc.normality
+
+        real = thmc.normality.decompose_into_paths
+        unsplit = []
+        wrong_word = Word(([1, 2] * 8)[:8])
+
+        # the real search, except that for a point x it left unsplit, the
+        # split of k*x (k >= 2) comes back as words of another vector
+        def wrong(x, n, T):
+            for y, m in unsplit:
+                if n > m and n % m == 0 and list(x) == [n // m * c for c in y]:
+                    assert state_graph([wrong_word] * n, 4) != tuple(x)
+                    return [wrong_word] * n
+            split = real(x, n, T)
+            if split is None:
+                unsplit.append((tuple(x), n))
+            return split
+
+        monkeypatch.setattr(thmc.normality, "decompose_into_paths", wrong)
+        with pytest.raises(AssertionError, match="does not split"):
+            s4_nonnormality_probe()
+        assert unsplit == [((1, 0, 0, 1, 0, 0, 0, 0, 6, 0, 0, 6), 2)]
+
+    def test_report_bytes_are_pinned(self, tmp_path):
+        # sha256 of s4-probe.json from `thmc normality -T 8 --probe-s4`, the
+        # bytes the probe wrote when it decided the cone by a linear program
+        assert main(["normality", "-T", "8", "--probe-s4", "--out-dir", str(tmp_path)]) == 0
+        digest = hashlib.sha256((tmp_path / "s4-probe.json").read_bytes()).hexdigest()
+        assert digest == "78cce2b55bdafccb1aec496f10d85a02d554d229c318da220c53c07cc07a6074"
 
 
 class TestLoopExtensionConsistency:
