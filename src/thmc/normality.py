@@ -37,7 +37,7 @@ import numpy as np
 
 from .design import column_table
 from .facets import LOOP_RAYS, model_hull, q_polyhedron
-from .polytope import HPolyhedron, canonical_inequality, convex_hull, in_dilation
+from .polytope import HPolyhedron, canonical_inequality, convex_hull
 from .words import (
     CapExceededError,
     Word,
@@ -294,25 +294,34 @@ def check_normality(
 BASE_T = 12
 
 
-def _max_loop_coefficient(x: Sequence[int], n: int, r: int, loop: str) -> Fraction:
-    """Largest coefficient of the chosen loop over decompositions
-    x = n*(point of conv of the residue-polytope vertices) + sum alpha_i e_i.
+@lru_cache(maxsize=8)
+def _loop_rates(r: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each loop of LOOP_RAYS, in order, the pairs (facet index, c.e)
+    over the facets c.y >= a of Q^r with c.e > 0."""
+    normals = [c for c, _ in q_polyhedron(r).inequalities]
+    return tuple(
+        tuple((i, rate) for i, c in enumerate(normals) if (rate := _dot(c, e)) > 0)
+        for e in LOOP_RAYS.values()
+    )
+
+
+def _max_loop_coefficients(x: Sequence[int], n: int, r: int) -> tuple[Fraction, ...]:
+    """For each loop of LOOP_RAYS, in order, its largest coefficient over
+    decompositions x = n*(point of conv of the residue-polytope vertices) +
+    sum alpha_i e_i.
 
     The recession cone of Q^r is the cone of the five loops, so Q^r is that
     vertex hull plus the cone (Minkowski-Weyl), and x - alpha*e stays in n*Q^r
     exactly while alpha is at most every ratio (c.x - n*a) / c.e over the
-    facets c.y >= a of Q^r with c.e > 0.
+    facets c.y >= a of Q^r with c.e > 0.  Q^r has no equations, so the
+    slacks c.x - n*a, computed once, also decide that x is in n*Q^r.
     """
-    Q = q_polyhedron(r)
-    if not in_dilation(Q, x, n):
+    slacks = [_dot(c, x) - n * a for c, a in q_polyhedron(r).inequalities]
+    if min(slacks) < 0:
         raise ValueError("point is outside the dilated residue polyhedron")
-    e = LOOP_RAYS[loop]
-    ratios = []
-    for c, a in Q.inequalities:
-        rate = _dot(c, e)
-        if rate > 0:
-            ratios.append(Fraction(_dot(c, x) - n * a, rate))
-    return min(ratios)
+    return tuple(
+        min(Fraction(slacks[i], rate) for i, rate in rates) for rates in _loop_rates(r)
+    )
 
 
 def _glue(w: Word, cycle: tuple[int, ...]) -> Word:
@@ -354,11 +363,12 @@ def witness_by_induction(x: Sequence[int], T: int) -> list[Word]:
         return []
     peel = None
     if T > BASE_T:
-        for loop, ray in LOOP_RAYS.items():
+        alphas = _max_loop_coefficients(x, n, T % 6)
+        for (loop, ray), alpha in zip(LOOP_RAYS.items(), alphas):
             # the peeling cycle is the loop word without its closing state
             cycle = tuple(map(int, loop[:-1]))
             copies = 6 // len(cycle) * n
-            if _max_loop_coefficient(x, n, T % 6, loop) > copies:
+            if alpha > copies:
                 peel = (ray, cycle, copies)
                 break
     if peel is None:

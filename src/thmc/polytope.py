@@ -6,6 +6,15 @@ homogenization, from one run).  Rays and facet normals are kept as primitive
 integer vectors; vertices as rational tuples.  Inequalities are a.x >= b and
 are scaled only by positive rationals, so orientation is preserved;
 equations e.x = f are sign-normalized to a positive leading entry.
+
+Before a hull, a midpoint sieve drops every input point p with 2p = a + b
+for two other input points a != b.  Such a p is interior to the segment
+from a to b, so it is never extreme in conv(points) + cone(rays).  The
+points kept include every vertex and span the same affine hull, so the
+facets and the equations come out the same, in the same canonical order.
+Double description inserts one dual inequality per generator; for the
+three-state model the sieve leaves just the vertices (45 of 123 distinct
+columns at T = 9, 54 of 5,328 at T = 36).
 """
 
 from __future__ import annotations
@@ -13,6 +22,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm, prod
+from operator import mul
 from typing import Sequence
 
 from .exactla import independent_rows, nullspace_int, primitive, rref
@@ -100,15 +111,14 @@ class VPolyhedron:
 # Double description core
 
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
 def dd_pointed_cone(ineqs: list[IntVec], dim: int) -> list[tuple[IntVec, int]]:
     """Extreme rays of the pointed cone {x : a.x >= 0 for a in ineqs}.
 
     Raises ValueError unless rank(ineqs) == dim (pointedness).  Returns (ray,
     tight_mask) pairs where bit j of tight_mask marks a.x = 0 for ineqs[j].
+    The inequalities are inserted in their given order; a positive and a
+    negative ray combine when they share dim - 2 tight inequalities and no
+    third ray is tight on all of them (the combinatorial adjacency test).
     """
     base_idx = independent_rows(ineqs)
     if len(base_idx) < dim:
@@ -117,44 +127,40 @@ def dd_pointed_cone(ineqs: list[IntVec], dim: int) -> list[tuple[IntVec, int]]:
     # reduced row echelon form [I | base^{-1}] of [base | I]
     unit = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     inverse, _ = rref([ineqs[i] + e for i, e in zip(base_idx, unit)])
-    cols = [primitive([row[dim + j] for row in inverse]) for j in range(dim)]
+    base_mask = sum(1 << i for i in base_idx)
+    rays = [
+        (primitive([row[dim + j] for row in inverse]), base_mask & ~(1 << i))
+        for j, i in enumerate(base_idx)
+    ]
     base_set = set(base_idx)
-    rays: list[tuple[IntVec, int]] = []
-    for j, ray in enumerate(cols):
-        mask = 0
-        for pos, i in enumerate(base_idx):
-            if pos != j:
-                mask |= 1 << i
-        rays.append((ray, mask))
     for t, a in enumerate(ineqs):
         if t in base_set:
             continue
-        vals = [sum(ai * ri for ai, ri in zip(a, r)) for r, _ in rays]
-        if all(v >= 0 for v in vals):
-            rays = [
-                (r, m | (1 << t) if v == 0 else m)
-                for (r, m), v in zip(rays, vals)
-            ]
-            continue
-        pos = [(r, m, v) for (r, m), v in zip(rays, vals) if v > 0]
-        zero = [(r, m | (1 << t)) for (r, m), v in zip(rays, vals) if v == 0]
-        neg = [(r, m, v) for (r, m), v in zip(rays, vals) if v < 0]
-        masks = [m for _, m in rays]
-        new: list[tuple[IntVec, int]] = []
-        for rp, mp, vp in pos:
-            for rn, mn, vn in neg:
-                common = mp & mn
-                if _popcount(common) < dim - 2:
-                    continue
-                if any(
-                    (m & common) == common and m != mp and m != mn for m in masks
-                ):
-                    continue
-                combo = primitive(
-                    tuple(vp * bn - vn * bp for bp, bn in zip(rp, rn))
-                )
-                new.append((combo, common | (1 << t)))
-        rays = [(r, m) for r, m, _ in pos] + zero + new
+        bit = 1 << t
+        pos, zero, neg = [], [], []
+        for r, m in rays:
+            v = sum(map(mul, a, r))
+            if v > 0:
+                pos.append((r, m, v))
+            elif v < 0:
+                neg.append((r, m, v))
+            else:
+                zero.append((r, m | bit))
+        if neg:
+            masks = [m for _, m in rays]
+            for rp, mp, vp in pos:
+                for rn, mn, vn in neg:
+                    common = mp & mn
+                    if common.bit_count() < dim - 2:
+                        continue
+                    for m in masks:
+                        if m & common == common and m != mp and m != mn:
+                            break
+                    else:
+                        combo = [vp * bn - vn * bp for bp, bn in zip(rp, rn)]
+                        g = gcd(*combo)
+                        zero.append((tuple(c // g for c in combo), common | bit))
+        rays = [(r, m) for r, m, _ in pos] + zero
     return sorted(rays)
 
 
@@ -193,6 +199,31 @@ def cone_extreme_rays(
 # Hull and vertex enumeration
 
 
+def _drop_midpoints(points: list[tuple]) -> list[tuple]:
+    """The distinct, lexicographically sorted points less every p with
+    2p = a + b for two other points a != b (module docstring), in order.
+
+    The points are scaled by their common denominator to integers, and a
+    vector is one integer key in mixed radix 3w_i + 1, w_i the spread of
+    coordinate i.  Coordinate i of 2p - a and of every point lies in one
+    window of 3w_i + 1 integers, so 2k_p - k_a, the key of 2p - a, is the
+    key of a point b only if 2p - a = b.  Of a pair with a + b = 2p, one of
+    a and b comes before p, so p is tested against the points before it,
+    nearest first, and the test stops at the first pair.
+    """
+    den = lcm(*(c.denominator for p in points for c in p))
+    scaled = [[int(c * den) for c in p] for p in points]
+    radix = [3 * (max(col) - min(col)) + 1 for col in zip(*scaled)]
+    weights = [prod(radix[i + 1 :]) for i in range(len(radix))]
+    keys = [sum(map(mul, weights, x)) for x in scaled]
+    present = set(keys)
+    return [
+        p
+        for i, (p, k) in enumerate(zip(points, keys))
+        if present.isdisjoint(map((2 * k).__sub__, reversed(keys[:i])))
+    ]
+
+
 def convex_hull(
     points: Sequence[Sequence[int | Fraction]],
     rays: Sequence[Sequence[int | Fraction]] = (),
@@ -202,8 +233,10 @@ def convex_hull(
         raise ValueError("need at least one point")
     dim = len(points[0])
     uniq_rays = sorted(set(primitive(r) for r in rays))
-    # homogenized generators (1, p) and (0, r), scaled to integers row-wise
-    gens = [primitive((1, *p)) for p in sorted(set(map(tuple, points)))]
+    # homogenized generators (1, p) and (0, r), scaled to integers row-wise;
+    # a midpoint of two other points is never extreme
+    kept = _drop_midpoints(sorted(set(map(tuple, points))))
+    gens = [primitive((1, *p)) for p in kept]
     gens += [(0,) + r for r in uniq_rays]
     # equations of the hull = kernel of the generator matrix; the pointed
     # part of the dual cone {y : g.y >= 0} lives in its orthogonal complement

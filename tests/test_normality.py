@@ -14,7 +14,7 @@ from thmc.facets import LOOP_RAYS, q_polyhedron, q_vertices
 from thmc.normality import (
     _compositions,
     _glue,
-    _max_loop_coefficient,
+    _max_loop_coefficients,
     _projections,
     check_normality,
     s4_nonnormality_probe,
@@ -381,8 +381,8 @@ class TestGlue:
 
 
 class TestMaxLoopCoefficient:
-    """The loop coefficient read off the 24 facets of Q^r, against an LP over
-    the vertices of Q^r and the loop rays, and against its own certificate."""
+    """The loop coefficients read off the 24 facets of Q^r, against an LP over
+    the vertices of Q^r and the loop rays, and against their own certificates."""
 
     @staticmethod
     def points(count=60):
@@ -405,6 +405,7 @@ class TestMaxLoopCoefficient:
             verts = q_vertices(r).vertices
             cols = [[float(n * c) for c in v] + [1.0] for v in verts]
             cols += [list(map(float, e)) + [0.0] for e in LOOP_RAYS.values()]
+            alphas = _max_loop_coefficients(x, n, r)
             for k, loop in enumerate(LOOP_RAYS):
                 cost = [0.0] * len(cols)
                 cost[len(verts) + k] = -1.0
@@ -416,7 +417,7 @@ class TestMaxLoopCoefficient:
                     method="highs",
                 )
                 assert res.status == 0, (x, n, r, loop)
-                alpha = _max_loop_coefficient(x, n, r, loop)
+                alpha = alphas[k]
                 assert abs(float(alpha) + res.fun) <= 1e-9, (x, n, r, loop, alpha, res.fun)
 
     def test_exact_certificate(self):
@@ -424,8 +425,9 @@ class TestMaxLoopCoefficient:
         dot = lambda c, v: sum(p * q for p, q in zip(c, v))
         for x, n, r in self.points():
             ineqs = q_polyhedron(r).inequalities
-            for loop, e in LOOP_RAYS.items():
-                alpha = _max_loop_coefficient(x, n, r, loop)
+            alphas = _max_loop_coefficients(x, n, r)
+            for alpha, e in zip(alphas, LOOP_RAYS.values()):
+                assert type(alpha) is Fraction
                 y = [a - alpha * b for a, b in zip(x, e)]
                 assert all(dot(c, y) >= n * a for c, a in ineqs)
                 assert any(dot(c, e) > 0 and dot(c, y) == n * a for c, a in ineqs)
@@ -436,7 +438,7 @@ class TestMaxLoopCoefficient:
     )
     def test_outside_raises(self, x, loop):
         with pytest.raises(ValueError, match="outside the dilated residue polyhedron"):
-            _max_loop_coefficient(x, 1, 13 % 6, loop)
+            _max_loop_coefficients(x, 1, 13 % 6)[list(LOOP_RAYS).index(loop)]
 
 
 class TestS4Probe:

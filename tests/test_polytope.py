@@ -1,15 +1,21 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
-from oracles import contains, membership, recession_rays
-from thmc.design import get_design
+import thmc.polytope
+from oracles import contains, in_convex_hull, membership, recession_rays
+from thmc.design import column_table, get_design
+from thmc.facets import LOOP_RAYS, model_hull, q_polyhedron, q_vertices
+from thmc.normality import _projections
 from thmc.polytope import (
     HPolyhedron,
     InfeasibleSystemError,
     VPolyhedron,
+    _drop_midpoints,
     canonical_equation,
     canonical_inequality,
     cone_extreme_rays,
@@ -209,3 +215,105 @@ class TestRayMembership:
         assert not contains(H, outside)
         inside = tuple(o + r for o, r in zip(origin, ray))
         assert membership(inside, V) and contains(H, inside)
+
+
+def _column_sets():
+    """The hull inputs of the model: the distinct columns at S = 3 (with
+    their k-prefixes, the projection hulls' inputs), S = 2 and S = 4."""
+    sets = {}
+    for T in range(3, 13):
+        for k in (1, 2, 3, 4, 6):
+            sets[f"S3-T{T}-k{k}"] = sorted({c[:k] for c in column_table(3, T)})
+    for T in range(3, 9):
+        sets[f"S2-T{T}"] = sorted(column_table(2, T))
+    for T in range(3, 6):
+        sets[f"S4-T{T}"] = sorted(column_table(4, T))
+    return [pytest.param(name, points, id=name) for name, points in sets.items()]
+
+
+class TestMidpointSieve:
+    @pytest.mark.parametrize("name, points", _column_sets())
+    def test_drops_only_midpoints_and_keeps_every_vertex(self, name, points):
+        kept = _drop_midpoints(points)
+        dropped = sorted(set(points) - set(kept))
+        assert kept == [p for p in points if p not in dropped]
+        # each dropped point is the midpoint of two other points, found by a
+        # plain pair scan in Python integers
+        present = set(points)
+        for p in dropped:
+            assert any(
+                tuple(2 * c - d for c, d in zip(p, a)) in present
+                for a in points
+                if a != p
+            ), p
+        if name.startswith("S4") and name != "S4-T3":
+            # vertex enumeration of these 11-polytopes ran past ten minutes
+            # at T = 4: decide each dropped point by an LP over the others
+            for p in dropped:
+                assert in_convex_hull([a for a in points if a != p], p) is not None
+        else:
+            V = vertex_enumeration(convex_hull(points))
+            assert set(V.vertices) <= {tuple(map(Fraction, p)) for p in kept}
+
+    @pytest.mark.parametrize(
+        "T, survivors", [(6, 24), (7, 41), (8, 42), (9, 45), (12, 54), (24, 54), (36, 54)]
+    )
+    def test_three_state_survivors_are_the_vertices(self, T, survivors):
+        assert len(_drop_midpoints(sorted(column_table(3, T)))) == survivors
+
+    @pytest.mark.parametrize("r", range(6))
+    def test_residue_polyhedron_from_rational_vertices_and_loops(self, r):
+        V = q_vertices(r)
+        assert convex_hull(V.vertices, rays=LOOP_RAYS.values()) == q_polyhedron(r)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_added_midpoints_leave_the_hull_unchanged(self, seed, monkeypatch):
+        rng = random.Random(seed)
+        dim = rng.randint(2, 5)
+        pts = [tuple(rng.randint(-4, 4) for _ in range(dim)) for _ in range(10)]
+        # midpoints of random pairs, rational where the pair's sum is odd
+        mids = [
+            tuple(Fraction(a + b, 2) for a, b in zip(p, q))
+            for p, q in rng.sample(list(combinations(pts, 2)), 15)
+        ]
+        rays = [tuple(rng.randint(0, 2) for _ in range(dim))] if seed % 2 else []
+        H = convex_hull(pts, rays)
+        assert convex_hull(pts + mids, rays).to_json() == H.to_json()
+        # and with no sieve at all
+        monkeypatch.setattr(thmc.polytope, "_drop_midpoints", lambda points: points)
+        assert convex_hull(pts + mids, rays).to_json() == H.to_json()
+        assert convex_hull(pts, rays) == H
+
+    def test_keys_past_int64(self):
+        pts = [(0, 5), (2**62, 5), (2**63, 5), (2**63, 2**70)]
+        assert _drop_midpoints(pts) == [(0, 5), (2**63, 5), (2**63, 2**70)]
+
+
+def _digest(chunks) -> str:
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk.encode() + b"\n")
+    return h.hexdigest()
+
+
+class TestHullRegression:
+    """sha256 digests of the model's hulls, computed before the midpoint sieve
+    and the double-description rewrite: both must leave every byte as it was."""
+
+    def test_model_hulls(self):
+        digest = _digest(model_hull(T, 3).to_json() for T in range(3, 26))
+        assert digest == "e1b3efc6a201d09c573c0d4961cd169ff5f6a0c657559841d2b231c8db745f5f"
+
+    def test_projection_rows(self):
+        digest = _digest(
+            json.dumps([[A.tolist(), b.tolist()] for A, b in _projections(T, 3)])
+            for T in range(3, 13)
+        )
+        assert digest == "180cfd21e28e75639816724abbe3c9daaf49626c35f8313be864f27a8be9bd40"
+
+    def test_residue_vertices(self):
+        digest = _digest(
+            json.dumps([[[str(c) for c in v] for v in V.vertices], V.rays])
+            for V in map(q_vertices, range(6))
+        )
+        assert digest == "1e9115fc38f338120b64b93f4169b2395cb4451886a6586303000381454b7d77"
