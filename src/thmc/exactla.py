@@ -3,12 +3,12 @@
 Everything here is arbitrary precision: rationals are `fractions.Fraction`,
 matrices are plain lists of rows.  No floating point.  One Gaussian
 elimination, `rref`, answers every question about rank, kernels, independent
-rows and inverses; it scales rows to integers and eliminates fraction-free,
-so the only rationals it makes are its reduced rows.  The one linear program
-is cone membership, a feasibility question answered by `simplex_standard`,
-phase 1 of a fraction-free integer tableau simplex.  The library certifies
-cone membership by words instead; the simplex serves the test oracles and
-the benchmark harness.
+rows and inverses; it scales rows to integers, eliminates fraction-free and
+returns integer rows, each a multiple of its reduced row, so it makes no
+rationals at all.  The one linear program is cone membership, a feasibility
+question answered by `simplex_standard`, phase 1 of a fraction-free integer
+tableau simplex.  The library certifies cone membership by words instead;
+the simplex serves the test oracles and the benchmark harness.
 """
 
 from __future__ import annotations
@@ -21,23 +21,26 @@ Vec = Sequence[int | Fraction]
 
 
 def _integer_row(row: Iterable[int | Fraction]) -> list[int]:
-    """row scaled by the lcm of its denominators (ints have denominator 1)."""
+    """row scaled by the lcm of its denominators; a row of ints as it is."""
     row = list(row)
+    if all(type(e) is int for e in row):
+        return row
     den = lcm(*(e.denominator for e in row))
     if den == 1:
         return [int(e) for e in row]
     return [int(e.numerator) * (den // int(e.denominator)) for e in row]
 
 
-def rref(M: Iterable[Vec]) -> tuple[list[list[Fraction]], list[int]]:
-    """Nonzero rows of the reduced row echelon form of M, and their pivot
-    columns, by fraction-free Gauss-Jordan elimination.
+def rref(M: Iterable[Vec]) -> tuple[list[list[int]], list[int]]:
+    """Nonzero rows of the reduced row echelon form of M, each an integer
+    multiple of its reduced row, and their pivot columns, by fraction-free
+    Gauss-Jordan elimination.
 
     Each row is scaled to integers by the lcm of its denominators, which does
     not change the reduced form.  Eliminating a column sets every other row to
     p*row - f*pivot_row, p the pivot and f the row's entry, and divides the
-    result by the gcd of its entries; each pivot row is divided by its pivot
-    once at the end.  Every intermediate value is an integer.
+    result by the gcd of its entries.  Every value is an integer: row i is
+    its reduced row times its pivot row_i[pivots[i]], which need not be 1.
     """
     rows = [_integer_row(row) for row in M]
     pivots: list[int] = []
@@ -58,33 +61,12 @@ def rref(M: Iterable[Vec]) -> tuple[list[list[Fraction]], list[int]]:
                 g = gcd(*new)
                 rows[i] = [a // g for a in new] if g > 1 else new
         pivots.append(col)
-    return [
-        [Fraction(a, row[c]) for a in row] for row, c in zip(rows, pivots)
-    ], pivots
+    return rows[: len(pivots)], pivots
 
 
 def mat_rank(M: Iterable[Vec]) -> int:
     """Exact rank over the rationals."""
     return len(rref(M)[1])
-
-
-def nullspace(M: Iterable[Vec]) -> list[tuple[Fraction, ...]]:
-    """Basis of the right kernel {x : M x = 0}, over the rationals: one
-    vector per non-pivot column of the reduced row echelon form."""
-    M = list(M)
-    if not M:
-        return []
-    rows, pivots = rref(M)
-    basis = []
-    for fc in range(len(M[0])):
-        if fc in pivots:
-            continue
-        v = [Fraction(0)] * len(M[0])
-        v[fc] = Fraction(1)
-        for row, pc in zip(rows, pivots):
-            v[pc] = -row[fc]
-        basis.append(tuple(v))
-    return basis
 
 
 def primitive(v: Sequence[int | Fraction]) -> tuple[int, ...]:
@@ -95,8 +77,30 @@ def primitive(v: Sequence[int | Fraction]) -> tuple[int, ...]:
 
 
 def nullspace_int(M: Iterable[Vec]) -> list[tuple[int, ...]]:
-    """Integer primitive basis of the right kernel."""
-    return [primitive(v) for v in nullspace(M)]
+    """Integer primitive basis of the right kernel {x : M x = 0}: one vector
+    per non-pivot column fc of the reduced row echelon form, with x_fc = 1
+    and x_pc = -(reduced row's entry at fc) at each pivot column pc.
+
+    That vector is scaled by L, the lcm of the |pivots| of `rref`'s integer
+    rows, so entry pc is -row[fc] * (L // pivot); a positive scale leaves
+    the primitive vector unchanged.
+    """
+    M = list(M)
+    if not M:
+        return []
+    rows, pivots = rref(M)
+    heads = [row[c] for row, c in zip(rows, pivots)]
+    L = lcm(*heads)
+    basis = []
+    for fc in range(len(M[0])):
+        if fc in pivots:
+            continue
+        v = [0] * len(M[0])
+        v[fc] = L
+        for row, pc, p in zip(rows, pivots, heads):
+            v[pc] = -row[fc] * (L // p)
+        basis.append(primitive(v))
+    return basis
 
 
 def independent_rows(M: Sequence[Vec]) -> list[int]:

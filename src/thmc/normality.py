@@ -116,11 +116,14 @@ def saturation_points(
     grow one coordinate at a time: each prefix y of length k-1 takes every
     integer x_k with (y, x_k) in nP_k (`_projections`), whose range is read
     off the rows a.x >= n*b as exact integer ceilings and floors, and the
-    sum fixes the last coordinate.  Every point is re-checked against the
-    hull's inequalities and equations in int64, so a wrong projection raises
-    AssertionError and never returns a point outside nP.  The cap bounds the
-    rows of every level, so it bounds the points: a level that would exceed
-    it raises CapExceededError before it is built.
+    sum fixes the last coordinate.  The ranges come from one int64 product
+    of a block of prefixes with the level's rows, the blocks sized so that
+    no temporary holds more than about 2^16 entries.  Every point is
+    re-checked against the hull's inequalities and equations in int64, by
+    the same blocked product, so a wrong projection raises AssertionError
+    and never returns a point outside nP.  The cap bounds the rows of every
+    level, so it bounds the points: a level that would exceed it raises
+    CapExceededError before it is built.
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
@@ -139,16 +142,16 @@ def saturation_points(
     for A, b in levels:
         k = A.shape[1]
         # every coordinate of nP lies in [0, total]; each row a.(y, t) >= n*b
-        # with a_k != 0 bounds t by a_k * t >= rest, one row at a time so no
-        # temporary grows past one entry per prefix
-        lo = np.zeros(len(X), dtype=np.int64)
-        hi = np.full(len(X), total, dtype=np.int64)
-        for a, rhs in zip(A, b):
-            rest = n * rhs - X @ a[:-1]
-            if a[-1] > 0:
-                np.maximum(lo, -(-rest // a[-1]), out=lo)
-            elif a[-1] < 0:
-                np.minimum(hi, rest // a[-1], out=hi)
+        # with a_k != 0 bounds t by a_k * t >= rest, read off one product
+        # per block of prefixes with no more than about 2^16 entries
+        up, down = A[:, -1] > 0, A[:, -1] < 0
+        lo = np.empty(len(X), dtype=np.int64)
+        hi = np.empty(len(X), dtype=np.int64)
+        step = max(1, 2**16 // len(A))
+        for s in range(0, len(X), step):
+            rest = n * b - X[s : s + step] @ A[:, :-1].T
+            lo[s : s + step] = (-(-rest[:, up] // A[up, -1])).max(axis=1, initial=0)
+            hi[s : s + step] = (rest[:, down] // A[down, -1]).min(axis=1, initial=total)
         width = np.maximum(hi - lo + 1, 0)
         rows = int(width.sum())
         if rows > cap:
@@ -160,8 +163,9 @@ def saturation_points(
         t = np.arange(rows) - np.repeat(np.cumsum(width) - width - lo, width)
         X = np.column_stack((np.repeat(X, width, axis=0), t))
     X = np.column_stack((X, total - X.sum(axis=1)))
-    for a, rhs in zip(normals, offsets):
-        if (X @ a < n * rhs).any():
+    step = max(1, 2**16 // len(normals))
+    for s in range(0, len(X), step):
+        if (X[s : s + step] @ normals.T < n * offsets).any():
             raise AssertionError(f"a projection of {n}P let a point outside {n}P through")
     return X
 
@@ -179,14 +183,21 @@ def check_normality(
     The failures are the points of nP missing from S_n, in point order.  A
     vector is one int64 key in base n_max(T-1)+1: no coordinate reaches the
     base, so the key of a sum is the sum of the keys and key order is point
-    order.  S_n is np.unique of the key sums of S_{n-1} and the columns, and
-    keeps one parent per key, a key of S_{n-1} and a column.  Walking the
-    parents back gives each point of S_n its columns, and `column_table` each
-    column its least word without listing words.  Each is recounted once, its
-    transition counts and its length, and one int64 step per degree re-checks
-    every witness: n words of length T whose counts sum to the point.  A
-    wrong word raises AssertionError naming the point, never a pass.  The
-    word lists are built only when keep_witnesses asks for them.
+    order.  `saturation_points` lists nP in that order, and every key sum of
+    S_{n-1} and a column lies in nP, so one np.searchsorted maps each sum to
+    its point; a sum that is no point's key raises AssertionError.  Each
+    point keeps the least flat index i*C + c of a sum that reaches it, i a
+    key of S_{n-1} and c one of the C columns: its parent.  S_n is the
+    points reached, already sorted, and the least index is the first
+    occurrence, so the parents are those of a sorted unique of the sums.
+    Besides the points and the parents, the sumset holds one int64 per point
+    and one block of sums.  Walking the parents back gives each point of S_n
+    its columns, and `column_table` each column its least word without
+    listing words.  Each is recounted once, its transition counts and its
+    length, and one int64 step per degree re-checks every witness: n words
+    of length T whose counts sum to the point.  A wrong word raises
+    AssertionError naming the point, never a pass.  The word lists are
+    built only when keep_witnesses asks for them.
 
     With d = dim P, every lattice point of (c+1)P is one of cP plus one of P
     once c >= d-1 (Bruns, Gubeladze & Trung 1997, J. reine angew. Math. 485,
@@ -223,27 +234,31 @@ def check_normality(
     failures = []
     witnesses = {}
     points_checked = sums = 0
+    C = len(col_keys)
     for n in range(1, n_max + 1):
-        # the key sums of S_{n-1} and the columns, 2^15 at a time, each block's
-        # distinct sums kept with their first index
-        rows = range(0, len(keys), max(1, 2**15 // len(col_keys)))
-        blocks = [
-            np.unique((keys[r : r + rows.step, None] + col_keys).ravel(), return_index=True)
-            for r in rows
-        ]
-        sums += len(keys) * len(col_keys)
-        keys, first = np.unique(np.concatenate([u for u, _ in blocks]), return_index=True)
-        flat = np.concatenate([i + r * len(col_keys) for (_, i), r in zip(blocks, rows)])
-        parents.append(np.divmod(flat[first], len(col_keys)))
-        del blocks, flat, first
         X = points.pop(n)
         points_checked += len(X)
         point_keys = X @ weights
-        hit = np.isin(point_keys, keys)
-        # S_n lies in nP, so every key of S_n is one of the points
-        assert hit.sum() == len(keys), "a sum of columns lies outside nP"
+        # each point's least flat index i*C + c over the key sums of S_{n-1}'s
+        # i-th key and column c, 2^15 sums at a time; no sum has an index of
+        # len(keys) * C, which marks the points that no sum reaches
+        unreached = len(keys) * C
+        first = np.full(len(X), unreached, dtype=np.int64)
+        step = max(1, 2**15 // C)
+        for r in range(0, len(keys), step):
+            block = (keys[r : r + step, None] + col_keys).ravel()
+            at = np.searchsorted(point_keys, block)
+            np.minimum(at, len(X) - 1, out=at)
+            # S_n lies in nP, so every key sum is one of the points
+            if (point_keys[at] != block).any():
+                raise AssertionError("a sum of columns lies outside nP")
+            np.minimum.at(first, at, np.arange(r * C, r * C + len(block)))
+        sums += len(keys) * C
+        hit = first != unreached
+        keys = point_keys[hit]
+        parents.append(np.divmod(first[hit], C))
         failures += [{"x": x, "n": n} for x in X[~hit].tolist()]
-        at = np.searchsorted(keys, point_keys[hit])
+        at = np.arange(len(keys))
         picks = np.empty((len(at), n), dtype=np.int64)
         for k, (parent, column) in enumerate(reversed(parents)):
             picks[:, k] = column[at]

@@ -124,12 +124,19 @@ def dd_pointed_cone(ineqs: list[IntVec], dim: int) -> list[tuple[IntVec, int]]:
     if len(base_idx) < dim:
         raise ValueError("cone is not pointed (it contains a line)")
     # rays of the simplicial base cone: columns of base^{-1}, read off the
-    # reduced row echelon form [I | base^{-1}] of [base | I]
+    # reduced row echelon form [I | base^{-1}] of [base | I]; rref's row i is
+    # that row times its pivot p_i, so L // p_i (L the lcm of the |p_i|)
+    # scales column j to L times column j of base^{-1}
     unit = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     inverse, _ = rref([ineqs[i] + e for i, e in zip(base_idx, unit)])
+    L = lcm(*(row[i] for i, row in enumerate(inverse)))
+    scales = [L // row[i] for i, row in enumerate(inverse)]
     base_mask = sum(1 << i for i in base_idx)
     rays = [
-        (primitive([row[dim + j] for row in inverse]), base_mask & ~(1 << i))
+        (
+            primitive([row[dim + j] * s for row, s in zip(inverse, scales)]),
+            base_mask & ~(1 << i),
+        )
         for j, i in enumerate(base_idx)
     ]
     base_set = set(base_idx)

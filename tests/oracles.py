@@ -17,7 +17,10 @@ the plain recursion below, the points after filtering every composition by
 the hull.  The library's fiber walk and exact test step a count vector and
 update the statistic from each accepted move; `tuple_walk` and
 `rescored_test` apply each move to the sorted table with `Move.apply` and
-score every changed kept table in full.
+score every changed kept table in full.  The library eliminates
+fraction-free and reads ranks, kernels and inverses off integer rows;
+`fraction_rref` and `fraction_nullspace` are the textbook Gauss-Jordan
+over `Fraction`s, each pivot scaled to 1 before it eliminates.
 """
 
 import math
@@ -69,6 +72,48 @@ def in_convex_hull(
 ) -> Optional[dict[int, Fraction]]:
     """Witness of x in conv(columns) (convex combination), else None."""
     return simplex_standard([tuple(col) + (1,) for col in columns], tuple(x) + (1,))
+
+
+def fraction_rref(
+    M: Sequence[Sequence[int | Fraction]],
+) -> tuple[list[list[Fraction]], list[int]]:
+    """Nonzero rows of the reduced row echelon form of M and their pivot
+    columns, by Gauss-Jordan elimination in Fractions."""
+    rows = [[Fraction(e) for e in row] for row in M]
+    pivots: list[int] = []
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [e / rows[r][col] for e in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                rows[i] = [a - row[col] * b for a, b in zip(row, rows[r])]
+        pivots.append(col)
+    return rows[: len(pivots)], pivots
+
+
+def fraction_nullspace(
+    M: Sequence[Sequence[int | Fraction]],
+) -> list[tuple[Fraction, ...]]:
+    """Basis of the right kernel of M: one vector per non-pivot column fc of
+    the reduced form, 1 at fc and minus the reduced rows' entries at fc on
+    the pivot columns."""
+    if not M:
+        return []
+    rows, pivots = fraction_rref(M)
+    basis = []
+    for fc in range(len(M[0])):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * len(M[0])
+        v[fc] = Fraction(1)
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[fc]
+        basis.append(tuple(v))
+    return basis
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

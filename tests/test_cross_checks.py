@@ -95,7 +95,9 @@ class TestEliminationAgainstSympy:
             rows, pivots = rref(M)
             R, sympy_pivots = Matrix([[Rational(e) for e in row] for row in M]).rref()
             assert pivots == list(sympy_pivots)
-            assert rows == [
+            # each integer row divided by its pivot is the reduced row
+            reduced = [[Fraction(a, row[c]) for a in row] for row, c in zip(rows, pivots)]
+            assert reduced == [
                 [Fraction(int(e.p), int(e.q)) for e in R.row(i)]
                 for i in range(len(pivots))
             ]

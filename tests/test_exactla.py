@@ -5,12 +5,12 @@ from thmc.exactla import (
     IntegerLattice,
     independent_rows,
     mat_rank,
-    nullspace,
     nullspace_int,
     primitive,
     simplex_standard,
 )
-from oracles import in_convex_hull
+from thmc.polytope import dd_pointed_cone
+from oracles import fraction_nullspace, fraction_rref, in_convex_hull
 
 
 class TestRank:
@@ -51,11 +51,11 @@ class TestNullspace:
         for _ in range(25):
             r, c = rng.randint(1, 4), rng.randint(2, 6)
             M = [[rng.randint(-4, 4) for _ in range(c)] for _ in range(r)]
-            basis = nullspace(M)
+            basis = nullspace_int(M)
             assert len(basis) == c - mat_rank(M)
             for v in basis:
                 for row in M:
-                    assert sum(a *ب for a, ب in zip(row, v)) == 0
+                    assert sum(a * b for a, b in zip(row, v)) == 0
 
     def test_nullspace_int_primitive(self):
         M = [[2, 4, 6]]
@@ -166,3 +166,65 @@ class TestHelpers:
                 if mat_rank([M[j] for j in greedy] + [row]) > len(greedy):
                     greedy.append(i)
             assert independent_rows(M) == greedy
+
+
+def _random_matrices(seed, count):
+    """Seeded integer and Fraction matrices, half of them rank-deficient by
+    construction (a row combining two others, a zero row or a zero column)."""
+    rng = random.Random(seed)
+    for trial in range(count):
+        r, c = rng.randint(1, 6), rng.randint(1, 7)
+        if trial % 2:
+            M = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(c)]
+                 for _ in range(r)]
+        else:
+            M = [[rng.randint(-5, 5) for _ in range(c)] for _ in range(r)]
+        kind = trial % 6
+        if kind == 1 and r > 2:
+            M[2] = [2 * a - 3 * b for a, b in zip(M[0], M[1])]
+        elif kind == 3:
+            M[rng.randrange(r)] = [0] * c
+        elif kind == 5:
+            zero = rng.randrange(c)
+            M = [row[:zero] + [0] + row[zero + 1 :] for row in M]
+        yield M
+
+
+class TestAgainstFractionElimination:
+    """The integer elimination against Gauss-Jordan in Fractions."""
+
+    def test_rank_kernel_and_independent_rows(self):
+        for M in _random_matrices(23, 120):
+            _, pivots = fraction_rref(M)
+            assert mat_rank(M) == len(pivots)
+            assert nullspace_int(M) == [primitive(v) for v in fraction_nullspace(M)]
+            assert independent_rows(M) == fraction_rref(list(zip(*M)))[1]
+
+    def test_integer_rows_are_multiples_of_the_reduced_rows(self):
+        from thmc.exactla import rref
+
+        for M in _random_matrices(29, 120):
+            rows, pivots = rref(M)
+            reduced, fraction_pivots = fraction_rref(M)
+            assert pivots == fraction_pivots
+            assert all(type(e) is int for row in rows for e in row)
+            for row, c, red in zip(rows, pivots, reduced):
+                assert [Fraction(a, row[c]) for a in row] == red
+
+    def test_base_rays_are_the_inverse_columns(self):
+        # a simplicial cone is its own base: its rays are the primitive
+        # columns of the inverse, each tight on every other inequality
+        rng = random.Random(31)
+        for _ in range(60):
+            dim = rng.randint(1, 6)
+            B = [tuple(rng.randint(-6, 6) for _ in range(dim)) for _ in range(dim)]
+            if mat_rank(B) < dim:
+                continue
+            unit = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+            inverse, _ = fraction_rref([b + e for b, e in zip(B, unit)])
+            full = (1 << dim) - 1
+            expected = sorted(
+                (primitive([row[dim + j] for row in inverse]), full & ~(1 << j))
+                for j in range(dim)
+            )
+            assert dd_pointed_cone(B, dim) == expected

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 import sys
 from collections import Counter
@@ -259,6 +260,103 @@ class TestCheckNormality:
         monkeypatch.setattr(thmc.normality, "model_hull", hull)
         with pytest.raises(CapExceededError, match="exceeds cap 2\\^63"):
             check_normality(3, 2, S=7)
+
+    # sha256 digests computed before the sumset was indexed by the points:
+    # the reports, the witness words and the four-state holes stay the same
+    REPORT_DIGESTS = {
+        3: "7db3c9394cb051ca771453ecc380779e7985c960f877e621ce07c044f02989c2",
+        4: "8cde6741358f7db024f1ca93b001cc26d78252c6adbe6da71d23428c15aafd81",
+        5: "4df030fe4c7156dfb5ee3233a4c08071d7fbe200978c31ced5f89249069714f0",
+        6: "60b83f57b4c849c5287fbfcc152b788f2dfd6ad9210556a2d79da32d419b0e15",
+        7: "99164ac7599605fd2fd8ce2d53bc5c802f37cb7f00e7b019ae4d97d830e0d809",
+        8: "468d0838632cb49f6f7cc80ec4705429a9a735bd8e0cbb100c621ba801ac1566",
+        9: "bc255ae4b8f73a157511b5c5dd4d499bf503f807da70034eff7fe1130b6424fe",
+        10: "18e29dc1f90278d61b7b9015c346961f743d7a50f7ae10d748017a90dc98eb43",
+        11: "ea7cb0fd3ecc01a547e5c55415db2dd7fe37b31105bafcc10ce0af51fa761d09",
+        12: "b2a62d81a4201f8d985a2109d7dfa7d568a51015867a7350adaf3b17fdbc45ff",
+    }
+    WORDS_DIGESTS = {
+        5: "54fc01f74dce0c6de3716ed0ab5da58f28e9ac5123922689f6e045a209aada66",
+        8: "8f665abfea3385004ded8c7210a9c08248a226a0ec4a28a1e5eb8812da66317c",
+        12: "4c9c024f567cf4944f784a2470fb63ba85d9d1b42dfcf2f36136dbe78e3bf737",
+    }
+
+    @pytest.mark.parametrize("T", range(3, 13))
+    def test_report_bytes_are_pinned(self, T):
+        text = json.dumps(check_normality(T, 4), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.REPORT_DIGESTS[T]
+
+    @pytest.mark.parametrize("T", [5, 8, 12])
+    def test_witness_words_are_pinned(self, T, tmp_path):
+        args = ["normality", "-T", str(T), "--n-max", "4", "--witnesses"]
+        assert main(args + ["--out-dir", str(tmp_path)]) == 0
+        data = (tmp_path / f"normality-witnesses-T{T}.words").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == self.WORDS_DIGESTS[T]
+
+    def test_four_state_failures_are_pinned(self):
+        text = json.dumps(check_normality(4, 2, S=4)["failures"], sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "9067c1986ea874fbe0e2bf909c830490255bbe6b0b62b198a0e2dfc76bcab49e"
+        )
+
+    @staticmethod
+    def _patch_columns(monkeypatch, T, table):
+        # the columns change, the projections of P (built from the true
+        # columns) do not
+        import thmc.normality
+
+        levels = _projections(T, 3)
+        monkeypatch.setattr(thmc.normality, "_projections", lambda T, S: levels)
+        monkeypatch.setattr(thmc.normality, "column_table", lambda S, T: table)
+
+    @pytest.mark.parametrize("where", ["past-the-last-point", "between-two-points"])
+    def test_column_outside_P_raises(self, where, monkeypatch):
+        # a sum outside nP must raise the sumset's own AssertionError, not an
+        # IndexError from an index past the last point
+        from oracles import compositions
+
+        T = 5
+        table = dict(column_table(3, T))
+        points = point_tuples(T, 1)
+        if where == "past-the-last-point":
+            x = (T - 1, 0, 0, 0, 0, 0)
+            assert x > points[-1]
+        else:
+            x = next(x for x in compositions(T - 1, 6) if points[0] < x < points[-1]
+                     and x not in table)
+        table[x] = next(iter(table.values()))
+        self._patch_columns(monkeypatch, T, table)
+        with pytest.raises(AssertionError, match="a sum of columns lies outside nP"):
+            check_normality(T, 2)
+
+    @pytest.mark.parametrize("drop", [0, 7, -1])
+    def test_dropped_column_leaves_holes(self, drop, monkeypatch):
+        # without one column the sumset misses points; the holes come back
+        # in point order, exactly the points no n remaining columns sum to,
+        # and every other point keeps a witness of the remaining words
+        T, n_max = 5, 3
+        table = dict(column_table(3, T))
+        gone = list(table)[drop]
+        del table[gone]
+        sums = {(0,) * 6}
+        expected = []
+        for n in range(1, n_max + 1):
+            sums = {tuple(map(sum, zip(s, c))) for s in sums for c in table}
+            expected += [{"x": list(x), "n": n} for x in point_tuples(T, n) if x not in sums]
+        self._patch_columns(monkeypatch, T, table)
+        rep = check_normality(T, n_max, keep_witnesses=True)
+        assert rep["failures"] == expected
+        assert {"x": list(gone), "n": 1} in rep["failures"]
+        # the trail search still splits every hole, and only with the
+        # dropped column
+        for hole in rep["failures"]:
+            split = decompose_into_paths(tuple(hole["x"]), hole["n"], T)
+            assert gone in {transition_counts(w, 3) for w in split}
+        assert len(rep["witnesses"]) + len(expected) == rep["points_checked"]
+        words = {word for _, word in table.values()}
+        for x, split in rep["witnesses"].items():
+            assert set(split) <= words
+            check_split(split, x, len(split), T, 3)
 
     @pytest.mark.parametrize("wrong", ["other-column", "wrong-length"])
     def test_wrong_column_word_is_caught(self, wrong, monkeypatch):
