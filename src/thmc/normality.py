@@ -31,6 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
+from operator import mul
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -50,10 +51,6 @@ from .words import (
 )
 
 DEFAULT_POINT_CAP = 2_000_000
-
-
-def _dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(u, v))
 
 
 def _rows(H: HPolyhedron) -> list[tuple[tuple[int, ...], int]]:
@@ -190,9 +187,10 @@ def check_normality(
     key of S_{n-1} and c one of the C columns: its parent.  S_n is the
     points reached, already sorted, and the least index is the first
     occurrence, so the parents are those of a sorted unique of the sums.
-    Besides the points and the parents, the sumset holds one int64 per point
-    and one block of sums.  Walking the parents back gives each point of S_n
-    its columns, and `column_table` each column its least word without
+    The witness chains grow with the degree: a point of S_n takes its
+    parent's n-1 columns and puts its own column c first, so only the
+    current degree's chains are held, beside one int64 per point and one
+    block of sums.  `column_table` gives each column its least word without
     listing words.  Each is recounted once, its transition counts and its
     length, and one int64 step per degree re-checks every witness: n words
     of length T whose counts sum to the point.  A wrong word raises
@@ -227,10 +225,10 @@ def check_normality(
         [transition_counts(w, S) for w in col_words], dtype=np.int64
     ).reshape(-1, dim)
     col_wrong_length = np.array([len(w) != T for w in col_words])
-    # per degree: S_n's sorted keys, and each key's parent index in S_{n-1}
-    # and column index
+    # S_n's sorted keys, and for each one the column indices of its witness,
+    # the degree-n column first
     keys = np.zeros(1, dtype=np.int64)
-    parents: list[tuple[np.ndarray, np.ndarray]] = []
+    picks = np.zeros((1, 0), dtype=np.int64)
     failures = []
     witnesses = {}
     points_checked = sums = 0
@@ -256,13 +254,9 @@ def check_normality(
         sums += len(keys) * C
         hit = first != unreached
         keys = point_keys[hit]
-        parents.append(np.divmod(first[hit], C))
+        parent, column = np.divmod(first[hit], C)
+        picks = np.column_stack((column, picks[parent]))
         failures += [{"x": x, "n": n} for x in X[~hit].tolist()]
-        at = np.arange(len(keys))
-        picks = np.empty((len(at), n), dtype=np.int64)
-        for k, (parent, column) in enumerate(reversed(parents)):
-            picks[:, k] = column[at]
-            at = parent[at]
         # every witness at once: n words of length T whose recounted
         # transition counts sum to the point, in int64 (entries <= n(T-1));
         # the words are taken off the point one pick at a time, so no
@@ -315,28 +309,35 @@ def _loop_rates(r: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     over the facets c.y >= a of Q^r with c.e > 0."""
     normals = [c for c, _ in q_polyhedron(r).inequalities]
     return tuple(
-        tuple((i, rate) for i, c in enumerate(normals) if (rate := _dot(c, e)) > 0)
+        tuple((i, rate) for i, c in enumerate(normals) if (rate := sum(map(mul, c, e))) > 0)
         for e in LOOP_RAYS.values()
     )
 
 
-def _max_loop_coefficients(x: Sequence[int], n: int, r: int) -> tuple[Fraction, ...]:
-    """For each loop of LOOP_RAYS, in order, its largest coefficient over
-    decompositions x = n*(point of conv of the residue-polytope vertices) +
-    sum alpha_i e_i.
+def _peel(x: Sequence[int], n: int, r: int) -> Optional[tuple]:
+    """The first loop of LOOP_RAYS, as (ray, cycle, copies), whose largest
+    coefficient over decompositions x = n*q + sum alpha_j e_j, q in the
+    vertex hull of Q^r, exceeds copies = 6/k*n for its k-cycle; None if no
+    loop's does.
 
     The recession cone of Q^r is the cone of the five loops, so Q^r is that
     vertex hull plus the cone (Minkowski-Weyl), and x - alpha*e stays in n*Q^r
-    exactly while alpha is at most every ratio (c.x - n*a) / c.e over the
-    facets c.y >= a of Q^r with c.e > 0.  Q^r has no equations, so the
-    slacks c.x - n*a, computed once, also decide that x is in n*Q^r.
+    exactly while alpha is at most every ratio s_i / c_i.e, s_i = c_i.x - n*a_i,
+    over the facets c_i.y >= a_i of Q^r with c_i.e > 0 (Q^r is pointed, so
+    there is one).  Each rate c_i.e is positive, so the least ratio exceeds
+    copies exactly when s_i > copies * c_i.e on each: an integer test.  Q^r
+    has no equations, so the slacks also decide that x is in n*Q^r.
     """
-    slacks = [_dot(c, x) - n * a for c, a in q_polyhedron(r).inequalities]
+    slacks = [sum(map(mul, c, x)) - n * a for c, a in q_polyhedron(r).inequalities]
     if min(slacks) < 0:
         raise ValueError("point is outside the dilated residue polyhedron")
-    return tuple(
-        min(Fraction(slacks[i], rate) for i, rate in rates) for rates in _loop_rates(r)
-    )
+    for (loop, ray), rates in zip(LOOP_RAYS.items(), _loop_rates(r)):
+        # the peeling cycle is the loop word without its closing state
+        cycle = tuple(map(int, loop[:-1]))
+        copies = 6 // len(cycle) * n
+        if all(slacks[i] > copies * rate for i, rate in rates):
+            return ray, cycle, copies
+    return None
 
 
 def _glue(w: Word, cycle: tuple[int, ...]) -> Word:
@@ -362,30 +363,24 @@ def _glue(w: Word, cycle: tuple[int, ...]) -> Word:
 def witness_by_induction(x: Sequence[int], T: int) -> list[Word]:
     """Split x into words of length T by loop peeling plus direct search.
 
-    While T exceeds BASE_T, find a loop whose largest coefficient in a
-    Minkowski decomposition, read off the facets of the residue polyhedron,
-    exceeds 6/k*n for its k-cycle (two-loops 3n, three-loops 2n), strip that
-    many copies, recurse at T-6, and glue six steps around the cycle onto
-    each witness word.  The result passes check_split: a wrong word count,
-    length or count vector raises AssertionError.
+    While T exceeds BASE_T, take the first loop whose largest coefficient in
+    a Minkowski decomposition exceeds 6/k*n for its k-cycle (two-loops 3n,
+    three-loops 2n), decided in integers off the facets of the residue
+    polyhedron (`_peel`), strip that many copies, recurse at T-6, and glue
+    six steps around the cycle onto each witness word.  The result passes
+    check_split: a wrong word count, length or count vector raises
+    AssertionError.  x must have the six counts of three states.
     """
     x = tuple(int(c) for c in x)
+    if T < 2 or len(x) != 6:
+        raise ValueError(f"need T >= 2 and six counts, got T={T} and {len(x)} counts")
     total = sum(x)
     if total % (T - 1):
         raise ValueError("coordinate sum not a multiple of T-1")
     n = total // (T - 1)
     if n == 0:
         return []
-    peel = None
-    if T > BASE_T:
-        alphas = _max_loop_coefficients(x, n, T % 6)
-        for (loop, ray), alpha in zip(LOOP_RAYS.items(), alphas):
-            # the peeling cycle is the loop word without its closing state
-            cycle = tuple(map(int, loop[:-1]))
-            copies = 6 // len(cycle) * n
-            if alpha > copies:
-                peel = (ray, cycle, copies)
-                break
+    peel = _peel(x, n, T % 6) if T > BASE_T else None
     if peel is None:
         out = decompose_into_paths(x, n, T)
         if out is None:

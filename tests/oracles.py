@@ -20,7 +20,11 @@ update the statistic from each accepted move; `tuple_walk` and
 score every changed kept table in full.  The library eliminates
 fraction-free and reads ranks, kernels and inverses off integer rows;
 `fraction_rref` and `fraction_nullspace` are the textbook Gauss-Jordan
-over `Fraction`s, each pivot scaled to 1 before it eliminates.
+over `Fraction`s, each pivot scaled to 1 before it eliminates.  The
+library's loop peeling compares each facet slack of Q^r with an integer
+multiple of the loop's rate on it; `max_loop_coefficients` computes the
+exact largest loop coefficients as `Fraction` ratios, so the tests can
+check the integer rule against them and against a floating LP.
 """
 
 import math
@@ -31,6 +35,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from thmc.design import DesignMatrix
+from thmc.facets import LOOP_RAYS, q_polyhedron
 from thmc.exactla import simplex_standard
 from thmc.markov import Move
 from thmc.mcmc import TestResult, WalkConfig, _FittedModel, as_table
@@ -125,6 +130,28 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     for head in range(total + 1):
         for tail in compositions(total - head, parts - 1):
             yield (head,) + tail
+
+
+def max_loop_coefficients(x: Sequence[int], n: int, r: int) -> tuple[Fraction, ...]:
+    """For each loop of LOOP_RAYS, in order, its largest coefficient over
+    decompositions x = n*(point of conv of the residue-polytope vertices) +
+    sum alpha_i e_i.
+
+    The recession cone of Q^r is the cone of the five loops, so Q^r is that
+    vertex hull plus the cone (Minkowski-Weyl), and x - alpha*e stays in n*Q^r
+    exactly while alpha is at most every ratio (c.x - n*a) / c.e over the
+    facets c.y >= a of Q^r with c.e > 0.  Q^r has no equations, so the
+    slacks c.x - n*a, computed once, also decide that x is in n*Q^r.
+    """
+    dot = lambda u, v: sum(a * b for a, b in zip(u, v))
+    ineqs = q_polyhedron(r).inequalities
+    slacks = [dot(c, x) - n * a for c, a in ineqs]
+    if min(slacks) < 0:
+        raise ValueError("point is outside the dilated residue polyhedron")
+    return tuple(
+        min(Fraction(s, dot(c, e)) for s, (c, _) in zip(slacks, ineqs) if dot(c, e) > 0)
+        for e in LOOP_RAYS.values()
+    )
 
 
 def tuple_walk(

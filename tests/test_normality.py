@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import max_loop_coefficients
 from thmc.cli import main
 from thmc.design import column_table, get_design
 from thmc.exactla import simplex_standard
@@ -15,7 +16,7 @@ from thmc.facets import LOOP_RAYS, q_polyhedron, q_vertices
 from thmc.normality import (
     _compositions,
     _glue,
-    _max_loop_coefficients,
+    _peel,
     _projections,
     check_normality,
     s4_nonnormality_probe,
@@ -373,7 +374,96 @@ class TestCheckNormality:
             check_normality(4, 2)
 
 
+def random_counts(rng, T, n):
+    """The counts of n uniform random words of length T without self-loops,
+    drawn one state at a time."""
+    x = [0] * 6
+    for _ in range(n):
+        w = [rng.randint(1, 3)]
+        while len(w) < T:
+            w.append(rng.choice([s for s in (1, 2, 3) if s != w[-1]]))
+        x = [a + b for a, b in zip(x, transition_counts(Word(w), 3))]
+    return tuple(x)
+
+
+def plus_loops(x, copies, ray):
+    return tuple(a + copies * e for a, e in zip(x, ray))
+
+
 class TestWitnessByInduction:
+    @staticmethod
+    def workload_points(seed):
+        # the perfbench normality workload's 18 witness points: three random
+        # words at each T = 13..30, all drawn from one seeded generator
+        rng = random.Random(seed)
+        return [(random_counts(rng, T, 3), T) for T in range(13, 31)]
+
+    @staticmethod
+    def class_points():
+        # the points this class splits below, in the order of its tests
+        counts = lambda text: transition_counts(Word.from_text(text), 3)
+        pair = [Word.from_text("1213212"), Word.from_text("2321312")]
+        points = [
+            (counts("121321"), 6),
+            (plus_loops(counts("1213212"), 3, (1, 0, 1, 0, 0, 0)), 13),
+            (plus_loops(counts("1232121"), 2, (1, 0, 0, 1, 1, 0)), 13),
+            (plus_loops(counts("3123123"), 3, (1, 0, 1, 0, 0, 0)), 13),
+            ((7, 10, 6, 8, 10, 7), 17),
+            (plus_loops(state_graph(pair, 3), 6, (0, 1, 0, 0, 1, 0)), 13),
+        ]
+        rng = random.Random(3)
+        words = get_design(3, 13).words
+        points += [
+            (state_graph([rng.choice(words) for _ in range(2)], 3), 13) for _ in range(5)
+        ]
+        return points
+
+    # sha256 digests of the witness words, computed before the peel test
+    # became an integer comparison
+    WORDS_DIGESTS = {
+        1: "a922477c98c2398db5d6f3b7490df344bbd9a0c375a2e7d6ddf0cd1b1411c6c6",
+        2: "382fe3bae2f010587c07d5e4c10b97932bda61f51977c9caa44962286efde7c0",
+        3: "6f46f6a9bfd397924efa5fab7a1b0b3714a4529bbe87d73afd0470463340021f",
+        "class": "90e90c3e0db4ee7894841622a1493f029237263565fb3d610106385aa2a66436",
+    }
+
+    @classmethod
+    def pinned_points(cls, key):
+        return cls.class_points() if key == "class" else cls.workload_points(key)
+
+    @pytest.mark.parametrize("key", [1, 2, 3, "class"])
+    def test_witness_words_are_pinned(self, key):
+        words = [
+            [w.text for w in witness_by_induction(x, T)]
+            for x, T in self.pinned_points(key)
+        ]
+        digest = hashlib.sha256(json.dumps(words).encode()).hexdigest()
+        assert digest == self.WORDS_DIGESTS[key]
+
+    def test_peeling_makes_no_fraction(self, monkeypatch):
+        # the peel decision compares integers; the witnesses stay the same
+        import thmc.normality
+
+        def fraction(*args):
+            raise AssertionError("witness_by_induction made a Fraction")
+
+        monkeypatch.setattr(thmc.normality, "Fraction", fraction)
+        for key in (1, "class"):
+            for x, T in self.pinned_points(key):
+                assert state_graph(witness_by_induction(x, T), 3) == x
+
+    @pytest.mark.parametrize("T", [1, 0, -5])
+    def test_short_words_raise(self, T):
+        # no division by T - 1 before the check
+        with pytest.raises(ValueError, match=f"need T >= 2 and six counts, got T={T} "):
+            witness_by_induction((0, 0, 0, 0, 0, 0), T)
+
+    @pytest.mark.parametrize("x", [(1, 0, 1, 0, 0), tuple([1, 0] * 6)])
+    def test_not_three_state_raises(self, x):
+        # a four-state vector has 12 counts; the peeling is three-state only
+        with pytest.raises(ValueError, match=f"six counts, got T=3 and {len(x)} counts"):
+            witness_by_induction(x, 3)
+
     def test_single_word(self):
         w = Word.from_text("121321")
         x = transition_counts(w, 3)
@@ -479,21 +569,27 @@ class TestGlue:
 
 
 class TestMaxLoopCoefficient:
-    """The loop coefficients read off the 24 facets of Q^r, against an LP over
-    the vertices of Q^r and the loop rays, and against their own certificates."""
+    """The oracle's loop coefficients read off the 24 facets of Q^r, against
+    an LP over the vertices of Q^r and the loop rays, and against their own
+    certificates; the library's integer peel test against the oracle."""
 
     @staticmethod
     def points(count=60):
         rng = random.Random(29)
         for _ in range(count):
             T, n = rng.randint(13, 40), rng.randint(1, 5)
-            x = [0] * 6
-            for _ in range(n):
-                w = [rng.randint(1, 3)]
-                while len(w) < T:
-                    w.append(rng.choice([s for s in (1, 2, 3) if s != w[-1]]))
-                x = [a + b for a, b in zip(x, transition_counts(Word(w), 3))]
-            yield tuple(x), n, T % 6
+            yield random_counts(rng, T, n), n, T % 6
+
+    @staticmethod
+    def oracle_rule(x, n, r, exceeds=lambda alpha, copies: alpha > copies):
+        # the first loop whose largest coefficient exceeds its copies, as
+        # _peel returns it: (ray, cycle, copies)
+        for (loop, ray), alpha in zip(LOOP_RAYS.items(), max_loop_coefficients(x, n, r)):
+            cycle = tuple(map(int, loop[:-1]))
+            copies = 6 // len(cycle) * n
+            if exceeds(alpha, copies):
+                return ray, cycle, copies
+        return None
 
     def test_agrees_with_highs(self):
         import numpy as np
@@ -503,7 +599,7 @@ class TestMaxLoopCoefficient:
             verts = q_vertices(r).vertices
             cols = [[float(n * c) for c in v] + [1.0] for v in verts]
             cols += [list(map(float, e)) + [0.0] for e in LOOP_RAYS.values()]
-            alphas = _max_loop_coefficients(x, n, r)
+            alphas = max_loop_coefficients(x, n, r)
             for k, loop in enumerate(LOOP_RAYS):
                 cost = [0.0] * len(cols)
                 cost[len(verts) + k] = -1.0
@@ -523,7 +619,7 @@ class TestMaxLoopCoefficient:
         dot = lambda c, v: sum(p * q for p, q in zip(c, v))
         for x, n, r in self.points():
             ineqs = q_polyhedron(r).inequalities
-            alphas = _max_loop_coefficients(x, n, r)
+            alphas = max_loop_coefficients(x, n, r)
             for alpha, e in zip(alphas, LOOP_RAYS.values()):
                 assert type(alpha) is Fraction
                 y = [a - alpha * b for a, b in zip(x, e)]
@@ -536,7 +632,50 @@ class TestMaxLoopCoefficient:
     )
     def test_outside_raises(self, x, loop):
         with pytest.raises(ValueError, match="outside the dilated residue polyhedron"):
-            _max_loop_coefficients(x, 1, 13 % 6)[list(LOOP_RAYS).index(loop)]
+            max_loop_coefficients(x, 1, 13 % 6)[list(LOOP_RAYS).index(loop)]
+        with pytest.raises(ValueError, match="outside the dilated residue polyhedron"):
+            _peel(x, 1, 13 % 6)
+
+    def test_peel_agrees_with_the_oracle_rule(self):
+        chosen = Counter()
+        for x, n, r in self.points():
+            peel = _peel(x, n, r)
+            assert peel == self.oracle_rule(x, n, r), (x, n, r)
+            chosen[peel and peel[1]] += 1
+        # the points reach every loop and the search base
+        assert len(chosen) == len(LOOP_RAYS) + 1, chosen
+
+    # n words of length T whose counts y are tight on a facet the loop
+    # leaves; x = y + copies*e, read at T + 6, has that loop's largest
+    # coefficient equal to copies, and the rule ">=" would peel it there
+    @pytest.mark.parametrize(
+        "loop, texts",
+        [
+            ("121", ["3232312"]),
+            ("121", ["23231323", "23132321"]),
+            ("131", ["232121321213"]),
+            ("131", ["12121212", "23121232"]),
+            ("232", ["3232312"]),
+            ("232", ["1212132", "1313212"]),
+            ("1231", ["3232312"]),
+            ("1231", ["23231323", "23132321"]),
+            ("1321", ["3232312"]),
+            ("1321", ["23231323", "23132321"]),
+        ],
+    )
+    def test_peel_refuses_a_coefficient_equal_to_copies(self, loop, texts):
+        words = [Word.from_text(t) for t in texts]
+        n, T = len(words), len(words[0]) + 6
+        copies = 6 // (len(loop) - 1) * n
+        x = plus_loops(state_graph(words, 3), copies, LOOP_RAYS[loop])
+        k = list(LOOP_RAYS).index(loop)
+        assert max_loop_coefficients(x, n, T % 6)[k] == copies
+        at_least = lambda alpha, copies: alpha >= copies
+        assert self.oracle_rule(x, n, T % 6, at_least)[0] == LOOP_RAYS[loop]
+        peel = _peel(x, n, T % 6)
+        assert peel is None or peel[0] != LOOP_RAYS[loop]
+        assert peel == self.oracle_rule(x, n, T % 6)
+        assert state_graph(witness_by_induction(x, T), 3) == x
 
 
 class TestS4Probe:
