@@ -459,8 +459,10 @@ def verify_facet_completeness(T: int) -> dict:
     computed by double description equal the 24 affine facet inequalities of
     the residue class, both read as homogeneous normals at time T.  An
     integral point (k = 1) records its word, the lexicographically least
-    one with its counts.
+    one with its counts.  ValueError below T = 5, as the facet families.
     """
+    if T < 5:
+        raise ValueError(f"facet description starts at T=5, got T={T}")
     r = T % 6
     V = q_vertices(r)
     extensions = []
@@ -489,7 +491,7 @@ def verify_facet_completeness(T: int) -> dict:
                 entry["induction_witness_word"] = split[0].text if split else None
             extensions.append(entry)
     hull_set = hull_facets_homogeneous(T)
-    expansion = _homogeneous_normals(q_polyhedron(r), T) if T >= 5 else set()
+    expansion = _homogeneous_normals(q_polyhedron(r), T)
     return {
         "T": T,
         "r": r,
@@ -499,7 +501,7 @@ def verify_facet_completeness(T: int) -> dict:
         "expansion_facets": len(expansion),
         "hull_equals_expansion": hull_set == expansion,
         "extensions": extensions,
-        "ok": all_inside and (T < 5 or (hull_set == expansion and len(hull_set) == 24)),
+        "ok": all_inside and hull_set == expansion and len(hull_set) == 24,
     }
 
 

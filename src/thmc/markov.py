@@ -14,6 +14,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
+from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .design import DesignMatrix
@@ -99,8 +100,6 @@ def marginal_of(A: DesignMatrix, multiset: Sequence[int]) -> tuple[int, ...]:
 def _multisets_by_marginal(
     A: DesignMatrix, degree: int, cap: int
 ) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-    from math import comb
-
     m = len(A.columns)
     count = comb(m + degree - 1, degree)
     if count > cap:
@@ -132,19 +131,20 @@ def enumerate_moves(
 ) -> list[Move]:
     """All support-disjoint kernel moves of degree <= max_degree, up to sign.
 
-    Degree d moves arise as differences of distinct equal-marginal d-element
-    word multisets; common words cancel, so only disjoint pairs yield new
-    moves at their own degree.
+    Each pair of tables of one fiber that share no word gives one move, and
+    no move repeats: a pair with common words cancels to a disjoint pair of
+    the fiber lighter by those words, which `_fibers` yields (it has two
+    members or more), and two different disjoint pairs are two different
+    moves, up to sign, since a move's two sides are its pair.
     """
-    found: set[Move] = set()
+    moves: list[Move] = []
     for _, _, members in _fibers(A, max_degree, multiset_cap):
-        for u, v in combinations(members, 2):
-            z = Move.from_multisets(u, v)
-            if z is not None:
-                found.add(z)
-                if len(found) > MOVE_CAP:
+        for (u, words), (v, _) in combinations([(u, set(u)) for u in members], 2):
+            if words.isdisjoint(v):
+                moves.append(Move.from_multisets(u, v))
+                if len(moves) > MOVE_CAP:
                     raise CapExceededError(f"move count exceeds cap {MOVE_CAP}")
-    return sorted(found, key=lambda z: (z.degree, z.entries))
+    return sorted(moves, key=lambda z: (z.degree, z.entries))
 
 
 def verify_kernel(A: DesignMatrix, moves: Iterable[Move]) -> bool:
@@ -165,15 +165,12 @@ def fiber_enumerate(
         return Fiber(b, 0, ((),) if not any(b) else ())
     m = len(A.columns)
     members: list[tuple[int, ...]] = []
-    found = 0
 
     def rec(start: int, remaining: list[int], left: int, chosen: list[int]) -> None:
-        nonlocal found
         if left == 0:
             if not any(remaining):
                 members.append(tuple(chosen))
-                found += 1
-                if found > cap:
+                if len(members) > cap:
                     raise CapExceededError(f"fiber size exceeds cap {cap}")
             return
         for j in range(start, m):
@@ -288,10 +285,11 @@ def minimal_markov_basis(
 
 
 def moves_to_text(moves: Iterable[Move], A: DesignMatrix) -> str:
+    text = lru_cache(maxsize=None)(lambda j: A.words[j].text)  # each word once
     lines = []
     for z in moves:
-        plus = " ".join(f"+{A.words[j].text}" for j in z.plus)
-        minus = " ".join(f"-{A.words[j].text}" for j in z.minus)
+        plus = " ".join(f"+{text(j)}" for j in z.plus)
+        minus = " ".join(f"-{text(j)}" for j in z.minus)
         lines.append(f"{plus} | {minus}")
     return "\n".join(lines) + ("\n" if lines else "")
 

@@ -24,20 +24,24 @@ over `Fraction`s, each pivot scaled to 1 before it eliminates.  The
 library's loop peeling compares each facet slack of Q^r with an integer
 multiple of the loop's rate on it; `max_loop_coefficients` computes the
 exact largest loop coefficients as `Fraction` ratios, so the tests can
-check the integer rule against them and against a floating LP.
+check the integer rule against them and against a floating LP.  The
+library builds one move per support-disjoint pair of tables of a fiber;
+`all_pair_moves` builds a move from every pair of every fiber and drops the
+repeats through a set.
 """
 
 import math
 import random
 from array import array
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 from typing import Iterator, Optional, Sequence
 
 from thmc.design import DesignMatrix
 from thmc.facets import LOOP_RAYS, q_polyhedron
 from thmc.exactla import simplex_standard
-from thmc.markov import Move
+from thmc.markov import Move, marginal_of
 from thmc.mcmc import TestResult, WalkConfig, _FittedModel, as_table
 from thmc.polytope import HPolyhedron, VPolyhedron, cone_extreme_rays
 
@@ -152,6 +156,21 @@ def max_loop_coefficients(x: Sequence[int], n: int, r: int) -> tuple[Fraction, .
         min(Fraction(s, dot(c, e)) for s, (c, _) in zip(slacks, ineqs) if dot(c, e) > 0)
         for e in LOOP_RAYS.values()
     )
+
+
+def all_pair_moves(A: DesignMatrix, max_degree: int) -> list[Move]:
+    """The difference of every pair of tables of every fiber of degree <=
+    max_degree, common words cancelled, up to sign; collected in a set and
+    sorted as `enumerate_moves` sorts."""
+    found: set[Move] = set()
+    for d in range(1, max_degree + 1):
+        fibers: dict[tuple[int, ...], list[tuple[int, ...]]] = defaultdict(list)
+        for ms in combinations_with_replacement(range(len(A.columns)), d):
+            fibers[marginal_of(A, ms)].append(ms)
+        for members in fibers.values():
+            for u, v in combinations(members, 2):
+                found.add(Move.from_multisets(u, v))
+    return sorted(found, key=lambda z: (z.degree, z.entries))
 
 
 def tuple_walk(

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import random
 from collections import Counter
@@ -110,6 +111,41 @@ class TestChecksExitCodes:
         assert rep["connectivity_ok"]
         assert "degree <= 2" in rep["caveat"]
         assert (tmp_path / "moves-T3.txt").read_text().strip()
+        assert rep["connectivity_by_construction"]
+        assert "by construction" in rep["caveat"]
+
+    def test_markov_above_max_degree_is_not_by_construction(self, tmp_path):
+        # degree-1 moves leave a degree-2 fiber of T=3 disconnected
+        rc, _ = run(tmp_path, "markov", "-T", 3, "--max-degree", 1, "--n-max", 2,
+                    "--out-dir", tmp_path)
+        assert rc == 1
+        rep = json.loads((tmp_path / "markov-T3.json").read_text())
+        assert not rep["connectivity_ok"]
+        assert rep["connectivity_by_construction"] is False
+        assert "degree <= 2" in rep["caveat"] and "by construction" not in rep["caveat"]
+
+
+class TestMarkovOutputs:
+    # sha256 of the moves files, as the all-pairs enumeration wrote them
+    MOVES_SHA256 = {
+        3: ("314f2f8fcd77f3536eccb89b067c6c75a64c25116f3ad63cb6453feb08443c24",
+            "71fe117eaba13271870b7e4e528f99d25e6b59cb63e81a9190ca8258ead09748"),
+        4: ("b5cbb8ca88d7e1a64c4a45f50f110caf31aece175d7e35c868b832505d2e68cd",
+            "d3603ca6662ecf5851b3428b03184a14ba73f0e332cd28f8e7c71cbc5a906123"),
+        5: ("a7e0e80a32b436c791bcdf6fd79b2e70cb761fbbae9f2720818263d957acc850",
+            "ac58b685b73bae53e2de7fdecc8305c7407a573efd76985e92fb111459b9942e"),
+    }
+
+    @pytest.mark.parametrize("T", sorted(MOVES_SHA256))
+    def test_moves_files_are_pinned(self, tmp_path, T):
+        rc, _ = run(tmp_path, "markov", "-T", T, "--max-degree", 2, "--n-max", 2,
+                    "--moves-format", "both", "--out-dir", tmp_path)
+        assert rc == 0
+        digests = tuple(
+            hashlib.sha256((tmp_path / f"moves-T{T}.{ext}").read_bytes()).hexdigest()
+            for ext in ("txt", "json")
+        )
+        assert digests == self.MOVES_SHA256[T]
 
 
 class TestWalkAndFit:

@@ -342,6 +342,11 @@ class TestCompleteness:
         text = json.dumps(verify_facet_completeness(T), indent=1, default=str) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == self.REPORT_SHA256[T]
 
+    @pytest.mark.parametrize("T", [2, 4])
+    def test_below_five_raises(self, T):
+        with pytest.raises(ValueError, match=f"^facet description starts at T=5, got T={T}$"):
+            verify_facet_completeness(T)
+
     def test_wrong_split_is_not_trusted(self, monkeypatch):
         import thmc.facets
 

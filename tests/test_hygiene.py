@@ -5,6 +5,8 @@ harness; a definition that only tests call belongs in the tests.
 """
 
 import ast
+import re
+import shlex
 from collections import Counter
 from pathlib import Path
 
@@ -220,3 +222,33 @@ def test_benchmark_spans_cover_each_workload(tmp_path, monkeypatch):
             run.PassLayers(tracer, p["root"], self_s, p["factor"]).coverage for p in passes
         ]
         assert median(coverage) >= run.MIN_COVERAGE, (name, sorted(coverage))
+
+
+def _readme_section(title: str) -> str:
+    text = (ROOT / "README.md").read_text()
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_layout_names_every_module():
+    """The README's library-layout table lists exactly the modules of
+    `src/thmc`, so a module added, renamed or removed shows up here."""
+    rows = re.findall(r"^\| `thmc\.(\w+)` \|", _readme_section("Library layout"), re.M)
+    modules = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__")
+    assert sorted(rows) == modules
+
+
+def test_readme_commands_parse():
+    """Every `thmc ...` line of the README's command examples parses with the
+    command's own parser, so a renamed command or flag shows up here."""
+    from thmc.cli import _parser
+
+    block = _readme_section("Command line").split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0] for line in block.splitlines() if line.startswith("thmc ")]
+    assert len(lines) >= 10
+    bad = []
+    for line in lines:
+        try:
+            _parser().parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            bad.append(line.strip())
+    assert not bad, "README commands the parser rejects: " + "; ".join(bad)

@@ -1,11 +1,13 @@
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
 from thmc.design import get_design
 from thmc.markov import (
     Move,
+    _multisets_by_marginal,
     enumerate_moves,
     fiber_enumerate,
     is_markov_basis,
@@ -16,6 +18,8 @@ from thmc.markov import (
     verify_kernel,
 )
 from thmc.words import CapExceededError, Word, state_graph
+
+from oracles import all_pair_moves
 
 
 def widx(A, *texts):
@@ -97,6 +101,27 @@ class TestEnumerateMoves:
         with pytest.raises(CapExceededError):
             enumerate_moves(A, 4, multiset_cap=1000)
 
+    @pytest.mark.parametrize("T, max_degree", [(3, 5), (4, 3), (5, 2)])
+    def test_equals_all_pairs_oracle(self, T, max_degree):
+        A = get_design(3, T)
+        assert enumerate_moves(A, max_degree) == all_pair_moves(A, max_degree)
+
+    def test_pairs_with_common_words_add_no_move(self):
+        # at T=4 every degree-2 fiber pair sharing a word cancels to a
+        # degree-1 move already listed, and no move is listed twice
+        A = get_design(3, 4)
+        moves = enumerate_moves(A, 2)
+        listed = set(moves)
+        assert len(listed) == len(moves)
+        shared = 0
+        for members in _multisets_by_marginal(A, 2, 10_000).values():
+            for u, v in combinations(members, 2):
+                if set(u) & set(v):
+                    shared += 1
+                    z = Move.from_multisets(u, v)
+                    assert z.degree == 1 and z in listed
+        assert shared > 0
+
 
 class TestFiber:
     def test_figure_fiber_contains_both_multisets(self):
@@ -114,6 +139,15 @@ class TestFiber:
         fib = fiber_enumerate(col, A)
         expected = {(j,) for j, c in enumerate(A.columns) if c == col}
         assert set(fib.members) == expected
+
+    def test_cap_counts_members(self):
+        A = get_design(3, 5)
+        W = Counter([Word.from_text("12132"), Word.from_text("12321")])
+        b = state_graph(W, 3)
+        size = len(fiber_enumerate(b, A).members)
+        assert len(fiber_enumerate(b, A, cap=size).members) == size
+        with pytest.raises(CapExceededError, match=f"^fiber size exceeds cap {size - 1}$"):
+            fiber_enumerate(b, A, cap=size - 1)
 
     def test_unreachable_marginal_empty(self):
         A = get_design(3, 5)
