@@ -14,10 +14,13 @@ conditional law is item 1 of ROADMAP.md.
 
 The walk steps a vector of counts by word index: a proposal reads and
 writes only the move's entries, and `walk` builds the sorted table only
-after an accepted move.  The test is one pass over the same steps.  One
-scorer per statistic scores the observed table in full, then updates its
-statistic from each accepted move's entries, and keeps each sample's
-statistic: the summary fields and the CLI's trace are read off these.
+after an accepted move.  Each proposal index is drawn in the stepping loop
+from `getrandbits`, by the rejection rule `random.Random.randrange` uses, so
+a seed gives the stream that `randrange` would.  The test is one pass over
+the same steps.  One scorer per statistic scores the observed table in
+full, then updates its statistic from each accepted move's entries, and
+keeps each sample's statistic: the summary fields and the CLI's trace are
+read off these.
 
 Tables and moves stay exact integers; the default Pearson statistic is
 exact against the time-homogeneous fit (empirical transition frequencies
@@ -231,18 +234,26 @@ def _steps(
     the live dict of positive counts by word index and the accepted move's
     entries, or None for a rejected proposal.
 
-    Draw k of range(2 * len(moves)) proposes moves[k] for k < len(moves),
-    else the negation of moves[k - len(moves)].  The proposal is rejected
-    when one of its negative entries exceeds the count it lowers; otherwise
-    its entries are written into the counts in place.
+    Draw k of range(n), n = 2 * len(moves), proposes moves[k] for
+    k < len(moves), else the negation of moves[k - len(moves)].  k is drawn
+    as random.Random(cfg.seed).randrange(n) draws it: getrandbits of
+    n.bit_length() bits, drawn again while it is >= n.  That is the same
+    stream, without the two Python calls randrange makes per step.  The
+    proposal is rejected when one of its negative entries exceeds the count
+    it lowers; otherwise its entries are written into the counts in place.
     """
     if not moves:
         raise ValueError("need a nonempty move set")
-    rng = random.Random(cfg.seed)
+    getrandbits = random.Random(cfg.seed).getrandbits
     signed = [z.entries for z in moves] + [z.negated().entries for z in moves]
+    n = len(signed)
+    bits = n.bit_length()
     counts = dict(Counter(table))
     for _ in range(cfg.steps):
-        entries = signed[rng.randrange(len(signed))]
+        k = getrandbits(bits)
+        while k >= n:
+            k = getrandbits(bits)
+        entries = signed[k]
         for j, c in entries:
             if c < 0 and counts.get(j, 0) < -c:
                 yield counts, None

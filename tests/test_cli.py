@@ -187,6 +187,57 @@ class TestWalkAndFit:
         assert doc["statistic"] == "g2" and doc["observed_exact"] is None
 
 
+def seeded_words(path, seed, T=5, n=30):
+    """n uniform random T-step words without self-loops, one per line."""
+    rng = random.Random(seed)
+    lines = []
+    for _ in range(n):
+        w = [rng.randint(1, 3)]
+        while len(w) < T:
+            w.append(rng.choice([s for s in (1, 2, 3) if s != w[-1]]))
+        lines.append("".join(map(str, w)) + "\n")
+    path.write_text("".join(lines))
+    return path
+
+
+class TestWalkOutputsArePinned:
+    # sha256 of each output file on 30 seeded T=5 words (5,000 steps,
+    # burn-in 500, default basis), as the walk wrote them when it drew its
+    # proposals with random.Random.randrange
+    DIGESTS = {
+        (1, "pearson"): ("98e6ba6d189fe682cad4722daff3dc82456a45d22b0056a93ac20e4d54be415e",
+                         "10f62f300d8e94781dfef9613859022a556a64f93ab8312c7e7ae44c35013a8e"),
+        (1, "g2"): ("11a76b3ef4b9d94d5d4fd2812020e850a5c866392a9fbe50257bf8a766e1604f",
+                    "3a59b4e734313a4e695a1b7d484b1ea13985ebedfc7ecc29984400c4cfa8a539"),
+        (1, "walk"): ("ccccfef04f431cae25680f8a8e51ff254e46df7791404ef004f0da103619cc6e",),
+        (2, "pearson"): ("e8aaf67c12055605c569ac03ec67c67085638876066786ac7c7383ccd54b545c",
+                         "981309575e6a62de174e984a9a3d5110632291445e617c725b4ba2e9a3687c16"),
+        (2, "g2"): ("9d74be1ea7be59f1edb5a93ad19157021c4a2b9fb7bfc12ebf24a385986eae6b",
+                    "59aa35975d5f56478010a94ed53cb5ba7047a8f93db73564eceddc11528dc7cd"),
+        (2, "walk"): ("0565dd55eb108aa08c9d23cf57a39998884b9a56b0d463614cee7bca46d7c6be",),
+        (3, "pearson"): ("3f6e13bb7c33b6a4c2d7ed36d667b4b1f40329bac648a8b754f0c7045c829c5a",
+                         "b8913ce1548e02bbf643b7b01ef21d5966be8cd8d6f3cb3cc14250f418976416"),
+        (3, "g2"): ("663c4c54312cb303907e471bd4db671912086514995b82a0f71614fd5d3c2d12",
+                    "2ac7fb219446ecd7ba6fed4f98716258b0ecadabdae982d712128dc15ad8336b"),
+        (3, "walk"): ("8e2b9965b06f68a766eed079e2e62b3d12603fd1bc27f2cdb92bc2cf4827909c",),
+    }
+
+    @pytest.mark.parametrize("seed,command", sorted(DIGESTS))
+    def test_outputs_are_pinned(self, tmp_path, seed, command):
+        data = seeded_words(tmp_path / "data.words", seed)
+        common = ["--steps", 5000, "--burn-in", 500, "--seed", seed, "--out-dir", tmp_path]
+        if command == "walk":
+            argv, names = ["walk", data, *common], ("walk-trace.csv",)
+        else:
+            argv = ["test-fit", data, "--statistic", command, "--trace", *common]
+            names = ("testfit.json", "testfit-trace.csv")
+        rc, _ = run(tmp_path, *argv)
+        assert rc == 0
+        digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                        for name in names)
+        assert digests == self.DIGESTS[seed, command]
+
+
 class TestOptions:
     @pytest.mark.parametrize(
         "argv",

@@ -242,6 +242,35 @@ class TestWalk:
             expected.append(table)
         assert list(walk(t0, moves, cfg, A)) == expected
 
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_draw_matches_randrange_oracle(self, size):
+        # 1, 2 and 4 moves give 2, 4 and 8 signed proposals, where half of
+        # the getrandbits draws are rejected; 3 moves give 6.  Starting from
+        # both sides of every move, each signed proposal applies at first.
+        A = get_design(3, 5)
+        basis = minimal_markov_basis(A, 2, 2)
+        for seed in range(1, 6):
+            moves = basis[seed * size:(seed + 1) * size]
+            t0 = tuple(sorted(j for z in moves for j in z.plus + z.minus))
+            cfg = WalkConfig(seed=seed, steps=2000)
+            stream = list(walk(t0, moves, cfg, A))
+            assert stream == list(tuple_walk(t0, moves, cfg, A))
+            assert len(set(stream)) > 1
+
+    def test_steps_make_no_randrange_call(self, monkeypatch):
+        # each proposal is drawn from getrandbits in the stepping loop itself
+        def randrange(*args):
+            raise AssertionError("the walk called randrange")
+
+        A = get_design(3, 5)
+        moves = minimal_markov_basis(A, 2, 2)
+        t0 = wtable(A, "12132", "12321", "13212")
+        cfg = WalkConfig(seed=3, steps=500, burn_in=50)
+        monkeypatch.setattr(random.Random, "randrange", randrange)
+        assert len(list(walk(t0, moves, cfg, A))) == cfg.steps
+        for statistic in ("pearson", "g2"):
+            assert exact_test(t0, A, moves, cfg, statistic=statistic).samples == 450
+
     def test_uniform_stationary_distribution(self):
         # fully enumerated small fiber: empirical visit frequencies approach
         # uniform; total variation within 0.05 under the minimal basis
