@@ -14,7 +14,11 @@ re-checked against the hull's facets and equations.  The degree-n part of
 the semigroup is the n-fold sumset of the columns, so the semigroup is
 normal at degree n exactly when that sumset is all of nP ∩ Z^d;
 `check_normality` compares the two by counting int64 keys, and degrees up
-to dim P - 1 decide every degree.
+to dim P - 1 decide every degree.  Each key sum finds its point through an
+open-addressing hash table over the points' keys (Knuth, TAOCP Vol. 3,
+Sec. 6.4).  The hash only picks where a probe starts; a probe stops at an
+equal full key, or raises AssertionError at an empty slot, so a sum is
+matched to its point exactly and a sum outside nP never passes.
 For long chains a loop-peeling induction reduces T by 6 per step before the
 exhaustive trail search takes over.  Every witness is re-checked exactly:
 those read off the sumset all at once per degree, by summing their columns'
@@ -120,7 +124,8 @@ def saturation_points(
     the same blocked product, so a wrong projection raises AssertionError
     and never returns a point outside nP.  The cap bounds the rows of every
     level, so it bounds the points: a level that would exceed it raises
-    CapExceededError before it is built.
+    CapExceededError before it is built.  A degree whose facet products
+    could overflow int64 raises CapExceededError before any product.
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
@@ -134,7 +139,10 @@ def saturation_points(
     )
     # |a.y| <= largest * total and |n * b| <= largest * total at every level
     # and in the final check, so every int64 entry below is exact
-    assert largest * total * dim < 2**62, "facet products overflow int64"
+    if largest * total * dim >= 2**62:
+        raise CapExceededError(
+            f"facet product bound {largest}*{total}*{dim} exceeds cap 2^62 of int64"
+        )
     X = np.zeros((1, 0), dtype=np.int64)
     for A, b in levels:
         k = A.shape[1]
@@ -167,6 +175,65 @@ def saturation_points(
     return X
 
 
+# the odd integer nearest 2^64 / golden ratio, Knuth's multiplier for
+# multiplicative hashing (TAOCP Vol. 3, Sec. 6.4), as a wrapping int64
+_HASH_MULTIPLIER = np.int64(0x9E3779B97F4A7C15 - 2**64)
+
+
+def _home_slots(keys: np.ndarray, bits: int) -> np.ndarray:
+    """Each key's home slot in a table of 2^bits: the top bits of the key
+    times _HASH_MULTIPLIER, wrapped mod 2^64 (the shift copies the sign
+    bit, which the mask clears)."""
+    slots = keys * _HASH_MULTIPLIER
+    slots >>= 64 - bits
+    slots &= 2**bits - 1
+    return slots
+
+
+def _point_index(point_keys: np.ndarray) -> tuple[np.ndarray, int]:
+    """An open-addressing table over distinct int64 keys, and its bits b:
+    2^b int32 slots, b the bit length of 2*len(point_keys), so at most half
+    are full, each holding a key's index or -1 when empty (int32 suffices:
+    2^31 points would take over 100 GB of int64 rows).  A key sits at
+    the first free slot from its home slot on (linear probing).  Each round
+    puts every waiting key into its slot if the slot is free, one key per
+    slot; the others move one slot on.  A slot once filled stays full, so
+    every slot from a key's home to its own is full."""
+    bits = (2 * len(point_keys)).bit_length()
+    mask = 2**bits - 1
+    table = np.full(mask + 1, -1, dtype=np.int32)
+    waiting = np.arange(len(point_keys), dtype=np.int32)
+    slots = _home_slots(point_keys, bits)
+    while len(waiting):
+        free = table[slots] < 0
+        table[slots[free]] = waiting[free]
+        left = table[slots] != waiting
+        waiting, slots = waiting[left], (slots[left] + 1) & mask
+    return table, bits
+
+
+def _point_indices(
+    block: np.ndarray, point_keys: np.ndarray, table: np.ndarray, bits: int
+) -> np.ndarray:
+    """Each key of block's index in point_keys, read off `_point_index`'s
+    table.  The probe from a key's home slot compares the full key at each
+    full slot, so an index is returned only for an equal key, and a key
+    that reaches an empty slot is no point: AssertionError.  The keys still
+    probing after k steps recompute their home slots, so no slot array is
+    kept beside the indices."""
+    mask = 2**bits - 1
+    at = table[_home_slots(block, bits)]
+    left = np.flatnonzero(point_keys[at] != block)
+    step = 0
+    while len(left):
+        if (at[left] < 0).any():
+            raise AssertionError("a sum of columns lies outside nP")
+        step += 1
+        at[left] = table[(_home_slots(block[left], bits) + step) & mask]
+        left = left[point_keys[at[left]] != block[left]]
+    return at
+
+
 def check_normality(
     T: int,
     n_max: int,
@@ -181,12 +248,15 @@ def check_normality(
     vector is one int64 key in base n_max(T-1)+1: no coordinate reaches the
     base, so the key of a sum is the sum of the keys and key order is point
     order.  `saturation_points` lists nP in that order, and every key sum of
-    S_{n-1} and a column lies in nP, so one np.searchsorted maps each sum to
-    its point; a sum that is no point's key raises AssertionError.  Each
-    point keeps the least flat index i*C + c of a sum that reaches it, i a
-    key of S_{n-1} and c one of the C columns: its parent.  S_n is the
-    points reached, already sorted, and the least index is the first
-    occurrence, so the parents are those of a sorted unique of the sums.
+    S_{n-1} and a column lies in nP.  A hash table over the degree's point
+    keys (`_point_index`, linear probing, at most half full) maps each sum
+    to its point: a probe compares the full key at every slot it visits, so
+    only an equal key is matched, and a sum that reaches an empty slot is
+    no point's key and raises AssertionError.  Each point keeps the least
+    flat index i*C + c of a sum that reaches it, i a key of S_{n-1} and c
+    one of the C columns: its parent.  S_n is the points reached, already
+    sorted, and the least index is the first occurrence, so the parents are
+    those of a sorted unique of the sums.
     The witness chains grow with the degree: a point of S_n takes its
     parent's n-1 columns and puts its own column c first, so only the
     current degree's chains are held, beside one int64 per point and one
@@ -242,20 +312,20 @@ def check_normality(
         # len(keys) * C, which marks the points that no sum reaches
         unreached = len(keys) * C
         first = np.full(len(X), unreached, dtype=np.int64)
+        table, bits = _point_index(point_keys)
         step = max(1, 2**15 // C)
         for r in range(0, len(keys), step):
             block = (keys[r : r + step, None] + col_keys).ravel()
-            at = np.searchsorted(point_keys, block)
-            np.minimum(at, len(X) - 1, out=at)
-            # S_n lies in nP, so every key sum is one of the points
-            if (point_keys[at] != block).any():
-                raise AssertionError("a sum of columns lies outside nP")
+            at = _point_indices(block, point_keys, table, bits)
             np.minimum.at(first, at, np.arange(r * C, r * C + len(block)))
         sums += len(keys) * C
         hit = first != unreached
         keys = point_keys[hit]
         parent, column = np.divmod(first[hit], C)
         picks = np.column_stack((column, picks[parent]))
+        # the witness re-check below is the degree's memory peak: free the
+        # index and the parents first
+        del table, first, parent
         failures += [{"x": x, "n": n} for x in X[~hit].tolist()]
         # every witness at once: n words of length T whose recounted
         # transition counts sum to the point, in int64 (entries <= n(T-1));
@@ -354,7 +424,8 @@ def _glue(w: Word, cycle: tuple[int, ...]) -> Word:
         at = cycle.index(seq[-1])
         return Word(seq + [cycle[(at + s) % k] for s in range(1, 7)])
     if seq[0] not in cycle:
-        assert seq[0] == seq[-1], "two distinct endpoints cannot both avoid the loop"
+        if seq[0] != seq[-1]:
+            raise ValueError("two distinct endpoints cannot both avoid the loop")
         seq = seq[1:] + seq[1:2]
     at = cycle.index(seq[0])
     return Word([cycle[(at - s) % k] for s in range(6, 0, -1)] + seq)

@@ -72,6 +72,18 @@ def test_every_definition_has_a_caller_outside_tests():
     assert not unused, "only tests call (or nothing calls): " + ", ".join(unused)
 
 
+def test_no_assert_statements():
+    """Library checks raise explicitly: `python -O` strips every `assert`
+    statement, and with it any check written as one."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, "assert statements in src/thmc: " + ", ".join(found)
+
+
 def test_no_unused_imports():
     unused = []
     for path, tree in _modules().items():

@@ -16,7 +16,10 @@ from thmc.facets import LOOP_RAYS, q_polyhedron, q_vertices
 from thmc.normality import (
     _compositions,
     _glue,
+    _home_slots,
     _peel,
+    _point_index,
+    _point_indices,
     _projections,
     check_normality,
     s4_nonnormality_probe,
@@ -62,6 +65,12 @@ class TestSaturationPoints:
     def test_cap(self):
         with pytest.raises(CapExceededError, match="exceeds cap 10"):
             saturation_points(10, 3, cap=10)
+
+    def test_int64_overflow_raises_cap(self):
+        # 4 * 10^17 * 6 times the largest facet entry passes 2^62: an explicit
+        # raise, so the guard holds under python -O too
+        with pytest.raises(CapExceededError, match="exceeds cap 2\\^62 of int64"):
+            saturation_points(5, 10**17)
 
     def test_one_hull_per_T(self):
         # the facet check and the saturation filter read the same cached hull
@@ -300,6 +309,24 @@ class TestCheckNormality:
             "9067c1986ea874fbe0e2bf909c830490255bbe6b0b62b198a0e2dfc76bcab49e"
         )
 
+    def test_report_bytes_are_pinned_at_T18(self):
+        # 391,527 points and 72 million key sums through the hash index
+        rep = check_normality(18, 4)
+        assert (rep["points_checked"], rep["sums"], rep["ok"]) == (391_527, 72_319_464, True)
+        text = json.dumps(rep, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "dea480572bee45bc84248ee19533e3575fe139955f8876f9e1224fc72064551e"
+        )
+
+    def test_makes_no_binary_search(self, monkeypatch):
+        # every key sum is found by the hash index, none by np.searchsorted
+        def searchsorted(*args, **kwargs):
+            raise AssertionError("check_normality ran a binary search")
+
+        monkeypatch.setattr(np, "searchsorted", searchsorted)
+        rep = check_normality(6, 3)
+        assert rep["ok"] and rep["sums"] > 0
+
     @staticmethod
     def _patch_columns(monkeypatch, T, table):
         # the columns change, the projections of P (built from the true
@@ -372,6 +399,59 @@ class TestCheckNormality:
         monkeypatch.setattr(thmc.normality, "column_table", lambda S, T: table)
         with pytest.raises(AssertionError, match="does not split"):
             check_normality(4, 2)
+
+
+class TestPointIndex:
+    @staticmethod
+    def _sorted_keys(rng, size, high):
+        return np.unique(rng.integers(0, high, size, dtype=np.int64))
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 100, 5_000])
+    @pytest.mark.parametrize("high", [10_000, 2**62])
+    def test_agrees_with_binary_search(self, size, high):
+        rng = np.random.default_rng(size)
+        keys = self._sorted_keys(rng, size, high)
+        table, bits = _point_index(keys)
+        # at most half full, and every key's index held exactly once
+        assert table.dtype == np.int32 and len(table) == 2**bits > 2 * len(keys)
+        assert sorted(table[table >= 0].tolist()) == list(range(len(keys)))
+        queries = rng.choice(keys, 3 * len(keys))
+        got = _point_indices(queries, keys, table, bits)
+        assert got.tolist() == np.searchsorted(keys, queries).tolist()
+
+    @pytest.mark.parametrize("high", [10_000, 2**62])
+    def test_absent_keys_raise(self, high):
+        rng = np.random.default_rng(7)
+        keys = self._sorted_keys(rng, 400, high)
+        table, bits = _point_index(keys)
+        absent = [k for k in (-1, 0, keys[0] - 1, keys[-1] + 1, high) if k not in keys]
+        absent += [int(k) + 1 for k in keys if k + 1 not in keys][:20]
+        for key in absent:
+            # alone, and hidden among keys that are present
+            for block in ([key], [*keys[:50], key, *keys[50:100]]):
+                with pytest.raises(AssertionError, match="a sum of columns lies outside nP"):
+                    _point_indices(np.array(block, dtype=np.int64), keys, table, bits)
+
+    @staticmethod
+    def _one_home_slot(monkeypatch):
+        # multiplier 0: every key's home slot is slot 0, so each probe walks
+        # the one chain that holds every key
+        import thmc.normality
+
+        monkeypatch.setattr(thmc.normality, "_HASH_MULTIPLIER", np.int64(0))
+        keys = np.arange(1, 200, 3, dtype=np.int64)
+        assert not _home_slots(keys, 9).any()
+
+    @pytest.mark.parametrize("T", [3, 4, 5])
+    def test_one_home_slot_gives_the_same_report(self, T, monkeypatch):
+        expected = check_normality(T, 3, keep_witnesses=True)
+        self._one_home_slot(monkeypatch)
+        assert check_normality(T, 3, keep_witnesses=True) == expected
+
+    @pytest.mark.parametrize("where", ["past-the-last-point", "between-two-points"])
+    def test_one_home_slot_still_catches_a_column_outside_P(self, where, monkeypatch):
+        self._one_home_slot(monkeypatch)
+        TestCheckNormality().test_column_outside_P_raises(where, monkeypatch)
 
 
 def random_counts(rng, T, n):
@@ -566,6 +646,11 @@ class TestGlue:
                     for a, b in zip(transition_counts(out, 3), transition_counts(w, 3))
                 ]
                 assert grown == [copies * e for e in LOOP_RAYS[loop]], (w, loop)
+
+    def test_distinct_endpoints_off_the_cycle_raise(self):
+        # no three-state word has this shape; a fourth state gives one
+        with pytest.raises(ValueError, match="cannot both avoid the loop"):
+            _glue(Word([3, 1, 4]), (1, 2))
 
 
 class TestMaxLoopCoefficient:
