@@ -46,8 +46,9 @@ class InputError(Exception):
     """Unreadable or malformed command input: `main` prints it and exits 2.
 
     A CapExceededError (a size past --word-cap, --multiset-cap, or the
-    point cap of `normality`: at most 2,000,000 lattice points of nP per
-    degree n) takes the same way out."""
+    point cap of `normality`: at most 2,000,000 prefixes that pass nP's
+    bounds per level, so at most that many points per degree n) takes the
+    same way out."""
 
 
 def _digest(path: Path) -> str:

@@ -7,9 +7,11 @@ e_ba - e_da in ZA; for S >= 3 these differences link all pairs, so ZA is
 {x in Z^d : (T-1) | sum(x)}.  For S = 2 the same holds at even T, and at odd
 T the polytope is one point of ZA.  The saturation points of degree n are
 therefore the integer points of nP, P the model polytope.  They are listed
-one coordinate at a time in int64 arrays: the range of x_k over each prefix
-is read off the facets of nP_k, P_k the projection of P onto its first k
-coordinates, so no vector outside nP is built, and the points are
+one coordinate at a time in int64 arrays, the range of x_k over each prefix
+read off the hull's own rows: the tail after x_k is nonnegative with a known
+sum, so each row bounds x_k by its largest tail coefficient times that sum.
+At the last free coordinate the tail is one coordinate and the bound is the
+row itself, so no vector outside nP is returned, and the points are
 re-checked against the hull's facets and equations.  The degree-n part of
 the semigroup is the n-fold sumset of the columns, so the semigroup is
 normal at degree n exactly when that sumset is all of nP ∩ Z^d;
@@ -42,7 +44,7 @@ import numpy as np
 
 from .design import column_table
 from .facets import LOOP_RAYS, model_hull, q_polyhedron
-from .polytope import HPolyhedron, canonical_inequality, convex_hull
+from .polytope import HPolyhedron
 from .words import (
     CapExceededError,
     Word,
@@ -75,32 +77,37 @@ def _int64_rows(rows, width: int) -> tuple[np.ndarray, np.ndarray]:
     return normals, offsets
 
 
-@lru_cache(maxsize=32)
-def _projections(T: int, S: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """For k = 1..dim-1, the rows a.y >= b of P_k, the projection of P onto
-    its first k coordinates, as an int64 normal matrix with k columns and an
-    offset vector.
+def _prefix_bounds(hull: HPolyhedron, T: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For k = 1..dim-1, the rows a'.(y, t) >= n*b' that bound t = x_k over
+    the prefix y = x_{<k} of a point x of nP, P = hull, as an int64 normal
+    matrix with k columns and an offset vector; every row's last entry, the
+    coefficient of t, is nonzero.
 
-    For k < dim-1, P_k is the hull of the distinct columns' k-prefixes, one
-    double description each.  P lies on sum(x) = T-1, so substituting
-    x_dim = T-1 - sum(y) into the rows of P gives P_{dim-1} with no new hull
-    (Ziegler 1995, Lectures on Polytopes, Sec. 1.2); the sum equation itself
-    becomes 0 >= 0 and is dropped.
+    Each comes from one row a.x >= b of P, or from x_dim >= 0.  The tail
+    x_{>k} is nonnegative and sums to r = n(T-1) - sum(y) - t, so
+    a.x <= a_{<=k}.(y, t) + r*M, M the largest entry of a_{>k}, and
+    a.x >= n*b gives a' = a_{<=k} - M and b' = b - M(T-1).  From x_dim >= 0
+    this reads t <= n(T-1) - sum(y).  At k = dim-1 the tail is x_dim alone
+    and r*M = a_dim*x_dim, so the rows are P's own with x_dim = n(T-1) -
+    sum(y, t) substituted: the last level is exact.  A row whose t
+    coefficient is 0 is the same row as at level k-1, which the prefix
+    already passed (down to 0 >= n*b' at k = 1, true since P is not empty),
+    so it is dropped.
     """
-    dim = S * (S - 1)
-    columns = list(column_table(S, T))
-    levels = [
-        _int64_rows(_rows(convex_hull([c[:k] for c in columns])), k)
-        for k in range(1, dim - 1)
-    ]
-    last = set()
-    for normal, rhs in _rows(model_hull(T, S)):
-        reduced = tuple(a - normal[-1] for a in normal[:-1])
-        offset = rhs - normal[-1] * (T - 1)
-        if any(reduced):
-            last.add(canonical_inequality(reduced, offset))
-    levels.append(_int64_rows(sorted(last), dim - 1))
-    return tuple(levels)
+    dim = hull.dim
+    normals, offsets = _int64_rows([*_rows(hull), ((0,) * (dim - 1) + (1,), 0)], dim)
+    levels = []
+    for k in range(1, dim):
+        top = normals[:, k:].max(axis=1)
+        keep = normals[:, k - 1] != top
+        top = top[keep]
+        rows = np.column_stack(
+            (normals[keep, :k] - top[:, None], offsets[keep] - top * (T - 1))
+        )
+        # divided by the gcd of all its entries, each row keeps its points
+        rows //= np.gcd.reduce(rows, axis=1)[:, None]
+        levels.append((rows[:, :-1], rows[:, -1]))
+    return levels
 
 
 def saturation_points(
@@ -115,30 +122,37 @@ def saturation_points(
     These are the members of ZA ∩ cone(A) with coordinate sum n(T-1), since
     ZA holds every integer vector of that sum (module docstring).  The points
     grow one coordinate at a time: each prefix y of length k-1 takes every
-    integer x_k with (y, x_k) in nP_k (`_projections`), whose range is read
-    off the rows a.x >= n*b as exact integer ceilings and floors, and the
-    sum fixes the last coordinate.  The ranges come from one int64 product
-    of a block of prefixes with the level's rows, the blocks sized so that
-    no temporary holds more than about 2^16 entries.  Every point is
-    re-checked against the hull's inequalities and equations in int64, by
-    the same blocked product, so a wrong projection raises AssertionError
-    and never returns a point outside nP.  The cap bounds the rows of every
-    level, so it bounds the points: a level that would exceed it raises
-    CapExceededError before it is built.  A degree whose facet products
-    could overflow int64 raises CapExceededError before any product.
+    integer x_k in [0, n(T-1)] that passes the level's rows
+    (`_prefix_bounds`), read off as exact integer ceilings and floors, and
+    the sum fixes the last coordinate.  Each row bounds the nonnegative tail
+    after x_k by its largest coefficient times the tail's sum, so no point of
+    nP is lost; at the last free coordinate the tail is one coordinate, the
+    bound is the row itself, and the points are exactly nP ∩ Z^dim.  The
+    ranges come from one int64 product of a block of prefixes with the
+    level's rows, the blocks sized so that no temporary holds more than
+    about 2^15 entries.  Every point is re-checked against the hull's
+    inequalities and equations in int64, by the same blocked product, so a
+    wrong bound raises AssertionError and never returns a point outside nP.
+    The cap bounds the prefixes of every level, so it bounds the points: a
+    level that would exceed it raises CapExceededError before it is built.
+    A degree whose row products could overflow int64 raises
+    CapExceededError before any product.
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
     hull = model_hull(T, S)
-    levels = _projections(T, S)
+    levels = _prefix_bounds(hull, T)
     total = n * (T - 1)
     dim = hull.dim
     normals, offsets = _int64_rows(_rows(hull), dim)
     largest = max(
         int(np.abs(M).max(initial=0)) for M in (normals, offsets, *chain(*levels))
     )
-    # |a.y| <= largest * total and |n * b| <= largest * total at every level
-    # and in the final check, so every int64 entry below is exact
+    # every coordinate lies in [0, total], so |a.y| <= largest * total and
+    # |n * b| <= largest * total at every level and in the final check, and
+    # each difference is at most twice that: every int64 entry below is
+    # exact.  The level rows, P's entries shifted by at most P's largest
+    # times T-1 <= total, stayed exact under the same bound.
     if largest * total * dim >= 2**62:
         raise CapExceededError(
             f"facet product bound {largest}*{total}*{dim} exceeds cap 2^62 of int64"
@@ -146,13 +160,13 @@ def saturation_points(
     X = np.zeros((1, 0), dtype=np.int64)
     for A, b in levels:
         k = A.shape[1]
-        # every coordinate of nP lies in [0, total]; each row a.(y, t) >= n*b
-        # with a_k != 0 bounds t by a_k * t >= rest, read off one product
-        # per block of prefixes with no more than about 2^16 entries
+        # t starts in [0, total]; each row a.(y, t) >= n*b bounds t by
+        # a_k * t >= rest, read off one product per block of prefixes with
+        # no more than about 2^15 entries
         up, down = A[:, -1] > 0, A[:, -1] < 0
         lo = np.empty(len(X), dtype=np.int64)
         hi = np.empty(len(X), dtype=np.int64)
-        step = max(1, 2**16 // len(A))
+        step = max(1, 2**15 // len(A))
         for s in range(0, len(X), step):
             rest = n * b - X[s : s + step] @ A[:, :-1].T
             lo[s : s + step] = (-(-rest[:, up] // A[up, -1])).max(axis=1, initial=0)
@@ -161,17 +175,17 @@ def saturation_points(
         rows = int(width.sum())
         if rows > cap:
             raise CapExceededError(
-                f"{rows} lattice points of {n}P's first {k} coordinates "
-                f"exceeds cap {cap}"
+                f"{rows} prefixes of length {k} within the bounds of {n}P: "
+                f"a level that exceeds cap {cap}"
             )
         # each prefix repeated once per value of its range, the values ascending
         t = np.arange(rows) - np.repeat(np.cumsum(width) - width - lo, width)
         X = np.column_stack((np.repeat(X, width, axis=0), t))
     X = np.column_stack((X, total - X.sum(axis=1)))
-    step = max(1, 2**16 // len(normals))
+    step = max(1, 2**15 // len(normals))
     for s in range(0, len(X), step):
         if (X[s : s + step] @ normals.T < n * offsets).any():
-            raise AssertionError(f"a projection of {n}P let a point outside {n}P through")
+            raise AssertionError(f"the bounds of {n}P let a point outside {n}P through")
     return X
 
 
@@ -270,11 +284,14 @@ def check_normality(
     With d = dim P, every lattice point of (c+1)P is one of cP plus one of P
     once c >= d-1 (Bruns, Gubeladze & Trung 1997, J. reine angew. Math. 485,
     Thm 1.3.3), so n_max >= max(1, d-1) decides every degree and the report
-    says `exact`; otherwise it covers n <= n_max only.  Keys that would
+    says `exact`; otherwise it covers n <= n_max only, and n_max < 1 raises
+    ValueError rather than pass with nothing checked.  Keys that would
     overflow int64 raise CapExceededError before any hull work, and every
     degree's points are listed before any sumset, so a point cap trips
     before the costly work.
     """
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     dim = S * (S - 1)
     base = n_max * (T - 1) + 1
     if base**dim >= 2**63:

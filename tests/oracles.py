@@ -11,10 +11,10 @@ and with the design matrix's columns.  The library reads a recession cone
 off the homogenized vertex enumeration (`VPolyhedron.rays`);
 `recession_rays` runs a second double description on the cone
 {x : a.x >= 0, e.x = 0} alone.  The library lists the lattice points of
-nP coordinate by coordinate from the projections of P, and its four-state
-probe scans compositions by stars and bars; the tests compare both against
-the plain recursion below, the points after filtering every composition by
-the hull.  The library's fiber walk and exact test step a count vector and
+nP coordinate by coordinate from bounds read off the hull's rows, and its
+four-state probe scans compositions by stars and bars; the tests compare
+both against the plain recursion below, the points after filtering every
+composition by the hull.  The library's fiber walk and exact test step a count vector and
 update the statistic from each accepted move; `tuple_walk` and
 `rescored_test` apply each move to the sorted table with `Move.apply` and
 score every changed kept table in full.  The library eliminates

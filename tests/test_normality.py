@@ -20,7 +20,7 @@ from thmc.normality import (
     _peel,
     _point_index,
     _point_indices,
-    _projections,
+    _prefix_bounds,
     check_normality,
     s4_nonnormality_probe,
     saturation_points,
@@ -81,12 +81,23 @@ class TestSaturationPoints:
         saturation_points(7, 1)
         assert model_hull.cache_info().misses == 1
 
-    def test_projections_built_once_per_T(self):
-        # the degrees of one T read the same cached projection rows
-        _projections.cache_clear()
-        for n in (1, 2, 3):
-            saturation_points(7, n)
-        assert _projections.cache_info().misses == 1
+    @pytest.mark.parametrize("S,T,n_max", [(3, 7, 3), (4, 4, 2)])
+    def test_one_hull_per_check(self, S, T, n_max, monkeypatch):
+        # every degree's bounds are read off the model hull's own rows: no
+        # other double description runs
+        from thmc.facets import model_hull
+
+        calls = []
+        for module in [m for name, m in sys.modules.items() if name.startswith("thmc")]:
+            if hasattr(module, "convex_hull"):
+                real = module.convex_hull
+                monkeypatch.setattr(
+                    module, "convex_hull",
+                    lambda *args, real=real, **kwargs: calls.append(args) or real(*args, **kwargs),
+                )
+        model_hull.cache_clear()
+        check_normality(T, n_max, S=S)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("T,count", [(12, 84_582), (18, 298_092)])
     def test_point_counts_at_degree_four(self, T, count):
@@ -104,15 +115,68 @@ class TestSaturationPoints:
 
     @pytest.mark.parametrize("S,T,n", [(3, 5, 2), (3, 8, 3), (4, 4, 1)])
     def test_tampered_projection_row_raises(self, S, T, n, monkeypatch):
-        # the last level loosened by one in every row lets points outside nP
-        # through; the exact re-check must raise, never return them
+        # the last level, P's rows with x_dim substituted (the projection of
+        # P on its first dim-1 coordinates), loosened by one in every row
+        # lets points outside nP through; the exact re-check must raise,
+        # never return them
         import thmc.normality
 
-        *levels, (A, b) = _projections(T, S)
-        loose = (*levels, (A, b - 1))
-        monkeypatch.setattr(thmc.normality, "_projections", lambda T, S: loose)
+        def loose(hull, T):
+            *levels, (A, b) = _prefix_bounds(hull, T)
+            return [*levels, (A, b - 1)]
+
+        monkeypatch.setattr(thmc.normality, "_prefix_bounds", loose)
         with pytest.raises(AssertionError, match="outside"):
             saturation_points(T, n, S=S)
+
+    # sha256 digests of the rows at degrees 1..4, computed while the ranges
+    # were still read off the facets of P's projections
+    ROW_DIGESTS = {
+        (3, 3): "04e905a1c316ea45aaf061892c915e08500ce8d1f26e92935ee7bdb49b9be4e8",
+        (3, 4): "0c7aebcd4a8e001b0e3945518a03dd0b19b652d7f0004f5fdb2311e56499db60",
+        (3, 5): "024d2128433cd90dabafcf6a5f964fb074eb2aee3ddd041a51495632b247b0c4",
+        (3, 6): "58eec146639d2b736163be2ad726bd7e50c81fbbfe4043ad3376d4e0e9392a75",
+        (3, 7): "946bbda105eb227f83802f29929b1cd20c4f14c32601497e25cd3e804bb1ea62",
+        (3, 8): "26c3d3aae3512c0d13e01933ddb09da7b2ec8e65d58de05cedcc0b346971c480",
+        (3, 9): "9fc73917b924e68332434abd23eab2df653ce52b55ccd26756cd5480cd38c2c7",
+        (3, 10): "b7ae1f124c9efa95b978d7eb183a5243a4cac520011048069c5ec63c7ac7cc39",
+        (3, 11): "d0e4aba9d1faa50c4cb53d7e0d7cf9485b78673ab63f3f3e030d04848638ce25",
+        (3, 12): "16b84faf4c406a908ac88bf019e9e954a7fa010577217ebfbc9646250a6e7b45",
+        (2, 3): "b70f4fc84bb92af80b9aef76a39bfd800e129b32777e81e9decaff3b4dee1b41",
+        (2, 4): "73dc00db3e8012b884eb494d8a89b488db53521999eb1cd26b385a9e780fa4f7",
+        (2, 5): "93b14d7d8507aaa0451d4aa7dcf52c5ae21e04b64e91b90f049d4c5a5f8da9b4",
+        (2, 6): "bd1b490d821aa85da4ab3ee8f9b6bc96c86d07e35398601505d7dd14b8a93bc8",
+        (2, 7): "63da1602a8311d3e796667cdb7e9b8a6260b52eef7d6083449469a36a2d20fb4",
+        (2, 8): "b24ce4bc7293551d8eacb446647fea5320b473b5754bff30cc38daa904c01671",
+        (2, 9): "c33aefed3a8b990507473d5e66db33ab41f6a196420f54325835f830dbbdf3a7",
+    }
+    FOUR_STATE_DIGESTS = {
+        (3, (1, 2)): "5bf5bcdc14fee43e9740302688eebe45408ada2c2bec834fb6b75fc564357ad6",
+        (4, (1, 2)): "4f9e024cf26ed55b2c4ea5514dad11822e1c962bb646d5ee67eee92395be983d",
+        (5, (1,)): "0427393f34090b5d61e5deeac89785fab5fbcc6f4e5b39f3eefe9de5a30d6158",
+    }
+
+    @staticmethod
+    def _row_digest(T, S, degrees):
+        h = hashlib.sha256()
+        for n in degrees:
+            X = saturation_points(T, n, S=S)
+            h.update(f"{n}:{X.shape}\n".encode())
+            h.update(X.astype("<i8").tobytes())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("S,T", list(ROW_DIGESTS))
+    def test_rows_are_pinned(self, S, T):
+        assert self._row_digest(T, S, (1, 2, 3, 4)) == self.ROW_DIGESTS[S, T]
+
+    @pytest.mark.parametrize("T,degrees", list(FOUR_STATE_DIGESTS))
+    def test_four_state_rows_are_pinned(self, T, degrees):
+        assert self._row_digest(T, 4, degrees) == self.FOUR_STATE_DIGESTS[T, degrees]
+
+    def test_rows_are_pinned_at_T18(self):
+        assert self._row_digest(18, 3, (4,)) == (
+            "87c297e10533fa0eafcb2da0c6d60a37d5ad824110c233eb1fbf5cd2ba49f7a1"
+        )
 
     @pytest.mark.parametrize(
         "S,T,n",
@@ -235,8 +299,8 @@ class TestCheckNormality:
             check_split(words, x, sum(x) // 4, 5, 3)
 
     def test_builds_no_composition(self, monkeypatch):
-        # the points come from the projections; only the four-state probe
-        # scans compositions
+        # the points come from the hull's prefix bounds; only the four-state
+        # probe scans compositions
         import thmc.normality
 
         def compositions(*args):
@@ -259,6 +323,14 @@ class TestCheckNormality:
             assert "Bruns-Gubeladze-Trung 1997, Thm 1.3.3" in rep["scope"]
         else:
             assert rep["scope"].startswith(f"degrees n <= {n_max} only")
+
+    @pytest.mark.parametrize("n_max", [0, -1])
+    def test_no_degree_raises(self, n_max):
+        # a check of no degree would read ok with nothing checked
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            check_normality(5, n_max)
+        with pytest.raises(ValueError, match="degree must be >= 1"):
+            saturation_points(5, n_max)
 
     def test_key_overflow_raises_before_hull_work(self, monkeypatch):
         # 5^42 >= 2^63: the keys of a 42-coordinate vector would wrap
@@ -329,12 +401,13 @@ class TestCheckNormality:
 
     @staticmethod
     def _patch_columns(monkeypatch, T, table):
-        # the columns change, the projections of P (built from the true
-        # columns) do not
+        # the columns change, the hull of P (built from the true columns)
+        # does not
         import thmc.normality
+        from thmc.facets import model_hull
 
-        levels = _projections(T, 3)
-        monkeypatch.setattr(thmc.normality, "_projections", lambda T, S: levels)
+        hull = model_hull(T, 3)
+        monkeypatch.setattr(thmc.normality, "model_hull", lambda T, S: hull)
         monkeypatch.setattr(thmc.normality, "column_table", lambda S, T: table)
 
     @pytest.mark.parametrize("where", ["past-the-last-point", "between-two-points"])

@@ -10,7 +10,6 @@ import thmc.polytope
 from oracles import contains, in_convex_hull, membership, recession_rays
 from thmc.design import column_table, get_design
 from thmc.facets import LOOP_RAYS, model_hull, q_polyhedron, q_vertices
-from thmc.normality import _projections
 from thmc.polytope import (
     HPolyhedron,
     InfeasibleSystemError,
@@ -219,7 +218,7 @@ class TestRayMembership:
 
 def _column_sets():
     """The hull inputs of the model: the distinct columns at S = 3 (with
-    their k-prefixes, the projection hulls' inputs), S = 2 and S = 4."""
+    their k-prefixes, lower-dimensional point sets), S = 2 and S = 4."""
     sets = {}
     for T in range(3, 13):
         for k in (1, 2, 3, 4, 6):
@@ -303,13 +302,6 @@ class TestHullRegression:
     def test_model_hulls(self):
         digest = _digest(model_hull(T, 3).to_json() for T in range(3, 26))
         assert digest == "e1b3efc6a201d09c573c0d4961cd169ff5f6a0c657559841d2b231c8db745f5f"
-
-    def test_projection_rows(self):
-        digest = _digest(
-            json.dumps([[A.tolist(), b.tolist()] for A, b in _projections(T, 3)])
-            for T in range(3, 13)
-        )
-        assert digest == "180cfd21e28e75639816724abbe3c9daaf49626c35f8313be864f27a8be9bd40"
 
     def test_residue_vertices(self):
         digest = _digest(
