@@ -6,21 +6,27 @@ sum n(T-1).  Every column sums to T-1, and changing a word's last state
 e_ba - e_da in ZA; for S >= 3 these differences link all pairs, so ZA is
 {x in Z^d : (T-1) | sum(x)}.  For S = 2 the same holds at even T, and at odd
 T the polytope is one point of ZA.  The saturation points of degree n are
-therefore the integer points of nP, P the model polytope.  They are listed
-one coordinate at a time in int64 arrays, the range of x_k over each prefix
-read off the hull's own rows: the tail after x_k is nonnegative with a known
-sum, so each row bounds x_k by its largest tail coefficient times that sum.
-At the last free coordinate the tail is one coordinate and the bound is the
-row itself, so no vector outside nP is returned, and the points are
-re-checked against the hull's facets and equations.  The degree-n part of
-the semigroup is the n-fold sumset of the columns, so the semigroup is
-normal at degree n exactly when that sumset is all of nP ∩ Z^d;
-`check_normality` compares the two by counting int64 keys, and degrees up
-to dim P - 1 decide every degree.  Each key sum finds its point through an
-open-addressing hash table over the points' keys (Knuth, TAOCP Vol. 3,
-Sec. 6.4).  The hash only picks where a probe starts; a probe stops at an
-equal full key, or raises AssertionError at an empty slot, so a sum is
-matched to its point exactly and a sum outside nP never passes.
+therefore the integer points of nP, P the model polytope.  The integer
+points of a polyhedron's dilation are listed one coordinate at a time in
+int64 arrays, the range of x_k over each prefix read off the polyhedron's
+own rows: the tail after x_k is nonnegative with a known sum, so each row
+bounds x_k by its largest tail coefficient times that sum.  At the last free
+coordinate the tail is one coordinate and the bound is the row itself, so no
+vector outside is returned, and the points are re-checked against the rows.
+The degree-n part of the semigroup is the n-fold sumset S_n of the columns,
+so the semigroup is normal at degree n exactly when S_n is all of
+nP ∩ Z^d; `check_normality` compares the two by counting int64 keys, and
+degrees up to dim P - 1 decide every degree.  At S = 3 and T >= 5 it lists
+nQ, Q the paper's 24 facet rows on the columns' affine hull, instead of nP,
+and needs no double description unless a point of nQ is missed: every
+column is looked up among Q's degree-1 points, so P ⊆ Q is checked; when
+every point of nQ is reached, nQ ∩ Z^d = S_n ⊆ nP, and a point missed is
+decided against the double-description hull of P.  Each key sum finds its
+point through an open-addressing hash table over the points' keys (Knuth,
+TAOCP Vol. 3, Sec. 6.4).  The hash only picks where a probe starts; a probe
+stops at an equal full key, or raises AssertionError at an empty slot, so a
+sum is matched to its point exactly and a sum outside the listed points
+never passes.
 For long chains a loop-peeling induction reduces T by 6 per step before the
 exhaustive trail search takes over.  Every witness is re-checked exactly:
 those read off the sumset all at once per degree, by summing their columns'
@@ -44,7 +50,7 @@ import numpy as np
 
 from .design import column_table
 from .facets import LOOP_RAYS, model_hull, q_polyhedron
-from .polytope import HPolyhedron
+from .polytope import HPolyhedron, affine_equations, in_dilation
 from .words import (
     CapExceededError,
     Word,
@@ -113,26 +119,28 @@ def _prefix_bounds(hull: HPolyhedron, T: int) -> list[tuple[np.ndarray, np.ndarr
 def saturation_points(
     T: int,
     n: int,
-    S: int = 3,
+    hull: HPolyhedron,
     cap: int = DEFAULT_POINT_CAP,
 ) -> np.ndarray:
-    """All integer points of nP, P the model polytope, as the rows of an int64
-    array in lexicographic order.
+    """All nonnegative integer points of n*hull with coordinate sum n(T-1),
+    as the rows of an int64 array in lexicographic order.
 
-    These are the members of ZA ∩ cone(A) with coordinate sum n(T-1), since
-    ZA holds every integer vector of that sum (module docstring).  The points
-    grow one coordinate at a time: each prefix y of length k-1 takes every
-    integer x_k in [0, n(T-1)] that passes the level's rows
+    With hull = `model_hull(T, S)` these are the members of ZA ∩ cone(A) of
+    degree n, since ZA holds every integer vector of that sum (module
+    docstring); `check_normality` may pass a polyhedron Q ⊇ P instead.  The
+    points grow one coordinate at a time: each prefix y of length k-1 takes
+    every integer x_k in [0, n(T-1)] that passes the level's rows
     (`_prefix_bounds`), read off as exact integer ceilings and floors, and
     the sum fixes the last coordinate.  Each row bounds the nonnegative tail
     after x_k by its largest coefficient times the tail's sum, so no point of
-    nP is lost; at the last free coordinate the tail is one coordinate, the
-    bound is the row itself, and the points are exactly nP ∩ Z^dim.  The
-    ranges come from one int64 product of a block of prefixes with the
+    n*hull is lost; at the last free coordinate the tail is one coordinate,
+    the bound is the row itself, and the points are exactly those of n*hull.
+    The ranges come from one int64 product of a block of prefixes with the
     level's rows, the blocks sized so that no temporary holds more than
     about 2^15 entries.  Every point is re-checked against the hull's
     inequalities and equations in int64, by the same blocked product, so a
-    wrong bound raises AssertionError and never returns a point outside nP.
+    wrong bound raises AssertionError and never returns a point outside
+    n*hull.
     The cap bounds the prefixes of every level, so it bounds the points: a
     level that would exceed it raises CapExceededError before it is built.
     A degree whose row products could overflow int64 raises
@@ -140,7 +148,6 @@ def saturation_points(
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
-    hull = model_hull(T, S)
     levels = _prefix_bounds(hull, T)
     total = n * (T - 1)
     dim = hull.dim
@@ -258,11 +265,22 @@ def check_normality(
     """Compare the semigroup's degree-n part, the n-fold sumset S_n of the
     columns, with the saturation points nP ∩ Z^dim, for every n <= n_max.
 
-    The failures are the points of nP missing from S_n, in point order.  A
+    The failures are the points of nP missing from S_n, in point order.
+    The points are listed over a polyhedron Q: at S = 3 and T >= 5, the 24
+    affine facet rows of `q_polyhedron(T % 6)` with the equations of the
+    columns' affine hull (`affine_equations`), which also give dim P; at
+    every other S and T, Q is `model_hull(T, S)`.  The facet theorem is not
+    assumed.  Degree 1 looks up every column among Q's points, so a column
+    outside Q raises, and P, the hull of the columns, lies in Q.  Then
+    S_n ⊆ nP ⊆ nQ: when every point of nQ is reached, its points are S_n
+    and those of nP.  A point of nQ that no sum reaches is decided against
+    `model_hull(T, S)`, the one double description left at S = 3, T >= 5,
+    built only then; a point outside nP is neither checked nor a failure.
+    So the points, the verdict and the witnesses are those of nP.  A
     vector is one int64 key in base n_max(T-1)+1: no coordinate reaches the
     base, so the key of a sum is the sum of the keys and key order is point
-    order.  `saturation_points` lists nP in that order, and every key sum of
-    S_{n-1} and a column lies in nP.  A hash table over the degree's point
+    order.  `saturation_points` lists nQ in that order, and every key sum of
+    S_{n-1} and a column must lie in nQ.  A hash table over the degree's point
     keys (`_point_index`, linear probing, at most half full) maps each sum
     to its point: a probe compares the full key at every slot it visits, so
     only an equal key is matched, and a sum that reaches an empty slot is
@@ -298,14 +316,21 @@ def check_normality(
         raise CapExceededError(
             f"key range {base}^{dim} exceeds cap 2^63 of the int64 normality keys"
         )
-    d = dim - len(model_hull(T, S).equations)
+    table = column_table(S, T)
+    _, equations = affine_equations([(1, *x) for x in table])
+    d = dim - len(equations)
     enough = max(1, d - 1)
+    # the paper's 24 facet rows, checked by degree 1's lookups, not assumed
+    by_facets = S == 3 and T >= 5
+    if by_facets:
+        Q = HPolyhedron.make(dim, q_polyhedron(T % 6).inequalities, equations)
+    else:
+        Q = model_hull(T, S)
     # the largest degree first, where a point cap trips
-    points = {n: saturation_points(T, n, S=S, cap=cap) for n in range(n_max, 0, -1)}
+    points = {n: saturation_points(T, n, Q, cap=cap) for n in range(n_max, 0, -1)}
     weights = base ** np.arange(dim - 1, -1, -1, dtype=np.int64)
     # the distinct columns' keys, in column order (so ascending), and each
     # one's least word, recounted once: its transition counts and its length
-    table = column_table(S, T)
     col_keys = np.array(list(table), dtype=np.int64).reshape(-1, dim) @ weights
     col_words = [word for _, word in table.values()]
     col_counts = np.array(
@@ -343,7 +368,14 @@ def check_normality(
         # the witness re-check below is the degree's memory peak: free the
         # index and the parents first
         del table, first, parent
-        failures += [{"x": x, "n": n} for x in X[~hit].tolist()]
+        holes = X[~hit].tolist()
+        if by_facets and holes:
+            # Q may hold points outside nP; only those inside are holes
+            hull = model_hull(T, S)
+            inside = [x for x in holes if in_dilation(hull, x, n)]
+            points_checked -= len(holes) - len(inside)
+            holes = inside
+        failures += [{"x": x, "n": n} for x in holes]
         # every witness at once: n words of length T whose recounted
         # transition counts sum to the point, in int64 (entries <= n(T-1));
         # the words are taken off the point one pick at a time, so no

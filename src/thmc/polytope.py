@@ -231,6 +231,16 @@ def _drop_midpoints(points: list[tuple]) -> list[tuple]:
     ]
 
 
+def affine_equations(
+    gens: Sequence[IntVec],
+) -> tuple[list[IntVec], list[tuple[IntVec, int]]]:
+    """The affine hull of homogenized generators (1, p) and (0, r): the
+    kernel of the generator matrix, a primitive integer basis, and each
+    kernel vector y read as the equation y[1:].x = -y[0]."""
+    basis = nullspace_int(gens)
+    return basis, [(y[1:], -y[0]) for y in basis]
+
+
 def convex_hull(
     points: Sequence[Sequence[int | Fraction]],
     rays: Sequence[Sequence[int | Fraction]] = (),
@@ -245,10 +255,9 @@ def convex_hull(
     kept = _drop_midpoints(sorted(set(map(tuple, points))))
     gens = [primitive((1, *p)) for p in kept]
     gens += [(0,) + r for r in uniq_rays]
-    # equations of the hull = kernel of the generator matrix; the pointed
-    # part of the dual cone {y : g.y >= 0} lives in its orthogonal complement
-    eq_basis = nullspace_int(gens)
-    equations = [(y[1:], -y[0]) for y in eq_basis]
+    # the pointed part of the dual cone {y : g.y >= 0} lives in the
+    # orthogonal complement of the equations' kernel
+    eq_basis, equations = affine_equations(gens)
     # a lone point has no facets: its one dual ray is the point itself
     duals = cone_extreme_rays(gens, eq_basis) if len(gens) > 1 else []
     # y = (1, 0, ..., 0) is the homogenization artifact x0 >= 0, trivial on P

@@ -160,11 +160,12 @@ class TestSaturationShapeInvariant:
     def test_lattice_cone_members_obey_degree_bounds(self):
         # every lattice-and-cone vector has coordinate sum n(T-1) and vertex
         # imbalances bounded by n
+        from thmc.facets import model_hull
         from thmc.normality import saturation_points
         from thmc.words import degree_imbalances
 
         for T, n in ((5, 2), (6, 2), (7, 1)):
-            for x in saturation_points(T, n).tolist():
+            for x in saturation_points(T, n, model_hull(T, 3)).tolist():
                 assert sum(x) == n * (T - 1)
                 assert all(abs(d) <= n for d in degree_imbalances(x))
 

@@ -12,7 +12,7 @@ from oracles import max_loop_coefficients
 from thmc.cli import main
 from thmc.design import column_table, get_design
 from thmc.exactla import simplex_standard
-from thmc.facets import LOOP_RAYS, q_polyhedron, q_vertices
+from thmc.facets import LOOP_RAYS, model_hull, q_polyhedron, q_vertices
 from thmc.normality import (
     _compositions,
     _glue,
@@ -26,6 +26,7 @@ from thmc.normality import (
     saturation_points,
     witness_by_induction,
 )
+from thmc.polytope import HPolyhedron, affine_equations
 from thmc.words import (
     CapExceededError,
     Word,
@@ -38,7 +39,7 @@ from thmc.words import (
 
 
 def point_tuples(T, n, S=3):
-    return [tuple(x) for x in saturation_points(T, n, S=S).tolist()]
+    return [tuple(x) for x in saturation_points(T, n, model_hull(T, S)).tolist()]
 
 
 class TestSaturationPoints:
@@ -64,29 +65,30 @@ class TestSaturationPoints:
 
     def test_cap(self):
         with pytest.raises(CapExceededError, match="exceeds cap 10"):
-            saturation_points(10, 3, cap=10)
+            saturation_points(10, 3, model_hull(10, 3), cap=10)
 
     def test_int64_overflow_raises_cap(self):
         # 4 * 10^17 * 6 times the largest facet entry passes 2^62: an explicit
         # raise, so the guard holds under python -O too
         with pytest.raises(CapExceededError, match="exceeds cap 2\\^62 of int64"):
-            saturation_points(5, 10**17)
+            saturation_points(5, 10**17, model_hull(5, 3))
 
     def test_one_hull_per_T(self):
         # the facet check and the saturation filter read the same cached hull
-        from thmc.facets import hull_facets_homogeneous, model_hull
+        from thmc.facets import hull_facets_homogeneous
 
         model_hull.cache_clear()
         hull_facets_homogeneous(7)
-        saturation_points(7, 1)
+        saturation_points(7, 1, model_hull(7, 3))
         assert model_hull.cache_info().misses == 1
 
-    @pytest.mark.parametrize("S,T,n_max", [(3, 7, 3), (4, 4, 2)])
-    def test_one_hull_per_check(self, S, T, n_max, monkeypatch):
-        # every degree's bounds are read off the model hull's own rows: no
-        # other double description runs
-        from thmc.facets import model_hull
-
+    @pytest.mark.parametrize(
+        "S,T,n_max,hulls", [(3, 7, 3, 0), (4, 4, 2, 1)], ids=["3-7-3", "4-4-2"]
+    )
+    def test_one_hull_per_check(self, S, T, n_max, hulls, monkeypatch):
+        # every degree's bounds are read off the listed polyhedron's own
+        # rows: at S = 3, T >= 5 the 24 facet rows, which need no double
+        # description while every point is reached; elsewhere the model hull
         calls = []
         for module in [m for name, m in sys.modules.items() if name.startswith("thmc")]:
             if hasattr(module, "convex_hull"):
@@ -97,19 +99,20 @@ class TestSaturationPoints:
                 )
         model_hull.cache_clear()
         check_normality(T, n_max, S=S)
-        assert len(calls) == 1
+        assert len(calls) == hulls
 
     @pytest.mark.parametrize("T,count", [(12, 84_582), (18, 298_092)])
     def test_point_counts_at_degree_four(self, T, count):
         # the cap bounds points, not the C(4(T-1)+5, 5) compositions
-        assert len(saturation_points(T, 4, cap=count)) == count
+        hull = model_hull(T, 3)
+        assert len(saturation_points(T, 4, hull, cap=count)) == count
         with pytest.raises(CapExceededError, match="exceeds cap"):
-            saturation_points(T, 4, cap=count - 1)
+            saturation_points(T, 4, hull, cap=count - 1)
 
     @pytest.mark.parametrize("S,T,n", [(3, 9, 3), (3, 12, 2), (2, 6, 3), (4, 4, 2)])
     def test_rows_strictly_increase(self, S, T, n):
         # each row's first difference from the row before it is positive
-        steps = np.diff(saturation_points(T, n, S=S), axis=0)
+        steps = np.diff(saturation_points(T, n, model_hull(T, S)), axis=0)
         first = (steps != 0).argmax(axis=1)
         assert (steps[np.arange(len(steps)), first] > 0).all()
 
@@ -127,7 +130,7 @@ class TestSaturationPoints:
 
         monkeypatch.setattr(thmc.normality, "_prefix_bounds", loose)
         with pytest.raises(AssertionError, match="outside"):
-            saturation_points(T, n, S=S)
+            saturation_points(T, n, model_hull(T, S))
 
     # sha256 digests of the rows at degrees 1..4, computed while the ranges
     # were still read off the facets of P's projections
@@ -160,7 +163,7 @@ class TestSaturationPoints:
     def _row_digest(T, S, degrees):
         h = hashlib.sha256()
         for n in degrees:
-            X = saturation_points(T, n, S=S)
+            X = saturation_points(T, n, model_hull(T, S))
             h.update(f"{n}:{X.shape}\n".encode())
             h.update(X.astype("<i8").tobytes())
         return h.hexdigest()
@@ -188,7 +191,6 @@ class TestSaturationPoints:
     def test_equals_brute_force_filter(self, S, T, n):
         # the reference: every composition, the exact lattice test, then the
         # hull's inequalities
-        from thmc.facets import model_hull
         from thmc.polytope import in_dilation
         from oracles import compositions
 
@@ -199,7 +201,7 @@ class TestSaturationPoints:
             for x in compositions(n * (T - 1), A.dim)
             if list(x) in A.lattice and in_dilation(hull, x, n)
         ]
-        got = saturation_points(T, n, S=S)
+        got = saturation_points(T, n, hull)
         assert got.dtype == np.int64 and got.shape == (len(expected), A.dim)
         assert got.tolist() == [list(x) for x in expected]
 
@@ -213,7 +215,6 @@ class TestSaturationPoints:
         # integer points of the cone on the sum-n(T-1) slice are exactly the
         # n-dilated polytope points; cross-check the inequality route against
         # LP membership in the V-form, both directions, on a drawn sample
-        from thmc.facets import model_hull
         from oracles import compositions, membership
         from thmc.polytope import convex_hull, in_dilation, vertex_enumeration
 
@@ -330,7 +331,7 @@ class TestCheckNormality:
         with pytest.raises(ValueError, match="n_max must be >= 1"):
             check_normality(5, n_max)
         with pytest.raises(ValueError, match="degree must be >= 1"):
-            saturation_points(5, n_max)
+            saturation_points(5, n_max, model_hull(5, 3))
 
     def test_key_overflow_raises_before_hull_work(self, monkeypatch):
         # 5^42 >= 2^63: the keys of a 42-coordinate vector would wrap
@@ -404,7 +405,6 @@ class TestCheckNormality:
         # the columns change, the hull of P (built from the true columns)
         # does not
         import thmc.normality
-        from thmc.facets import model_hull
 
         hull = model_hull(T, 3)
         monkeypatch.setattr(thmc.normality, "model_hull", lambda T, S: hull)
@@ -472,6 +472,72 @@ class TestCheckNormality:
         monkeypatch.setattr(thmc.normality, "column_table", lambda S, T: table)
         with pytest.raises(AssertionError, match="does not split"):
             check_normality(4, 2)
+
+
+class TestFacetRows:
+    """At S = 3, T >= 5 the points are listed over the paper's 24 facet rows
+    on the columns' affine hull; the answers must not lean on those rows."""
+
+    @staticmethod
+    def _patch_rows(monkeypatch, rows):
+        import thmc.normality
+
+        monkeypatch.setattr(
+            thmc.normality, "q_polyhedron", lambda r: HPolyhedron(6, tuple(rows))
+        )
+
+    @staticmethod
+    def _facet_rows(T, rows):
+        _, equations = affine_equations([(1, *x) for x in column_table(3, T)])
+        return HPolyhedron.make(6, rows, equations)
+
+    @pytest.mark.parametrize("T", [5, 7, 9])
+    @pytest.mark.parametrize("row", [0, 5, 23])
+    def test_dropped_row_gives_the_same_report(self, T, row, monkeypatch):
+        # without one row the listing holds points outside nP; each one is
+        # reached by no sum, decided against the model hull and dropped
+        rows = q_polyhedron(T % 6).inequalities
+        rows = rows[:row] + rows[row + 1 :]
+        looser = saturation_points(T, 3, self._facet_rows(T, rows))
+        assert len(looser) > len(saturation_points(T, 3, model_hull(T, 3)))
+        expected = check_normality(T, 3, keep_witnesses=True)
+        self._patch_rows(monkeypatch, rows)
+        assert check_normality(T, 3, keep_witnesses=True) == expected
+
+    @pytest.mark.parametrize("T", [5, 7, 9])
+    @pytest.mark.parametrize("row", [0, 5, 23])
+    def test_tightened_row_raises(self, T, row, monkeypatch):
+        # a row tightened by one cuts off the columns tight on it: degree 1's
+        # lookup must raise, never pass
+        rows = list(q_polyhedron(T % 6).inequalities)
+        normal, rhs = rows[row]
+        rows[row] = (normal, rhs + 1)
+        self._patch_rows(monkeypatch, rows)
+        with pytest.raises(AssertionError, match="a sum of columns lies outside nP"):
+            check_normality(T, 2)
+
+    def test_reports_need_no_double_description(self, monkeypatch):
+        def convex_hull(*args, **kwargs):
+            raise AssertionError("check_normality ran a double description")
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("thmc")]:
+            if hasattr(module, "convex_hull"):
+                monkeypatch.setattr(module, "convex_hull", convex_hull)
+        model_hull.cache_clear()
+        for T in range(5, 13):
+            text = json.dumps(check_normality(T, 4), sort_keys=True)
+            digest = hashlib.sha256(text.encode()).hexdigest()
+            assert digest == TestCheckNormality.REPORT_DIGESTS[T]
+
+    @pytest.mark.parametrize("T", [*range(5, 14), 18])
+    def test_facet_rows_list_the_points_of_nP(self, T):
+        # the paper's 24-facet theorem on lattice points, independent of the
+        # sumset: the listing over the rows is the listing over the hull
+        Q = self._facet_rows(T, q_polyhedron(T % 6).inequalities)
+        assert Q.equations == (((1,) * 6, T - 1),)
+        hull = model_hull(T, 3)
+        for n in (1, 2, 3):
+            assert np.array_equal(saturation_points(T, n, Q), saturation_points(T, n, hull))
 
 
 class TestPointIndex:
