@@ -46,9 +46,9 @@ class InputError(Exception):
     """Unreadable or malformed command input: `main` prints it and exits 2.
 
     A CapExceededError (a size past --word-cap, --multiset-cap, or the
-    point cap of `normality`: at most 2,000,000 prefixes that pass nP's
-    bounds per level, so at most that many points per degree n) takes the
-    same way out."""
+    point cap of `normality`: at most 2,000,000 prefixes per level of the
+    one listing of every degree n <= --n-max, so at most that many points
+    over all those degrees) takes the same way out."""
 
 
 def _digest(path: Path) -> str:

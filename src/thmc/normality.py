@@ -7,12 +7,14 @@ e_ba - e_da in ZA; for S >= 3 these differences link all pairs, so ZA is
 {x in Z^d : (T-1) | sum(x)}.  For S = 2 the same holds at even T, and at odd
 T the polytope is one point of ZA.  The saturation points of degree n are
 therefore the integer points of nP, P the model polytope.  The integer
-points of a polyhedron's dilation are listed one coordinate at a time in
-int64 arrays, the range of x_k over each prefix read off the polyhedron's
-own rows: the tail after x_k is nonnegative with a known sum, so each row
-bounds x_k by its largest tail coefficient times that sum.  At the last free
-coordinate the tail is one coordinate and the bound is the row itself, so no
-vector outside is returned, and the points are re-checked against the rows.
+points of a polyhedron's dilations d = 1..n are listed in one walk, one
+coordinate at a time in int64 arrays, with the degree d as each prefix's
+leading coordinate; the range of x_k over each prefix is read off the
+polyhedron's own rows, homogenized in d: the tail after x_k is nonnegative
+with a known sum, so each row bounds x_k by its largest tail coefficient
+times that sum.  At the last free coordinate the tail is one coordinate and
+the bound is the row itself, so no vector outside is returned, and the
+points are re-checked against the rows.
 The degree-n part of the semigroup is the n-fold sumset S_n of the columns,
 so the semigroup is normal at degree n exactly when S_n is all of
 nP ∩ Z^d; `check_normality` compares the two by counting int64 keys, and
@@ -29,8 +31,8 @@ sum is matched to its point exactly and a sum outside the listed points
 never passes.
 For long chains a loop-peeling induction reduces T by 6 per step before the
 exhaustive trail search takes over.  Every witness is re-checked exactly:
-those read off the sumset all at once per degree, by summing their columns'
-recounted int64 count rows, and those glued by the induction one by one
+those read off the sumset a block of points at a time, by summing their
+columns' recounted int64 count rows, and those glued by the induction one by one
 (`words.check_split`).
 The four-state probe scans compositions, in stars-and-bars order, for a
 point x of the cone that splits into no words.  The same word search
@@ -122,29 +124,36 @@ def saturation_points(
     hull: HPolyhedron,
     cap: int = DEFAULT_POINT_CAP,
 ) -> np.ndarray:
-    """All nonnegative integer points of n*hull with coordinate sum n(T-1),
-    as the rows of an int64 array in lexicographic order.
+    """All nonnegative integer points of d*hull with coordinate sum d(T-1),
+    for every degree d = 1..n, as the rows of one int64 array: degree-major,
+    and each degree's rows in lexicographic order.  A row's degree is its
+    coordinate sum over T-1.
 
     With hull = `model_hull(T, S)` these are the members of ZA ∩ cone(A) of
-    degree n, since ZA holds every integer vector of that sum (module
-    docstring); `check_normality` may pass a polyhedron Q ⊇ P instead.  The
-    points grow one coordinate at a time: each prefix y of length k-1 takes
-    every integer x_k in [0, n(T-1)] that passes the level's rows
-    (`_prefix_bounds`), read off as exact integer ceilings and floors, and
-    the sum fixes the last coordinate.  Each row bounds the nonnegative tail
-    after x_k by its largest coefficient times the tail's sum, so no point of
-    n*hull is lost; at the last free coordinate the tail is one coordinate,
-    the bound is the row itself, and the points are exactly those of n*hull.
-    The ranges come from one int64 product of a block of prefixes with the
+    degree d <= n, since ZA holds every integer vector of that sum (module
+    docstring); `check_normality` may pass a polyhedron Q ⊇ P instead.  One
+    walk lists every degree: the degree is the prefix's leading coordinate,
+    so each level row a'.(y, t) >= d*b' of `_prefix_bounds` is read as
+    (-b', a').(d, y, t) >= 0, and the walk starts from the n prefixes (1),
+    ..., (n).  The points grow one coordinate at a time: each prefix (d, y)
+    takes every integer t = x_k in [0, n(T-1)] that passes the level's rows,
+    read off as exact integer ceilings and floors, and the sum d(T-1) fixes
+    the last coordinate.  Each row bounds the nonnegative tail after x_k by
+    its largest coefficient times the tail's sum, so no point of d*hull is
+    lost; at the last free coordinate the tail is one coordinate, the bound
+    is the row itself, and the points are exactly those of d*hull.  The
+    ranges come from one int64 product of a block of prefixes with the
     level's rows, the blocks sized so that no temporary holds more than
-    about 2^15 entries.  Every point is re-checked against the hull's
-    inequalities and equations in int64, by the same blocked product, so a
+    about 2^15 entries, and each level is filled one column at a time into
+    one array.  Every point x of degree d is re-checked against the hull's
+    inequalities and equations in int64, one product per block of a
+    degree's rows with the normals set against d times the offsets, so a
     wrong bound raises AssertionError and never returns a point outside
-    n*hull.
-    The cap bounds the prefixes of every level, so it bounds the points: a
-    level that would exceed it raises CapExceededError before it is built.
-    A degree whose row products could overflow int64 raises
-    CapExceededError before any product.
+    d*hull.
+    The cap bounds the prefixes of every level, counted over all degrees
+    d <= n, so it bounds the points: a level that would exceed it raises
+    CapExceededError before it is built.  A degree whose row products could
+    overflow int64 raises CapExceededError before any product.
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
@@ -155,44 +164,63 @@ def saturation_points(
     largest = max(
         int(np.abs(M).max(initial=0)) for M in (normals, offsets, *chain(*levels))
     )
-    # every coordinate lies in [0, total], so |a.y| <= largest * total and
-    # |n * b| <= largest * total at every level and in the final check, and
-    # each difference is at most twice that: every int64 entry below is
-    # exact.  The level rows, P's entries shifted by at most P's largest
-    # times T-1 <= total, stayed exact under the same bound.
+    # every coordinate lies in [0, total] and d <= n <= total, so
+    # |a.y| <= largest * total and |d * b| <= largest * total at every level
+    # and in the final check, and each difference is at most twice that:
+    # every int64 entry below is exact.  The level rows, P's entries shifted
+    # by at most P's largest times T-1 <= total, stayed exact under the same
+    # bound.
     if largest * total * dim >= 2**62:
         raise CapExceededError(
             f"facet product bound {largest}*{total}*{dim} exceeds cap 2^62 of int64"
         )
-    X = np.zeros((1, 0), dtype=np.int64)
-    for A, b in levels:
-        k = A.shape[1]
-        # t starts in [0, total]; each row a.(y, t) >= n*b bounds t by
-        # a_k * t >= rest, read off one product per block of prefixes with
-        # no more than about 2^15 entries
+    # the prefixes (d, y), stored with the degree in the last column; the
+    # last level puts x_dim = d(T-1) - sum(y, t) there instead
+    X = np.arange(1, n + 1, dtype=np.int64)[:, None]
+    for k, (A, b) in enumerate(levels, 1):
+        # (y, d) @ (-a'_y, b') is d*b' - a'_y.y, the rest that a'_t * t must
+        # reach; t starts in [0, total], and one product per block of
+        # prefixes with no more than about 2^15 entries reads off its range
+        G = np.column_stack((-A[:, :-1], b))
         up, down = A[:, -1] > 0, A[:, -1] < 0
         lo = np.empty(len(X), dtype=np.int64)
         hi = np.empty(len(X), dtype=np.int64)
         step = max(1, 2**15 // len(A))
         for s in range(0, len(X), step):
-            rest = n * b - X[s : s + step] @ A[:, :-1].T
+            rest = X[s : s + step] @ G.T
             lo[s : s + step] = (-(-rest[:, up] // A[up, -1])).max(axis=1, initial=0)
             hi[s : s + step] = (rest[:, down] // A[down, -1]).min(axis=1, initial=total)
         width = np.maximum(hi - lo + 1, 0)
         rows = int(width.sum())
         if rows > cap:
             raise CapExceededError(
-                f"{rows} prefixes of length {k} within the bounds of {n}P: "
+                f"{rows} prefixes of length {k} within the bounds of dP, d <= {n}: "
                 f"a level that exceeds cap {cap}"
             )
-        # each prefix repeated once per value of its range, the values ascending
-        t = np.arange(rows) - np.repeat(np.cumsum(width) - width - lo, width)
-        X = np.column_stack((np.repeat(X, width, axis=0), t))
-    X = np.column_stack((X, total - X.sum(axis=1)))
+        # each prefix repeated once per value of its range, the values
+        # ascending, one column at a time
+        Y = np.empty((rows, k + 1), dtype=np.int64)
+        for j in range(k - 1):
+            Y[:, j] = np.repeat(X[:, j], width)
+        t = Y[:, k - 1]
+        t[:] = np.arange(rows)
+        t -= np.repeat(np.cumsum(width) - width - lo, width)
+        if k < dim - 1:
+            Y[:, k] = np.repeat(X[:, -1], width)
+        else:
+            # each degree's row count, for the re-check below
+            counts = np.zeros(n + 1, dtype=np.int64)
+            np.add.at(counts, X[:, -1], width)
+            Y[:, k] = np.repeat(X[:, -1] * (T - 1) - X[:, :-1].sum(axis=1), width)
+            Y[:, k] -= t
+        X = Y
     step = max(1, 2**15 // len(normals))
-    for s in range(0, len(X), step):
-        if (X[s : s + step] @ normals.T < n * offsets).any():
-            raise AssertionError(f"the bounds of {n}P let a point outside {n}P through")
+    end = 0
+    for d, count in enumerate(counts.tolist()):
+        start, end = end, end + count
+        for s in range(start, end, step):
+            if (X[s : min(s + step, end)] @ normals.T < d * offsets).any():
+                raise AssertionError(f"the bounds of {d}P let a point outside {d}P through")
     return X
 
 
@@ -213,14 +241,14 @@ def _home_slots(keys: np.ndarray, bits: int) -> np.ndarray:
 
 def _point_index(point_keys: np.ndarray) -> tuple[np.ndarray, int]:
     """An open-addressing table over distinct int64 keys, and its bits b:
-    2^b int32 slots, b the bit length of 2*len(point_keys), so at most half
-    are full, each holding a key's index or -1 when empty (int32 suffices:
+    2^b int32 slots, b the bit length of 4*len(point_keys), so at most a
+    quarter are full, each holding a key's index or -1 when empty (int32 suffices:
     2^31 points would take over 100 GB of int64 rows).  A key sits at
     the first free slot from its home slot on (linear probing).  Each round
     puts every waiting key into its slot if the slot is free, one key per
     slot; the others move one slot on.  A slot once filled stays full, so
     every slot from a key's home to its own is full."""
-    bits = (2 * len(point_keys)).bit_length()
+    bits = (4 * len(point_keys)).bit_length()
     mask = 2**bits - 1
     table = np.full(mask + 1, -1, dtype=np.int32)
     waiting = np.arange(len(point_keys), dtype=np.int32)
@@ -279,9 +307,11 @@ def check_normality(
     So the points, the verdict and the witnesses are those of nP.  A
     vector is one int64 key in base n_max(T-1)+1: no coordinate reaches the
     base, so the key of a sum is the sum of the keys and key order is point
-    order.  `saturation_points` lists nQ in that order, and every key sum of
-    S_{n-1} and a column must lie in nQ.  A hash table over the degree's point
-    keys (`_point_index`, linear probing, at most half full) maps each sum
+    order.  One `saturation_points` walk lists dQ for every d <= n_max,
+    degree-major and each degree in that order; each degree reads its own
+    slice, its bounds counted off the rows' sums.  Every key sum of S_{n-1}
+    and a column must lie in nQ.  A hash table over the degree's point keys
+    (`_point_index`, linear probing, at most a quarter full) maps each sum
     to its point: a probe compares the full key at every slot it visits, so
     only an equal key is matched, and a sum that reaches an empty slot is
     no point's key and raises AssertionError.  Each point keeps the least
@@ -291,11 +321,12 @@ def check_normality(
     those of a sorted unique of the sums.
     The witness chains grow with the degree: a point of S_n takes its
     parent's n-1 columns and puts its own column c first, so only the
-    current degree's chains are held, beside one int64 per point and one
-    block of sums.  `column_table` gives each column its least word without
-    listing words.  Each is recounted once, its transition counts and its
-    length, and one int64 step per degree re-checks every witness: n words
-    of length T whose counts sum to the point.  A wrong word raises
+    current degree's chains are held, beside the listing, one int64 per
+    point and one block of sums.  `column_table` gives each column its least
+    word without listing words.  Each is recounted once, its transition
+    counts and its length, and int64 steps over blocks of the degree's
+    points re-check every witness: n words of length T whose counts sum to
+    the point.  A wrong word raises
     AssertionError naming the point, never a pass.  The word lists are
     built only when keep_witnesses asks for them.
 
@@ -305,8 +336,8 @@ def check_normality(
     says `exact`; otherwise it covers n <= n_max only, and n_max < 1 raises
     ValueError rather than pass with nothing checked.  Keys that would
     overflow int64 raise CapExceededError before any hull work, and every
-    degree's points are listed before any sumset, so a point cap trips
-    before the costly work.
+    degree's points are listed before any sumset, so a point cap, counted
+    over all degrees <= n_max, trips before the costly work.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -326,8 +357,10 @@ def check_normality(
         Q = HPolyhedron.make(dim, q_polyhedron(T % 6).inequalities, equations)
     else:
         Q = model_hull(T, S)
-    # the largest degree first, where a point cap trips
-    points = {n: saturation_points(T, n, Q, cap=cap) for n in range(n_max, 0, -1)}
+    # every degree in one listing, degree-major; a row's degree is its sum
+    # over T-1, so each degree's rows are one slice
+    points = saturation_points(T, n_max, Q, cap=cap)
+    ends = np.cumsum(np.bincount(points.sum(axis=1) // (T - 1), minlength=n_max + 1))
     weights = base ** np.arange(dim - 1, -1, -1, dtype=np.int64)
     # the distinct columns' keys, in column order (so ascending), and each
     # one's least word, recounted once: its transition counts and its length
@@ -346,7 +379,7 @@ def check_normality(
     points_checked = sums = 0
     C = len(col_keys)
     for n in range(1, n_max + 1):
-        X = points.pop(n)
+        X = points[ends[n - 1] : ends[n]]
         points_checked += len(X)
         point_keys = X @ weights
         # each point's least flat index i*C + c over the key sums of S_{n-1}'s
@@ -364,10 +397,11 @@ def check_normality(
         hit = first != unreached
         keys = point_keys[hit]
         parent, column = np.divmod(first[hit], C)
+        # the witness chains are the degree's memory peak: free the index,
+        # the point keys and the flat indices first
+        del table, first, point_keys
         picks = np.column_stack((column, picks[parent]))
-        # the witness re-check below is the degree's memory peak: free the
-        # index and the parents first
-        del table, first, parent
+        del parent, column
         holes = X[~hit].tolist()
         if by_facets and holes:
             # Q may hold points outside nP; only those inside are holes
@@ -376,18 +410,24 @@ def check_normality(
             points_checked -= len(holes) - len(inside)
             holes = inside
         failures += [{"x": x, "n": n} for x in holes]
-        # every witness at once: n words of length T whose recounted
-        # transition counts sum to the point, in int64 (entries <= n(T-1));
-        # the words are taken off the point one pick at a time, so no
-        # temporary grows past one row per point
-        rest = X[hit]
-        for column in picks.T:
-            rest -= col_counts[column]
-        bad = rest.any(axis=1) | col_wrong_length[picks].any(axis=1)
-        if bad.any():
-            i = int(np.argmax(bad))
-            words = [col_words[c].text for c in picks[i]]
-            raise AssertionError(f"witness {words} does not split {X[hit][i].tolist()}")
+        # every witness: n words of length T whose recounted transition
+        # counts sum to the point, in int64 (entries <= n(T-1)); the words
+        # are taken off the points one pick at a time, a block of about
+        # 2^15 entries at a time, so no temporary grows with the degree
+        step = max(1, 2**15 // dim)
+        done = 0
+        for s in range(0, len(X), step):
+            rest = X[s : s + step][hit[s : s + step]]
+            chosen = picks[done : done + len(rest)]
+            done += len(rest)
+            for column in chosen.T:
+                rest -= col_counts[column]
+            bad = rest.any(axis=1) | col_wrong_length[chosen].any(axis=1)
+            if bad.any():
+                i = int(np.argmax(bad))
+                words = [col_words[c].text for c in chosen[i]]
+                point = X[s : s + step][hit[s : s + step]][i].tolist()
+                raise AssertionError(f"witness {words} does not split {point}")
         if keep_witnesses:
             witnesses.update(
                 (tuple(x), [col_words[c] for c in row])

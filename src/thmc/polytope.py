@@ -235,9 +235,17 @@ def affine_equations(
     gens: Sequence[IntVec],
 ) -> tuple[list[IntVec], list[tuple[IntVec, int]]]:
     """The affine hull of homogenized generators (1, p) and (0, r): the
-    kernel of the generator matrix, a primitive integer basis, and each
-    kernel vector y read as the equation y[1:].x = -y[0]."""
-    basis = nullspace_int(gens)
+    kernel of the generator matrix G, a primitive integer basis, and each
+    kernel vector y read as the equation y[1:].x = -y[0].
+
+    The kernel is taken of the Gram matrix G^T G, one row and column per
+    coordinate, in exact integers, so the elimination does not grow with
+    the number of generators.  G^T G y = 0 gives |G y|^2 = 0, so the two
+    kernels are equal; the row spaces are then equal too, and a row space
+    has one reduced row echelon form, from which `nullspace_int` reads the
+    same basis."""
+    columns = list(zip(*gens))
+    basis = nullspace_int([[sum(map(mul, a, b)) for b in columns] for a in columns])
     return basis, [(y[1:], -y[0]) for y in basis]
 
 

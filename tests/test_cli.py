@@ -357,7 +357,7 @@ class TestInputErrors:
         "argv",
         [
             ("gen-matrix", "-T", 30),
-            # 2,467,038 points of 4P at T = 36 pass the 2M point cap
+            # at T = 36 the 2,467,038 points of 4P alone pass the 2M point cap
             ("normality", "-T", 36, "--n-max", 4),
             # 5^42 >= 2^63: the int64 keys of the normality check would wrap
             ("normality", "-S", 7, "-T", 3),

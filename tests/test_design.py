@@ -165,9 +165,11 @@ class TestSaturationShapeInvariant:
         from thmc.words import degree_imbalances
 
         for T, n in ((5, 2), (6, 2), (7, 1)):
+            # the listing holds every degree d = 1..n, each row under its own
             for x in saturation_points(T, n, model_hull(T, 3)).tolist():
-                assert sum(x) == n * (T - 1)
-                assert all(abs(d) <= n for d in degree_imbalances(x))
+                d, r = divmod(sum(x), T - 1)
+                assert r == 0 and 1 <= d <= n
+                assert all(abs(e) <= d for e in degree_imbalances(x))
 
 
 class TestColumnHullMembership:

@@ -38,8 +38,15 @@ from thmc.words import (
 )
 
 
+def degree_rows(T, n, hull):
+    """The degree-n slice of `saturation_points`, which lists every degree
+    1..n: the rows of coordinate sum n(T-1)."""
+    X = saturation_points(T, n, hull)
+    return X[X.sum(axis=1) == n * (T - 1)]
+
+
 def point_tuples(T, n, S=3):
-    return [tuple(x) for x in saturation_points(T, n, model_hull(T, S)).tolist()]
+    return [tuple(x) for x in degree_rows(T, n, model_hull(T, S)).tolist()]
 
 
 class TestSaturationPoints:
@@ -101,18 +108,43 @@ class TestSaturationPoints:
         check_normality(T, n_max, S=S)
         assert len(calls) == hulls
 
-    @pytest.mark.parametrize("T,count", [(12, 84_582), (18, 298_092)])
-    def test_point_counts_at_degree_four(self, T, count):
-        # the cap bounds points, not the C(4(T-1)+5, 5) compositions
+    @pytest.mark.parametrize(
+        "T,count,total",
+        [(12, 84_582, 111_864), (18, 298_092, 391_527)],
+        ids=["12-84582", "18-298092"],
+    )
+    def test_point_counts_at_degree_four(self, T, count, total):
+        # the cap bounds points over all degrees <= 4, not the C(4(T-1)+5, 5)
+        # compositions
         hull = model_hull(T, 3)
-        assert len(saturation_points(T, 4, hull, cap=count)) == count
+        X = saturation_points(T, 4, hull, cap=total)
+        assert len(X) == total
+        assert (X.sum(axis=1) == 4 * (T - 1)).sum() == count
         with pytest.raises(CapExceededError, match="exceeds cap"):
-            saturation_points(T, 4, hull, cap=count - 1)
+            saturation_points(T, 4, hull, cap=total - 1)
+
+    def test_cap_counts_every_degree(self):
+        # the degree-4 points alone fit the cap, the listing of degrees
+        # 1..4 does not
+        with pytest.raises(CapExceededError, match="exceeds cap 84582"):
+            saturation_points(12, 4, model_hull(12, 3), cap=84_582)
 
     @pytest.mark.parametrize("S,T,n", [(3, 9, 3), (3, 12, 2), (2, 6, 3), (4, 4, 2)])
     def test_rows_strictly_increase(self, S, T, n):
         # each row's first difference from the row before it is positive
-        steps = np.diff(saturation_points(T, n, model_hull(T, S)), axis=0)
+        steps = np.diff(degree_rows(T, n, model_hull(T, S)), axis=0)
+        first = (steps != 0).argmax(axis=1)
+        assert (steps[np.arange(len(steps)), first] > 0).all()
+
+    @pytest.mark.parametrize("S,T,n", [(3, 9, 3), (3, 12, 2), (2, 6, 3), (4, 4, 2)])
+    def test_rows_strictly_increase_in_degree_then_point(self, S, T, n):
+        # the rows prefixed by their degrees: every degree 1..n, degree-major,
+        # each row's first difference from the row before it positive
+        X = saturation_points(T, n, model_hull(T, S))
+        degree = X.sum(axis=1) // (T - 1)
+        assert (X.sum(axis=1) == degree * (T - 1)).all()
+        assert set(degree.tolist()) == set(range(1, n + 1))
+        steps = np.diff(np.column_stack((degree, X)), axis=0)
         first = (steps != 0).argmax(axis=1)
         assert (steps[np.arange(len(steps)), first] > 0).all()
 
@@ -163,7 +195,7 @@ class TestSaturationPoints:
     def _row_digest(T, S, degrees):
         h = hashlib.sha256()
         for n in degrees:
-            X = saturation_points(T, n, model_hull(T, S))
+            X = degree_rows(T, n, model_hull(T, S))
             h.update(f"{n}:{X.shape}\n".encode())
             h.update(X.astype("<i8").tobytes())
         return h.hexdigest()
@@ -201,7 +233,7 @@ class TestSaturationPoints:
             for x in compositions(n * (T - 1), A.dim)
             if list(x) in A.lattice and in_dilation(hull, x, n)
         ]
-        got = saturation_points(T, n, hull)
+        got = degree_rows(T, n, hull)
         assert got.dtype == np.int64 and got.shape == (len(expected), A.dim)
         assert got.tolist() == [list(x) for x in expected]
 
@@ -391,6 +423,23 @@ class TestCheckNormality:
             "dea480572bee45bc84248ee19533e3575fe139955f8876f9e1224fc72064551e"
         )
 
+    @pytest.mark.parametrize("S,T,n_max", [(3, 7, 4), (2, 6, 3), (4, 4, 2)])
+    def test_one_listing_per_check(self, S, T, n_max, monkeypatch):
+        # one walk lists every degree; each degree reads its own slice
+        import thmc.normality
+
+        calls = []
+        real = thmc.normality.saturation_points
+        monkeypatch.setattr(
+            thmc.normality, "saturation_points",
+            lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs),
+        )
+        rep = check_normality(T, n_max, S=S)
+        assert [(t, n) for t, n, _ in calls] == [(T, n_max)]
+        assert rep["points_checked"] == sum(
+            len(degree_rows(T, n, model_hull(T, S))) for n in range(1, n_max + 1)
+        )
+
     def test_makes_no_binary_search(self, monkeypatch):
         # every key sum is found by the hash index, none by np.searchsorted
         def searchsorted(*args, **kwargs):
@@ -537,7 +586,7 @@ class TestFacetRows:
         assert Q.equations == (((1,) * 6, T - 1),)
         hull = model_hull(T, 3)
         for n in (1, 2, 3):
-            assert np.array_equal(saturation_points(T, n, Q), saturation_points(T, n, hull))
+            assert np.array_equal(degree_rows(T, n, Q), degree_rows(T, n, hull))
 
 
 class TestPointIndex:
@@ -551,8 +600,8 @@ class TestPointIndex:
         rng = np.random.default_rng(size)
         keys = self._sorted_keys(rng, size, high)
         table, bits = _point_index(keys)
-        # at most half full, and every key's index held exactly once
-        assert table.dtype == np.int32 and len(table) == 2**bits > 2 * len(keys)
+        # at most a quarter full, and every key's index held exactly once
+        assert table.dtype == np.int32 and len(table) == 2**bits > 4 * len(keys)
         assert sorted(table[table >= 0].tolist()) == list(range(len(keys)))
         queries = rng.choice(keys, 3 * len(keys))
         got = _point_indices(queries, keys, table, bits)

@@ -10,11 +10,13 @@ import thmc.polytope
 from oracles import contains, in_convex_hull, membership, recession_rays
 from thmc.design import column_table, get_design
 from thmc.facets import LOOP_RAYS, model_hull, q_polyhedron, q_vertices
+from thmc.exactla import nullspace_int
 from thmc.polytope import (
     HPolyhedron,
     InfeasibleSystemError,
     VPolyhedron,
     _drop_midpoints,
+    affine_equations,
     canonical_equation,
     canonical_inequality,
     cone_extreme_rays,
@@ -286,6 +288,51 @@ class TestMidpointSieve:
     def test_keys_past_int64(self):
         pts = [(0, 5), (2**62, 5), (2**63, 5), (2**63, 2**70)]
         assert _drop_midpoints(pts) == [(0, 5), (2**63, 5), (2**63, 2**70)]
+
+
+class TestAffineEquations:
+    """The kernel of the Gram matrix G^T G is the kernel of the generator
+    matrix G, basis vector for basis vector."""
+
+    @staticmethod
+    def _same_as_the_generator_kernel(gens):
+        basis, equations = affine_equations(gens)
+        assert basis == nullspace_int(gens)
+        assert equations == [(y[1:], -y[0]) for y in basis]
+
+    @pytest.mark.parametrize(
+        "S,T",
+        [(2, T) for T in range(3, 10)] + [(3, T) for T in range(3, 19)]
+        + [(4, T) for T in range(3, 6)],
+    )
+    def test_column_tables(self, S, T):
+        self._same_as_the_generator_kernel([(1, *x) for x in column_table(S, T)])
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_points_rays_and_duplicates(self, seed):
+        rng = random.Random(seed)
+        dim = rng.randint(1, 6)
+        # a few points on a random affine subspace, so that equations remain
+        spans = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(rng.randint(1, dim))]
+        base = [rng.randint(-5, 5) for _ in range(dim)]
+        points = [
+            (1, *(b + sum(rng.randint(-2, 2) * s[i] for s in spans) for i, b in enumerate(base)))
+            for _ in range(rng.randint(1, 8))
+        ]
+        rays = [(0, *[rng.randint(0, 2) for _ in range(dim)]) for _ in range(rng.randint(0, 2))]
+        gens = points + rays
+        gens += rng.choices(gens, k=3)
+        rng.shuffle(gens)
+        self._same_as_the_generator_kernel(gens)
+
+    def test_gram_entries_past_int64(self):
+        # entries near 2^40 square to about 2^80 in G^T G; the points and the
+        # ray keep x3 = x1 + x2
+        big = 2**40 + 3
+        gens = [(1, big, 0, big), (1, 0, big, big), (1, big, big, 2 * big), (0, 1, 1, 2)]
+        assert max(sum(g[i] * g[i] for g in gens) for i in range(4)) > 2**63
+        self._same_as_the_generator_kernel(gens)
+        self._same_as_the_generator_kernel(gens[:2] * 3)
 
 
 def _digest(chunks) -> str:
