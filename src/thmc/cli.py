@@ -67,7 +67,8 @@ class Run:
         self.inputs = {}
         self.outputs: list[str] = []
         self.counters: dict[str, int] = {}
-        self.t0 = time.time()
+        # a monotonic clock, so a step of the wall clock cannot skew the run time
+        self.t0 = time.perf_counter()
 
     def read_input(self, path: str) -> str:
         p = Path(path)
@@ -95,7 +96,7 @@ class Run:
             "version": __version__,
             "parameters": self.params,
             "input_digests": self.inputs,
-            "wall_clock_s": round(time.time() - self.t0, 3),
+            "wall_clock_s": round(time.perf_counter() - self.t0, 3),
             "counters": self.counters,
             "outputs": self.outputs,
             "ok": ok,
@@ -297,8 +298,9 @@ def cmd_markov(args) -> int:
         "enumerated_moves": len(moves),
         "connectivity_ok": ok,
         "counterexample": counterexample,
-        "minimal_basis_size": len(basis),
-        "minimal_basis_max_degree": max((z.degree for z in basis), default=0),
+        # no basis is built unless the enumerated moves connect the fibers
+        "minimal_basis_size": len(basis) if ok else None,
+        "minimal_basis_max_degree": max((z.degree for z in basis), default=0) if ok else None,
         "connectivity_by_construction": by_construction,
         "caveat": (
             f"connectivity verified for fibers of degree <= {args.n_max} only; "
@@ -308,11 +310,14 @@ def cmd_markov(args) -> int:
         ),
     }
     run.write_json(f"markov-T{args.T}.json", report)
+    built = (
+        f"minimal basis {len(basis)} moves (max degree {report['minimal_basis_max_degree']})"
+        if ok
+        else "no minimal basis built"
+    )
     print(
         f"T={args.T}: {len(moves)} moves (degree<={args.max_degree}), fibers of "
-        f"degree<={args.n_max} connected={ok}, minimal basis {len(basis)} moves "
-        f"(max degree {report['minimal_basis_max_degree']}) "
-        f"{'PASS' if ok else 'FAIL'}"
+        f"degree<={args.n_max} connected={ok}, {built} {'PASS' if ok else 'FAIL'}"
     )
     print(report["caveat"])
     return run.finish(ok)

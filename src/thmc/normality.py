@@ -18,9 +18,9 @@ points are re-checked against the rows.
 The degree-n part of the semigroup is the n-fold sumset S_n of the columns,
 so the semigroup is normal at degree n exactly when S_n is all of
 nP ∩ Z^d; `check_normality` compares the two by counting int64 keys, and
-degrees up to dim P - 1 decide every degree.  At S = 3 and T >= 5 it lists
-nQ, Q the paper's 24 facet rows on the columns' affine hull, instead of nP,
-and needs no double description unless a point of nQ is missed: every
+degrees up to dim P - 1 decide every degree.  At S = 3 it lists nQ, Q the
+paper's 24 facet rows on the columns' affine hull, instead of nP, at every
+T, and needs no double description unless a point of nQ is missed: every
 column is looked up among Q's degree-1 points, so P ⊆ Q is checked; when
 every point of nQ is reached, nQ ∩ Z^d = S_n ⊆ nP, and a point missed is
 decided against the double-description hull of P.  Each key sum finds its
@@ -31,8 +31,9 @@ sum is matched to its point exactly and a sum outside the listed points
 never passes.
 For long chains a loop-peeling induction reduces T by 6 per step before the
 exhaustive trail search takes over.  Every witness is re-checked exactly:
-those read off the sumset a block of points at a time, by summing their
-columns' recounted int64 count rows, and those glued by the induction one by one
+one read off the sumset by its one link, in int64 blocks of points (the
+point less its column's recounted counts is its parent, whose witness
+passed one degree down), and one glued by the induction on its own
 (`words.check_split`).
 The four-state probe scans compositions, in stars-and-bars order, for a
 point x of the cone that splits into no words.  The same word search
@@ -294,17 +295,17 @@ def check_normality(
     columns, with the saturation points nP ∩ Z^dim, for every n <= n_max.
 
     The failures are the points of nP missing from S_n, in point order.
-    The points are listed over a polyhedron Q: at S = 3 and T >= 5, the 24
-    affine facet rows of `q_polyhedron(T % 6)` with the equations of the
+    The points are listed over a polyhedron Q: at S = 3, for every T, the
+    24 affine facet rows of `q_polyhedron(T % 6)` with the equations of the
     columns' affine hull (`affine_equations`), which also give dim P; at
-    every other S and T, Q is `model_hull(T, S)`.  The facet theorem is not
+    every other S, Q is `model_hull(T, S)`.  The facet theorem is not
     assumed.  Degree 1 looks up every column among Q's points, so a column
     outside Q raises, and P, the hull of the columns, lies in Q.  Then
     S_n ⊆ nP ⊆ nQ: when every point of nQ is reached, its points are S_n
     and those of nP.  A point of nQ that no sum reaches is decided against
-    `model_hull(T, S)`, the one double description left at S = 3, T >= 5,
-    built only then; a point outside nP is neither checked nor a failure.
-    So the points, the verdict and the witnesses are those of nP.  A
+    `model_hull(T, S)`, the one double description left at S = 3, built
+    only then; a point outside nP is neither checked nor a failure.  So the
+    points, the verdict and the witnesses are those of nP.  A
     vector is one int64 key in base n_max(T-1)+1: no coordinate reaches the
     base, so the key of a sum is the sum of the keys and key order is point
     order.  One `saturation_points` walk lists dQ for every d <= n_max,
@@ -316,19 +317,22 @@ def check_normality(
     only an equal key is matched, and a sum that reaches an empty slot is
     no point's key and raises AssertionError.  Each point keeps the least
     flat index i*C + c of a sum that reaches it, i a key of S_{n-1} and c
-    one of the C columns: its parent.  S_n is the points reached, already
-    sorted, and the least index is the first occurrence, so the parents are
-    those of a sorted unique of the sums.
-    The witness chains grow with the degree: a point of S_n takes its
-    parent's n-1 columns and puts its own column c first, so only the
-    current degree's chains are held, beside the listing, one int64 per
-    point and one block of sums.  `column_table` gives each column its least
-    word without listing words.  Each is recounted once, its transition
-    counts and its length, and int64 steps over blocks of the degree's
-    points re-check every witness: n words of length T whose counts sum to
-    the point.  A wrong word raises
-    AssertionError naming the point, never a pass.  The word lists are
-    built only when keep_witnesses asks for them.
+    one of the C columns: its parent and its column.  S_n is the points
+    reached, already sorted, and the least index is the first occurrence,
+    so the parents are those of a sorted unique of the sums.
+    A point's witness is its column's word on its parent's witness.
+    `column_table` gives each column its least word without listing words;
+    each is recounted once, its transition counts and its length.  Every
+    link is checked in int64, a block of the degree's points at a time: the
+    point less its column's counts must be its parent, a point of S_{n-1}
+    kept from the degree below, and the word must have length T.  The
+    parent's witness passed the same check one degree down, down to the
+    empty witness of the zero point, so by induction every witness is n
+    words of length T whose counts sum to the point, one subtraction per
+    point.  A wrong word or a sum sent to the wrong point raises
+    AssertionError naming the point, never a pass.  The witnesses' column
+    lists, and the word lists, are built only when keep_witnesses asks for
+    them.
 
     With d = dim P, every lattice point of (c+1)P is one of cP plus one of P
     once c >= d-1 (Bruns, Gubeladze & Trung 1997, J. reine angew. Math. 485,
@@ -351,9 +355,9 @@ def check_normality(
     _, equations = affine_equations([(1, *x) for x in table])
     d = dim - len(equations)
     enough = max(1, d - 1)
-    # the paper's 24 facet rows, checked by degree 1's lookups, not assumed
-    by_facets = S == 3 and T >= 5
-    if by_facets:
+    # at S = 3 the paper's 24 facet rows, checked by degree 1's lookups, not
+    # assumed
+    if S == 3:
         Q = HPolyhedron.make(dim, q_polyhedron(T % 6).inequalities, equations)
     else:
         Q = model_hull(T, S)
@@ -370,9 +374,11 @@ def check_normality(
         [transition_counts(w, S) for w in col_words], dtype=np.int64
     ).reshape(-1, dim)
     col_wrong_length = np.array([len(w) != T for w in col_words])
-    # S_n's sorted keys, and for each one the column indices of its witness,
-    # the degree-n column first
+    # S_{n-1}'s sorted keys, and its points, the rows `reached` of `below`
+    # (S_0 is the zero point); with keep_witnesses, the column indices of
+    # each one's witness
     keys = np.zeros(1, dtype=np.int64)
+    below, reached = np.zeros((1, dim), dtype=np.int64), np.zeros(1, dtype=np.int64)
     picks = np.zeros((1, 0), dtype=np.int64)
     failures = []
     witnesses = {}
@@ -395,44 +401,39 @@ def check_normality(
             np.minimum.at(first, at, np.arange(r * C, r * C + len(block)))
         sums += len(keys) * C
         hit = first != unreached
-        keys = point_keys[hit]
         parent, column = np.divmod(first[hit], C)
-        # the witness chains are the degree's memory peak: free the index,
-        # the point keys and the flat indices first
-        del table, first, point_keys
-        picks = np.column_stack((column, picks[parent]))
-        del parent, column
+        # every link, about 2^15 entries at a time: the point less its
+        # column's recounted counts is its parent, a point of S_{n-1} whose
+        # witness passed one degree down, and the column's word has length
+        # T; so every witness is n words of length T summing to its point
+        rows = np.flatnonzero(hit)
+        step = max(1, 2**15 // dim)
+        for s in range(0, len(rows), step):
+            links = slice(s, s + step)
+            less = X[rows[links]] - col_counts[column[links]]
+            bad = (less != below[reached[parent[links]]]).any(axis=1)
+            bad |= col_wrong_length[column[links]]
+            if bad.any():
+                i = s + int(np.argmax(bad))
+                raise AssertionError(
+                    f"word {col_words[column[i]].text} on the witness of "
+                    f"{below[reached[parent[i]]].tolist()} does not split {X[rows[i]].tolist()}"
+                )
         holes = X[~hit].tolist()
-        if by_facets and holes:
+        if holes:
             # Q may hold points outside nP; only those inside are holes
             hull = model_hull(T, S)
             inside = [x for x in holes if in_dilation(hull, x, n)]
             points_checked -= len(holes) - len(inside)
             holes = inside
         failures += [{"x": x, "n": n} for x in holes]
-        # every witness: n words of length T whose recounted transition
-        # counts sum to the point, in int64 (entries <= n(T-1)); the words
-        # are taken off the points one pick at a time, a block of about
-        # 2^15 entries at a time, so no temporary grows with the degree
-        step = max(1, 2**15 // dim)
-        done = 0
-        for s in range(0, len(X), step):
-            rest = X[s : s + step][hit[s : s + step]]
-            chosen = picks[done : done + len(rest)]
-            done += len(rest)
-            for column in chosen.T:
-                rest -= col_counts[column]
-            bad = rest.any(axis=1) | col_wrong_length[chosen].any(axis=1)
-            if bad.any():
-                i = int(np.argmax(bad))
-                words = [col_words[c].text for c in chosen[i]]
-                point = X[s : s + step][hit[s : s + step]][i].tolist()
-                raise AssertionError(f"witness {words} does not split {point}")
         if keep_witnesses:
+            picks = np.column_stack((column, picks[parent]))
             witnesses.update(
                 (tuple(x), [col_words[c] for c in row])
                 for x, row in zip(X[hit].tolist(), picks.tolist())
             )
+        keys, below, reached = point_keys[hit], X, rows
     report = {
         "S": S,
         "T": T,

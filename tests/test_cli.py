@@ -114,7 +114,7 @@ class TestChecksExitCodes:
         assert rep["connectivity_by_construction"]
         assert "by construction" in rep["caveat"]
 
-    def test_markov_above_max_degree_is_not_by_construction(self, tmp_path):
+    def test_markov_above_max_degree_is_not_by_construction(self, tmp_path, capsys):
         # degree-1 moves leave a degree-2 fiber of T=3 disconnected
         rc, _ = run(tmp_path, "markov", "-T", 3, "--max-degree", 1, "--n-max", 2,
                     "--out-dir", tmp_path)
@@ -123,6 +123,31 @@ class TestChecksExitCodes:
         assert not rep["connectivity_ok"]
         assert rep["connectivity_by_construction"] is False
         assert "degree <= 2" in rep["caveat"] and "by construction" not in rep["caveat"]
+        # without connectivity no basis is built: no size and no degree
+        assert rep["minimal_basis_size"] is None
+        assert rep["minimal_basis_max_degree"] is None
+        out = capsys.readouterr().out
+        assert "no minimal basis built" in out and "0 moves" not in out
+
+
+class TestManifest:
+    def test_wall_clock_ignores_a_clock_step(self, tmp_path, monkeypatch):
+        # the wall clock steps back an hour at every read; the run time must
+        # come from a monotonic clock, so it cannot read negative
+        import time
+
+        now = [time.time()]
+
+        def stepping_back():
+            now[0] -= 3600
+            return now[0]
+
+        monkeypatch.setattr(time, "time", stepping_back)
+        rc, _ = run(tmp_path, "gen-matrix", "-S", 3, "-T", 3, "--out-dir", tmp_path)
+        monkeypatch.undo()
+        assert rc == 0
+        manifest = json.loads((tmp_path / "gen-matrix-manifest.json").read_text())
+        assert manifest["wall_clock_s"] >= 0
 
 
 class TestMarkovOutputs:

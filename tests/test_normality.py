@@ -90,11 +90,13 @@ class TestSaturationPoints:
         assert model_hull.cache_info().misses == 1
 
     @pytest.mark.parametrize(
-        "S,T,n_max,hulls", [(3, 7, 3, 0), (4, 4, 2, 1)], ids=["3-7-3", "4-4-2"]
+        "S,T,n_max,hulls",
+        [(3, 3, 4, 0), (3, 4, 4, 0), (3, 7, 3, 0), (4, 4, 2, 1)],
+        ids=["3-3-4", "3-4-4", "3-7-3", "4-4-2"],
     )
     def test_one_hull_per_check(self, S, T, n_max, hulls, monkeypatch):
         # every degree's bounds are read off the listed polyhedron's own
-        # rows: at S = 3, T >= 5 the 24 facet rows, which need no double
+        # rows: at S = 3 the 24 facet rows, for every T, which need no double
         # description while every point is reached; elsewhere the model hull
         calls = []
         for module in [m for name, m in sys.modules.items() if name.startswith("thmc")]:
@@ -522,10 +524,36 @@ class TestCheckNormality:
         with pytest.raises(AssertionError, match="does not split"):
             check_normality(4, 2)
 
+    @pytest.mark.parametrize(
+        "T,n_max,degree", [(4, 2, 1), (4, 2, 2), (5, 3, 1), (5, 3, 2), (5, 3, 3)]
+    )
+    def test_misdirected_sum_is_caught(self, T, n_max, degree, monkeypatch):
+        # the first lookup block of one degree sends its first sum to the
+        # next point's index: that point's link to its parent must fail the
+        # re-check, never count as a pass
+        import thmc.normality
+
+        real = thmc.normality._point_indices
+        degrees = []
+
+        def misdirect(block, point_keys, table, bits):
+            at = real(block, point_keys, table, bits)
+            if not any(keys is point_keys for keys in degrees):
+                degrees.append(point_keys)
+                if len(degrees) == degree:
+                    at[0] = (at[0] + 1) % len(point_keys)
+            return at
+
+        monkeypatch.setattr(thmc.normality, "_point_indices", misdirect)
+        with pytest.raises(AssertionError, match="does not split"):
+            check_normality(T, n_max)
+        assert len(degrees) == degree
+
 
 class TestFacetRows:
-    """At S = 3, T >= 5 the points are listed over the paper's 24 facet rows
-    on the columns' affine hull; the answers must not lean on those rows."""
+    """At S = 3 the points are listed over the paper's 24 facet rows on the
+    columns' affine hull, for every T; the answers must not lean on those
+    rows."""
 
     @staticmethod
     def _patch_rows(monkeypatch, rows):
@@ -573,12 +601,12 @@ class TestFacetRows:
             if hasattr(module, "convex_hull"):
                 monkeypatch.setattr(module, "convex_hull", convex_hull)
         model_hull.cache_clear()
-        for T in range(5, 13):
+        for T in range(3, 13):
             text = json.dumps(check_normality(T, 4), sort_keys=True)
             digest = hashlib.sha256(text.encode()).hexdigest()
             assert digest == TestCheckNormality.REPORT_DIGESTS[T]
 
-    @pytest.mark.parametrize("T", [*range(5, 14), 18])
+    @pytest.mark.parametrize("T", [*range(2, 14), 18])
     def test_facet_rows_list_the_points_of_nP(self, T):
         # the paper's 24-facet theorem on lattice points, independent of the
         # sumset: the listing over the rows is the listing over the hull
