@@ -287,9 +287,10 @@ def cmd_markov(args) -> int:
         else []
     )
     by_construction = args.n_max <= args.max_degree
-    if args.moves_format in ("text", "both"):
+    # a moves file lists a basis, so none is written when none was built
+    if ok and args.moves_format in ("text", "both"):
         run.write(f"moves-T{args.T}.txt", moves_to_text(basis, A))
-    if args.moves_format in ("json", "both"):
+    if ok and args.moves_format in ("json", "both"):
         run.write_json(f"moves-T{args.T}.json", moves_to_json_dict(basis, A))
     report = {
         "T": args.T,

@@ -35,10 +35,11 @@ one read off the sumset by its one link, in int64 blocks of points (the
 point less its column's recounted counts is its parent, whose witness
 passed one degree down), and one glued by the induction on its own
 (`words.check_split`).
-The four-state probe scans compositions, in stars-and-bars order, for a
-point x of the cone that splits into no words.  The same word search
-certifies both halves: no split of x into words, and a split of k*x for
-some k, which puts x in the cone.
+The four-state probe scans one stream of candidates, compositions in
+stars-and-bars order at degree 1 and then on pairs of disjoint 2-cycles at
+degree 2, and stops at the first point x of the cone that splits into no
+words.  The same word search certifies both halves: no split of x into
+words, and a split of k*x for some k, which puts x in the cone.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ from .words import (
     decompose_into_paths,
     degree_imbalances,
     pair_index,
+    state_graph,
     transition_counts,
 )
 
@@ -288,7 +290,6 @@ def check_normality(
     T: int,
     n_max: int,
     S: int = 3,
-    cap: int = DEFAULT_POINT_CAP,
     keep_witnesses: bool = False,
 ) -> dict:
     """Compare the semigroup's degree-n part, the n-fold sumset S_n of the
@@ -340,8 +341,9 @@ def check_normality(
     says `exact`; otherwise it covers n <= n_max only, and n_max < 1 raises
     ValueError rather than pass with nothing checked.  Keys that would
     overflow int64 raise CapExceededError before any hull work, and every
-    degree's points are listed before any sumset, so a point cap, counted
-    over all degrees <= n_max, trips before the costly work.
+    degree's points are listed before any sumset, so the point cap
+    `DEFAULT_POINT_CAP`, counted over all degrees <= n_max, trips before
+    the costly work.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -363,7 +365,7 @@ def check_normality(
         Q = model_hull(T, S)
     # every degree in one listing, degree-major; a row's degree is its sum
     # over T-1, so each degree's rows are one slice
-    points = saturation_points(T, n_max, Q, cap=cap)
+    points = saturation_points(T, n_max, Q, cap=DEFAULT_POINT_CAP)
     ends = np.cumsum(np.bincount(points.sum(axis=1) // (T - 1), minlength=n_max + 1))
     weights = base ** np.arange(dim - 1, -1, -1, dtype=np.int64)
     # the distinct columns' keys, in column order (so ascending), and each
@@ -579,96 +581,69 @@ def s4_nonnormality_probe() -> dict:
     genuine point of ZA ∩ cone(A) outside the semigroup.
 
     Every integer vector of coordinate sum n(T-1) lies in ZA (module
-    docstring), so a candidate needs only the cone and the word search.  A
-    candidate x of degree n that splits into no n words is a witness once
-    k*x splits into k*n words for some k in 2..T-1, re-checked by
+    docstring), so a candidate needs only the cone and the word search.
+    One bounded, deterministic stream yields the candidates, each with its
+    scan key: every degree-1 vector, then every degree-2 vector supported
+    on two disjoint 2-cycles (the natural disconnection family), each in
+    `_compositions` order.  A candidate x of degree n is a witness when it
+    passes the cheap cone conditions, splits into no n words, and k*x
+    splits into k*n words for some k in 2..T-1, re-checked by
     `check_split`; that split writes x/n as the mean of k*n columns, so x
-    is in the cone.  The search is bounded and deterministic: all degree-1 candidate
-    vectors, then all degree-2 vectors supported on two disjoint 2-cycles
-    (the natural disconnection family).  Either the first verified witness
-    or the exhausted bounds are reported.
+    is in the cone.  The scan counts every candidate under its key and
+    stops at the first witness; either it or the exhausted stream is
+    reported.
     """
     S, T = 4, 8
     idx = pair_index(S)
-    alternating = lambda a, b: Word(([a, b] * T)[:T])
-    w1 = alternating(1, 2)
-    w2 = alternating(3, 4)
-    half_sum = tuple(
-        Fraction(a + b, 2)
-        for a, b in zip(transition_counts(w1, S), transition_counts(w2, S))
-    )
+    w1, w2 = (Word(([a, b] * T)[:T]) for a, b in ((1, 2), (3, 4)))
+    # the doubled combination is integral; it splits into the two words
+    doubled = state_graph([w1, w2], S)
+    half_sum = [Fraction(c, 2) for c in doubled]
     report: dict = {
         "S": S,
         "T": T,
         "half_sum": [str(c) for c in half_sum],
         "half_sum_integral": all(c.denominator == 1 for c in half_sum),
+        "doubled_in_semigroup": decompose_into_paths(doubled, 2, T) is not None,
     }
-    # the doubled combination is integral; it splits into the two words
-    doubled = tuple(int(2 * c) for c in half_sum)
-    report["doubled_in_semigroup"] = (
-        decompose_into_paths(doubled, 2, T) is not None
-    )
 
-    def cone_plausible(x: tuple[int, ...], n: int) -> bool:
-        # cheap necessary conditions: every cone member is a nonnegative
-        # word-column mix, so vertex imbalances are bounded by the weight
-        # and each weak component carries its own fractional word budget
+    def candidates() -> Iterator[tuple[str, tuple[int, ...], int]]:
+        for x in _compositions(T - 1, len(idx)):
+            yield "degree1", tuple(x), 1
+        for (a, b), (c, d) in (((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3))):
+            slots = (idx[a, b], idx[b, a], idx[c, d], idx[d, c])
+            for comp in _compositions(2 * (T - 1), 4):
+                x = [0] * len(idx)
+                for s, v in zip(slots, comp):
+                    x[s] = v
+                yield "degree2_two_cycle_pairs", tuple(x), 2
+
+    def in_cone_not_semigroup(x: tuple[int, ...], n: int) -> bool:
+        # cheap necessary conditions first: every cone member is a
+        # nonnegative word-column mix, so vertex imbalances are bounded by
+        # the weight and each weak component carries its own word budget
         delta = degree_imbalances(x)
-        if any(abs(d) > n for d in delta):
+        if any(abs(d) > n for d in delta) or any(
+            positive * (T - 1) > edges for edges, positive in component_budgets(x, delta)
+        ):
             return False
-        return all(
-            positive * (T - 1) <= edges
-            for edges, positive in component_budgets(x, delta)
-        )
-
-    def verify_witness(x: tuple[int, ...], n: int) -> Optional[dict]:
-        if not cone_plausible(x, n):
-            return None
         if decompose_into_paths(x, n, T) is not None:
-            return None
+            return False
         for k in range(2, T):
             kx = tuple(k * c for c in x)
             split = decompose_into_paths(kx, k * n, T)
             if split is not None:
                 check_split(split, kx, k * n, T, S)
-                break
-        else:
-            return None
-        return {
-            "x": list(x),
-            "n": n,
-            "in_lattice": True,
-            "in_cone": True,
-            "in_semigroup": False,
-        }
+                return True
+        return False
 
-    # both scans are lexicographic, so each stops at its first witness in
-    # that order
-    witness = None
     scanned = {"degree1": 0, "degree2_two_cycle_pairs": 0}
-    # degree 1: all nonnegative vectors with coordinate sum T-1
-    for x in _compositions(T - 1, len(idx)):
-        scanned["degree1"] += 1
-        found = verify_witness(tuple(x), 1)
-        if found:
-            witness = found
+    witness = None
+    for key, x, n in candidates():
+        scanned[key] += 1
+        if in_cone_not_semigroup(x, n):
+            witness = dict(x=list(x), n=n, in_lattice=True, in_cone=True, in_semigroup=False)
             break
-    if witness is None:
-        # degree 2 on two disjoint 2-cycles
-        pairings = [((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3))]
-        for (a, b), (c, d) in pairings:
-            if witness:
-                break
-            slots = (idx[(a, b)], idx[(b, a)], idx[(c, d)], idx[(d, c)])
-            for comp in _compositions(2 * (T - 1), 4):
-                scanned["degree2_two_cycle_pairs"] += 1
-                x = [0] * len(idx)
-                for s, v in zip(slots, comp):
-                    x[s] = v
-                found = verify_witness(tuple(x), 2)
-                if found:
-                    witness = found
-                    break
     report["scanned"] = scanned
     report["witness"] = witness
     report["witness_found"] = witness is not None

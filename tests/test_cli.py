@@ -128,6 +128,10 @@ class TestChecksExitCodes:
         assert rep["minimal_basis_max_degree"] is None
         out = capsys.readouterr().out
         assert "no minimal basis built" in out and "0 moves" not in out
+        # nor a moves file, which would read like a basis of no moves
+        assert not list(tmp_path.glob("moves-T3*"))
+        manifest = json.loads((tmp_path / "markov-manifest.json").read_text())
+        assert manifest["outputs"] == [str(tmp_path / "markov-T3.json")]
 
 
 class TestManifest:
@@ -398,14 +402,9 @@ class TestInputErrors:
         assert not (tmp_path / "new").exists()
 
     def test_saturation_cap_exits_cleanly(self, tmp_path, capsys, monkeypatch):
-        import functools
+        import thmc.normality
 
-        import thmc.cli
-        from thmc.normality import check_normality
-
-        monkeypatch.setattr(
-            thmc.cli, "check_normality", functools.partial(check_normality, cap=10)
-        )
+        monkeypatch.setattr(thmc.normality, "DEFAULT_POINT_CAP", 10)
         rc, _ = run(tmp_path, "normality", "-T", 4, "--out-dir", tmp_path / "new")
         err = capsys.readouterr().err
         assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1

@@ -214,7 +214,9 @@ def test_benchmark_spans_cover_each_workload(tmp_path, monkeypatch):
     traced entry points, or makes them faster than the untraced glue around
     them, fails that run with an ordinary exit code.  Nine traced passes of
     each workload through the bench's own pass runner, span store and
-    per-pass analysis must keep the median coverage at the floor."""
+    per-pass analysis must keep the median coverage at the floor.  Every
+    workload is measured before the one check, so a failure names all the
+    medians."""
     import thmc
     import thmc.cli  # noqa: F401  (the fit and markov jobs call it)
 
@@ -223,6 +225,7 @@ def test_benchmark_spans_cover_each_workload(tmp_path, monkeypatch):
     from spans import Tracer, median
     from workloads import WORKLOADS
 
+    medians = {}
     for name, workload in WORKLOADS.items():
         workdir = tmp_path / name
         workdir.mkdir()
@@ -230,10 +233,10 @@ def test_benchmark_spans_cover_each_workload(tmp_path, monkeypatch):
         tracer = Tracer()
         passes = [run.run_pass(bench, tracer) for _ in range(9)]
         self_s = tracer.self_times()
-        coverage = [
-            run.PassLayers(tracer, p["root"], self_s, p["factor"]).coverage for p in passes
-        ]
-        assert median(coverage) >= run.MIN_COVERAGE, (name, sorted(coverage))
+        medians[name] = median(
+            [run.PassLayers(tracer, p["root"], self_s, p["factor"]).coverage for p in passes]
+        )
+    assert min(medians.values()) >= run.MIN_COVERAGE, (run.MIN_COVERAGE, medians)
 
 
 def _readme_section(title: str) -> str:

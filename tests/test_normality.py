@@ -1051,6 +1051,24 @@ class TestS4Probe:
             s4_nonnormality_probe()
         assert unsplit == [((1, 0, 0, 1, 0, 0, 0, 0, 6, 0, 0, 6), 2)]
 
+    def test_word_searches_are_counted(self, monkeypatch):
+        import thmc.normality
+
+        real = thmc.normality.decompose_into_paths
+        calls = Counter()
+
+        def counted(x, n, T):
+            calls[n] += 1
+            return real(x, n, T)
+
+        monkeypatch.setattr(thmc.normality, "decompose_into_paths", counted)
+        s4_nonnormality_probe()
+        # the cheap cone conditions leave 2,304 of the 31,824 degree-1
+        # candidates to a word search; at n = 2 the doubled half-sum and four
+        # candidates; then k*x of the witness for k = 2..7, and the scan stops
+        assert dict(calls) == {1: 2304, 2: 5, 4: 1, 6: 1, 8: 1, 10: 1, 12: 1, 14: 1}
+        assert sum(calls.values()) == 2315
+
     def test_report_bytes_are_pinned(self, tmp_path):
         # sha256 of s4-probe.json from `thmc normality -T 8 --probe-s4`, the
         # bytes the probe wrote when it decided the cone by a linear program
