@@ -179,10 +179,6 @@ class IntegerLattice:
                     v = [a - q * b for a, b in zip(v, row)]
         return not any(v)
 
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b

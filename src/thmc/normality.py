@@ -38,8 +38,9 @@ passed one degree down), and one glued by the induction on its own
 The four-state probe scans one stream of candidates, compositions in
 stars-and-bars order at degree 1 and then on pairs of disjoint 2-cycles at
 degree 2, and stops at the first point x of the cone that splits into no
-words.  The same word search certifies both halves: no split of x into
-words, and a split of k*x for some k, which puts x in the cone.
+words.  The trail search's component budget filters the candidates, and
+the same search certifies both halves: no split of x into words, and a
+split of k*x for some k, which puts x in the cone.
 """
 
 from __future__ import annotations
@@ -121,12 +122,7 @@ def _prefix_bounds(hull: HPolyhedron, T: int) -> list[tuple[np.ndarray, np.ndarr
     return levels
 
 
-def saturation_points(
-    T: int,
-    n: int,
-    hull: HPolyhedron,
-    cap: int = DEFAULT_POINT_CAP,
-) -> np.ndarray:
+def saturation_points(T: int, n: int, hull: HPolyhedron) -> np.ndarray:
     """All nonnegative integer points of d*hull with coordinate sum d(T-1),
     for every degree d = 1..n, as the rows of one int64 array: degree-major,
     and each degree's rows in lexicographic order.  A row's degree is its
@@ -153,10 +149,11 @@ def saturation_points(
     degree's rows with the normals set against d times the offsets, so a
     wrong bound raises AssertionError and never returns a point outside
     d*hull.
-    The cap bounds the prefixes of every level, counted over all degrees
-    d <= n, so it bounds the points: a level that would exceed it raises
-    CapExceededError before it is built.  A degree whose row products could
-    overflow int64 raises CapExceededError before any product.
+    The cap `DEFAULT_POINT_CAP`, read at each call, bounds the prefixes of
+    every level, counted over all degrees d <= n, so it bounds the points:
+    a level that would exceed it raises CapExceededError before it is built.
+    A degree whose row products could overflow int64 raises CapExceededError
+    before any product.
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
@@ -195,10 +192,10 @@ def saturation_points(
             hi[s : s + step] = (rest[:, down] // A[down, -1]).min(axis=1, initial=total)
         width = np.maximum(hi - lo + 1, 0)
         rows = int(width.sum())
-        if rows > cap:
+        if rows > DEFAULT_POINT_CAP:
             raise CapExceededError(
                 f"{rows} prefixes of length {k} within the bounds of dP, d <= {n}: "
-                f"a level that exceeds cap {cap}"
+                f"a level that exceeds cap {DEFAULT_POINT_CAP}"
             )
         # each prefix repeated once per value of its range, the values
         # ascending, one column at a time
@@ -365,7 +362,7 @@ def check_normality(
         Q = model_hull(T, S)
     # every degree in one listing, degree-major; a row's degree is its sum
     # over T-1, so each degree's rows are one slice
-    points = saturation_points(T, n_max, Q, cap=DEFAULT_POINT_CAP)
+    points = saturation_points(T, n_max, Q)
     ends = np.cumsum(np.bincount(points.sum(axis=1) // (T - 1), minlength=n_max + 1))
     weights = base ** np.arange(dim - 1, -1, -1, dtype=np.int64)
     # the distinct columns' keys, in column order (so ascending), and each
@@ -586,7 +583,7 @@ def s4_nonnormality_probe() -> dict:
     scan key: every degree-1 vector, then every degree-2 vector supported
     on two disjoint 2-cycles (the natural disconnection family), each in
     `_compositions` order.  A candidate x of degree n is a witness when it
-    passes the cheap cone conditions, splits into no n words, and k*x
+    fits the budget of `component_budgets`, splits into no n words, and k*x
     splits into k*n words for some k in 2..T-1, re-checked by
     `check_split`; that split writes x/n as the mean of k*n columns, so x
     is in the cone.  The scan counts every candidate under its key and
@@ -619,11 +616,11 @@ def s4_nonnormality_probe() -> dict:
                 yield "degree2_two_cycle_pairs", tuple(x), 2
 
     def in_cone_not_semigroup(x: tuple[int, ...], n: int) -> bool:
-        # cheap necessary conditions first: every cone member is a
-        # nonnegative word-column mix, so vertex imbalances are bounded by
-        # the weight and each weak component carries its own word budget
+        # every cone member is a nonnegative word-column mix, so each weak
+        # component keeps its word budget; the edges sum to n(T-1), so the
+        # budget also bounds every |imbalance| by n
         delta = degree_imbalances(x)
-        if any(abs(d) > n for d in delta) or any(
+        if any(
             positive * (T - 1) > edges for edges, positive in component_budgets(x, delta)
         ):
             return False

@@ -11,7 +11,10 @@ so count vectors are 6-tuples [x12, x13, x21, x23, x31, x32].  Count vectors
 double as edge multiplicities of a directed multigraph on the states (the
 state graph); words are trails in that graph.  Relabelling the states and
 reversing a word act on words and, as permutations of the pair slots, on
-count vectors (`symmetry_group`).
+count vectors (`symmetry_group`).  Words of length T split a weak
+component of the state graph only if its positive imbalance (out-degree
+minus in-degree) is at most edges/(T-1), one unit per word; the trail
+search and the four-state probe both test this budget (`component_budgets`).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 DEFAULT_WORD_CAP = 2**20
 # search nodes one trail decomposition may visit
@@ -181,62 +184,36 @@ def degree_imbalances(x: Sequence[int]) -> list[int]:
     return delta[1:]
 
 
-def support_components(x: Sequence[int], S: int) -> list[set[int]]:
-    """Weakly connected components of non-isolated vertices of G(x)."""
-    idx = pair_index(S)
-    adj: dict[int, set[int]] = {}
-    for (i, j), k in idx.items():
-        if x[k] > 0:
-            adj.setdefault(i, set()).add(j)
-            adj.setdefault(j, set()).add(i)
-    comps = []
-    seen: set[int] = set()
-    for v in sorted(adj):
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for nb in adj[u]:
-                if nb not in comp:
-                    comp.add(nb)
-                    stack.append(nb)
-        seen |= comp
-        comps.append(comp)
-    return comps
-
-
 def component_budgets(
     counts: Sequence[int], delta: Sequence[int]
-) -> Iterator[tuple[int, int]]:
-    """(edges, positive imbalance) of each weak component of G(counts), with
-    delta the degree_imbalances of counts.
-
-    In a split into words of length T each word stays inside one component,
-    and each unit of positive imbalance starts one of them, so a component's
-    positive imbalance is at most its edges / (T-1).
-    """
+) -> list[tuple[int, int]]:
+    """(edges, positive imbalance) of each weak component of G(counts) that
+    has an edge, with delta the degree_imbalances of counts, from one scan
+    of the support: a union-find over the S states carries each component's
+    edge count to its root.  A word of length T stays in one component and
+    starts at most one unit of its positive imbalance."""
     S = len(delta)
-    idx = pair_index(S)
-    for comp in support_components(counts, S):
-        edges = sum(counts[k] for (i, j), k in idx.items() if i in comp)
-        yield edges, sum(delta[v - 1] for v in comp if delta[v - 1] > 0)
-
-
-def _boundary_feasible(counts: list[int], delta: list[int], T: int) -> bool:
-    """Can the remaining multigraph split into trails of exactly T-1 edges?
-
-    Necessary conditions only: per weak component, the edge count must be a
-    multiple of T-1 and the positive imbalances (delta, the
-    degree_imbalances of counts) must fit the trail budget.
-    """
-    for edges, positive in component_budgets(counts, delta):
-        if edges % (T - 1):
-            return False
-        if positive > edges // (T - 1):
-            return False
-    return True
+    root = list(range(S + 1))
+    edges = [0] * (S + 1)
+    positive = [0] * (S + 1)
+    for (i, j), k in pair_index(S).items():
+        if counts[k]:
+            while root[i] != i:
+                i = root[i]
+            while root[j] != j:
+                j = root[j]
+            if i != j:
+                root[i] = j
+                edges[j] += edges[i]
+            edges[j] += counts[k]
+    for v, d in enumerate(delta, 1):
+        if d > 0:
+            while root[v] != v:
+                v = root[v]
+            positive[v] += d
+    return [
+        (edges[v], positive[v]) for v in range(1, S + 1) if root[v] == v and edges[v]
+    ]
 
 
 def decompose_into_paths(x: Sequence[int], n: int, T: int) -> Optional[list[Word]]:
@@ -275,8 +252,13 @@ def decompose_into_paths(x: Sequence[int], n: int, T: int) -> Optional[list[Word
         if key in dead:
             return False
         if cur == 0:
+            # necessary for the rest to split into words of T-1 edges: per
+            # weak component, a multiple of T-1 edges and the word budget
             delta = degree_imbalances(counts)
-            if not _boundary_feasible(counts, delta, T):
+            if any(
+                edges % (T - 1) or positive > edges // (T - 1)
+                for edges, positive in component_budgets(counts, delta)
+            ):
                 dead.add(key)
                 return False
             cands = sorted(

@@ -27,7 +27,10 @@ exact largest loop coefficients as `Fraction` ratios, so the tests can
 check the integer rule against them and against a floating LP.  The
 library builds one move per support-disjoint pair of tables of a fiber;
 `all_pair_moves` builds a move from every pair of every fiber and drops the
-repeats through a set.
+repeats through a set.  The library reads each weak component's edges and
+positive imbalance off one union-find scan of a count vector's support;
+`bfs_component_budgets` finds the components by breadth-first search over
+the support and counts each edge at its tail.
 """
 
 import math
@@ -134,6 +137,35 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     for head in range(total + 1):
         for tail in compositions(total - head, parts - 1):
             yield (head,) + tail
+
+
+def bfs_component_budgets(x: Sequence[int], S: int) -> list[tuple[int, int]]:
+    """(edges, positive imbalance) of each weak component of G(x) that has
+    an edge, the components found by breadth-first search in order of
+    their least state."""
+    pairs = [(i, j) for i in range(1, S + 1) for j in range(1, S + 1) if i != j]
+    support = [(i, j, c) for (i, j), c in zip(pairs, x) if c]
+    out = []
+    seen: set[int] = set()
+    for start in sorted({i for i, _, _ in support} | {j for _, j, _ in support}):
+        if start in seen:
+            continue
+        comp, queue = {start}, [start]
+        for v in queue:
+            for i, j, _ in support:
+                for a, b in ((i, j), (j, i)):
+                    if a == v and b not in comp:
+                        comp.add(b)
+                        queue.append(b)
+        seen |= comp
+        edges = sum(c for i, _, c in support if i in comp)
+        delta = {v: 0 for v in comp}
+        for i, j, c in support:
+            if i in comp:
+                delta[i] += c
+                delta[j] -= c
+        out.append((edges, sum(d for d in delta.values() if d > 0)))
+    return out
 
 
 def max_loop_coefficients(x: Sequence[int], n: int, r: int) -> tuple[Fraction, ...]:

@@ -149,7 +149,7 @@ class TestLatticeAgainstSympy:
             lat = IntegerLattice(dim)
             for g in gens:
                 lat.add(g)
-            if lat.rank != dim:
+            if len(lat.rows) != dim:
                 continue
             ours = 1
             for i, row in enumerate(lat.rows):

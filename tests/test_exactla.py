@@ -99,9 +99,9 @@ class TestIntegerLattice:
         lat = IntegerLattice(3)
         lat.add([1, 2, 3])
         lat.add([2, 4, 6])
-        assert lat.rank == 1
+        assert len(lat.rows) == 1
         lat.add([0, 1, 0])
-        assert lat.rank == 2
+        assert len(lat.rows) == 2
 
 
 class TestSimplex:

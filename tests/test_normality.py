@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import thmc.normality
 from oracles import max_loop_coefficients
 from thmc.cli import main
 from thmc.design import column_table, get_design
@@ -70,9 +71,10 @@ class TestSaturationPoints:
             c1, c2 = rng.choice(cols), rng.choice(cols)
             assert tuple(a + b for a, b in zip(c1, c2)) in pts
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(thmc.normality, "DEFAULT_POINT_CAP", 10)
         with pytest.raises(CapExceededError, match="exceeds cap 10"):
-            saturation_points(10, 3, model_hull(10, 3), cap=10)
+            saturation_points(10, 3, model_hull(10, 3))
 
     def test_int64_overflow_raises_cap(self):
         # 4 * 10^17 * 6 times the largest facet entry passes 2^62: an explicit
@@ -115,21 +117,24 @@ class TestSaturationPoints:
         [(12, 84_582, 111_864), (18, 298_092, 391_527)],
         ids=["12-84582", "18-298092"],
     )
-    def test_point_counts_at_degree_four(self, T, count, total):
+    def test_point_counts_at_degree_four(self, T, count, total, monkeypatch):
         # the cap bounds points over all degrees <= 4, not the C(4(T-1)+5, 5)
         # compositions
         hull = model_hull(T, 3)
-        X = saturation_points(T, 4, hull, cap=total)
+        monkeypatch.setattr(thmc.normality, "DEFAULT_POINT_CAP", total)
+        X = saturation_points(T, 4, hull)
         assert len(X) == total
         assert (X.sum(axis=1) == 4 * (T - 1)).sum() == count
+        monkeypatch.setattr(thmc.normality, "DEFAULT_POINT_CAP", total - 1)
         with pytest.raises(CapExceededError, match="exceeds cap"):
-            saturation_points(T, 4, hull, cap=total - 1)
+            saturation_points(T, 4, hull)
 
-    def test_cap_counts_every_degree(self):
+    def test_cap_counts_every_degree(self, monkeypatch):
         # the degree-4 points alone fit the cap, the listing of degrees
         # 1..4 does not
+        monkeypatch.setattr(thmc.normality, "DEFAULT_POINT_CAP", 84_582)
         with pytest.raises(CapExceededError, match="exceeds cap 84582"):
-            saturation_points(12, 4, model_hull(12, 3), cap=84_582)
+            saturation_points(12, 4, model_hull(12, 3))
 
     @pytest.mark.parametrize("S,T,n", [(3, 9, 3), (3, 12, 2), (2, 6, 3), (4, 4, 2)])
     def test_rows_strictly_increase(self, S, T, n):

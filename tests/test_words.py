@@ -3,15 +3,16 @@ from collections import Counter
 
 import pytest
 
+from oracles import bfs_component_budgets, compositions
 from thmc.words import (
     CapExceededError,
     Word,
+    component_budgets,
     decompose_into_paths,
     degree_imbalances,
     enumerate_words,
     read_words,
     state_graph,
-    support_components,
     symmetry_group,
     transition_counts,
     word_count,
@@ -188,7 +189,7 @@ class TestEulerian:
             euler = (
                 all(abs(d) <= 1 for d in delta)
                 and delta.count(1) <= 1
-                and len(support_components(x, 3)) == 1
+                and len(component_budgets(x, delta)) == 1
             )
             w = single_word(x)
             assert (w is not None) == euler, x
@@ -205,6 +206,46 @@ class TestEulerian:
         x = [0] * 12
         x[0], x[3], x[8], x[11] = 1, 1, 1, 1
         assert single_word(x) is None
+
+
+class TestComponentBudgets:
+    """`component_budgets` against the breadth-first oracle, and the bound
+    the four-state probe relies on."""
+
+    @staticmethod
+    def budgets(x):
+        return sorted(component_budgets(x, degree_imbalances(x)))
+
+    def test_every_small_vector_at_three_states(self):
+        for total in range(7):
+            for x in compositions(total, 6):
+                assert self.budgets(x) == sorted(bfs_component_budgets(x, 3)), x
+
+    def test_two_disjoint_two_cycles_at_four_states(self):
+        # pair order for S=4: 12,13,14,21,23,24,31,32,34,41,42,43
+        for slots in ((0, 3, 8, 11), (1, 6, 5, 10), (2, 9, 4, 7)):
+            for total in range(7):
+                for comp in compositions(total, 4):
+                    x = [0] * 12
+                    for s, v in zip(slots, comp):
+                        x[s] = v
+                    assert self.budgets(x) == sorted(bfs_component_budgets(x, 4)), x
+
+    @pytest.mark.parametrize("S,T,n", [(3, 3, 1), (3, 3, 3), (3, 4, 2), (3, 5, 2), (4, 8, 1)])
+    def test_budget_bounds_every_imbalance(self, S, T, n):
+        # within a component the imbalances sum to zero, so one of size > n
+        # puts more than n positive imbalance in its component, beyond the
+        # budget edges/(T-1) <= n
+        unbalanced = 0
+        for x in compositions(n * (T - 1), S * (S - 1)):
+            delta = degree_imbalances(x)
+            if any(abs(d) > n for d in delta):
+                unbalanced += 1
+                assert any(
+                    positive * (T - 1) > edges
+                    for edges, positive in component_budgets(x, delta)
+                ), x
+        assert unbalanced
 
 
 class TestDecompose:
