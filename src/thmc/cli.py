@@ -48,7 +48,8 @@ class InputError(Exception):
     A CapExceededError (a size past --word-cap, --multiset-cap, or the
     point cap of `normality`: at most 2,000,000 prefixes per level of the
     one listing of every degree n <= --n-max, so at most that many points
-    over all those degrees) takes the same way out."""
+    over all those degrees) takes the same way out, as does an OSError
+    while writing outputs (an --out-dir that cannot be made or written)."""
 
 
 def _digest(path: Path) -> str:
@@ -480,7 +481,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, CapExceededError) as exc:
+    except (InputError, CapExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,7 +25,8 @@ The facet certificates and the paper's window lemmas (3-step, 6-step,
 length 6k+1 and even length) ask one question: over the words of length
 T, which values does c.x - offset take, and at which (start, end) pairs?
 Both read the answer from `_slack_classes`, which groups the classes of
-`design.endpoint_table` by slack.
+`design.endpoint_table` by slack: a certificate's minimum, tight count,
+tight rank and sample tight words all come from it.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .words import (
     Word,
     check_split,
     decompose_into_paths,
-    pair_index,
     pair_list,
     symmetry_group,
     transition_counts,
@@ -185,34 +185,18 @@ def _slack_classes(c: Sequence[int], offset: int, T: int) -> dict[int, list[tupl
 
 def certify_facet(c: Sequence[int], T: int) -> FacetCertificate:
     """Exact minimum of c.x over the columns x, their tight rank and tight
-    count in words (c.x = 0), and the first five tight words: reach[k]
-    holds (s, v) when a k-step walk from s weighs v under c, and the search,
-    from a state 0 whose steps weigh 0, enters only prefixes a suffix zeroes."""
+    count in words (c.x = 0), and five sample tight words: the least word of
+    each tight (start, end, counts) class, in text order, first five.  All
+    of it is read off `_slack_classes`."""
     slacks = _slack_classes(c, 0, T)
     tight = slacks.get(0, [])
-    weight = {pair: c[k] for pair, k in pair_index(3).items()} | {(0, s): 0 for s in (1, 2, 3)}
-    reach = [{(s, 0) for s in (1, 2, 3)}]
-    for _ in range(T - 1):
-        reach.append({(i, weight[i, j] + v) for j, v in reach[-1] for i in (1, 2, 3) if i != j})
-    samples: list[str] = []
-
-    def extend(word: list[int], value: int) -> None:
-        if len(word) > T:
-            samples.append(Word(word[1:]).text)
-            return
-        for j in (1, 2, 3):
-            v = value + weight.get((word[-1], j), 0)
-            if len(samples) < 5 and j != word[-1] and (j, -v) in reach[T - len(word)]:
-                extend(word + [j], v)
-
-    extend([0], 0)
     return FacetCertificate(
         c=tuple(int(e) for e in c),
         T=T,
         min_value=min(slacks),
         tight_count=sum(count for *_, count, _ in tight),
         tight_rank=mat_rank(sorted({x for _, _, x, *_ in tight})),
-        sample_tight_words=tuple(samples),
+        sample_tight_words=tuple(sorted(word.text for *_, word in tight)[:5]),
     )
 
 
@@ -344,25 +328,20 @@ KNOWN_Q_VERTEX_GENERATORS: dict[int, list[tuple[Fraction, ...]]] = {
 _STATED_TO_CANONICAL = (0, 2, 1, 4, 3, 5)  # x12,x21,x13,x31,x23,x32 -> sorted pairs
 
 
-def _reorder(v: Sequence[Fraction], perm: Sequence[int]) -> tuple[Fraction, ...]:
-    return tuple(v[p] for p in perm)
-
-
 def published_vertex_orbit(r: int, perm=_STATED_TO_CANONICAL) -> set:
     """Published generator list for Q^r, expanded under the six relabelings."""
     expected: set[tuple[Fraction, ...]] = set()
     for gen in KNOWN_Q_VERTEX_GENERATORS[r]:
-        v = _reorder(gen, perm)
+        v = tuple(gen[p] for p in perm)
         expected |= {g.vector(v) for g in symmetry_group(3) if not g.reverse}
     return expected
 
 
-def _characterize_published(r: int) -> dict:
-    """Facet description of conv(published vertices) + loop cone, matched
+def _characterize_published(r: int, orbit: set) -> dict:
+    """Facet description of conv(published vertex orbit) + loop cone, matched
     against the base affine rows (reverse-engineers what system the published
     lists are actually the vertices of)."""
-    verts = sorted(published_vertex_orbit(r))
-    H = convex_hull(verts, rays=LOOP_RAYS.values())
+    H = convex_hull(sorted(orbit), rays=LOOP_RAYS.values())
     by_normal = {tuple(f.ctilde): f for f in affine_facet_rows(r)}
     rhs = {}
     for normal, b in H.inequalities:
@@ -381,14 +360,14 @@ def verify_known_vertices(r: int) -> dict:
     system it actually solves, so the discrepancy is fully characterized.
     """
     computed = set(q_vertices(r).vertices)
-    conventions = {
-        "x12,x21,x13,x31,x23,x32": _STATED_TO_CANONICAL,
-        "x12,x13,x21,x23,x31,x32": (0, 1, 2, 3, 4, 5),
+    stated = published_vertex_orbit(r)
+    orbits = {
+        "x12,x21,x13,x31,x23,x32": stated,
+        "x12,x13,x21,x23,x31,x32": published_vertex_orbit(r, (0, 1, 2, 3, 4, 5)),
     }
     results = {}
     matched = None
-    for name, perm in conventions.items():
-        expected = published_vertex_orbit(r, perm)
+    for name, expected in orbits.items():
         missing = sorted(expected - computed)
         extra = sorted(computed - expected)
         results[name] = {
@@ -400,9 +379,7 @@ def verify_known_vertices(r: int) -> dict:
         if results[name]["match"] and matched is None:
             matched = name
     max_l1 = max(sum(v) for v in computed)
-    published_max_l1 = max(
-        sum(v) for v in published_vertex_orbit(r)
-    )
+    published_max_l1 = max(sum(v) for v in stated)
     report = {
         "r": r,
         "computed_vertices": len(computed),
@@ -413,7 +390,7 @@ def verify_known_vertices(r: int) -> dict:
         "ok": matched is not None,
     }
     if matched is None:
-        report["published_system"] = _characterize_published(r)
+        report["published_system"] = _characterize_published(r, stated)
     return report
 
 

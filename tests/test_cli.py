@@ -401,6 +401,25 @@ class TestInputErrors:
         assert "exceeds cap" in err
         assert not (tmp_path / "new").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("hull", "-T", 5),
+            ("gen-matrix", "-T", 4),
+            ("test-fit", "DATA", "--steps", 50, "--burn-in", 0),
+        ],
+    )
+    def test_unwritable_out_dir(self, tmp_path, capsys, data_file, argv):
+        # an out-dir under a regular file cannot be made
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        argv = [data_file if a == "DATA" else a for a in argv]
+        rc, _ = run(tmp_path, *argv, "--out-dir", blocker / "x")
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_saturation_cap_exits_cleanly(self, tmp_path, capsys, monkeypatch):
         import thmc.normality
 

@@ -176,9 +176,10 @@ class TestCertification:
         )
 
     def test_certificate_matches_word_scan(self):
-        # minimum, rank, tight count and first tight words from the column
-        # table and the pruned word search equal a scan of the word list; the
-        # random vectors cover tight words below a negative minimum and none
+        # minimum, rank, tight count and sample tight words from the slack
+        # classes equal a scan of the word list: the samples are the least
+        # word of each tight (start, end, counts) group, sorted, first five;
+        # the random vectors cover tight words below a negative minimum and none
         rng = random.Random(3)
         for T in (5, 8, 11):
             words = enumerate_words(3, T)
@@ -192,7 +193,11 @@ class TestCertification:
                 assert cert.min_value == min(vals), (T, c)
                 assert cert.tight_count == len(tight), (T, c)
                 assert cert.tight_rank == mat_rank({cols[j] for j in tight}), (T, c)
-                assert cert.sample_tight_words == tuple(words[j].text for j in tight[:5])
+                least: dict = {}
+                for j in tight:
+                    key = (words[j][0], words[j][-1], cols[j])
+                    least[key] = min(least.get(key, words[j].text), words[j].text)
+                assert cert.sample_tight_words == tuple(sorted(least.values())[:5])
 
     def test_all_ones_not_a_facet(self):
         cert = certify_facet((1, 1, 1, 1, 1, 1), 5)

@@ -14,8 +14,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "thmc"
 
 # fiber_enumerate is the full-fiber oracle of the fiber and walk tests; it
-# stays in the library because the exact Markov-degree scan (ROADMAP item 8)
-# will stream fibers through it
+# stays in the library because the planned exact mode of the conditional
+# test (ROADMAP item 1) is to call it
 ALLOWED_WITHOUT_CALLER = {"fiber_enumerate"}
 
 
