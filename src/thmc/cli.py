@@ -45,11 +45,11 @@ from .words import DEFAULT_WORD_CAP, CapExceededError, pair_list, read_words, st
 class InputError(Exception):
     """Unreadable or malformed command input: `main` prints it and exits 2.
 
-    A CapExceededError (a size past --word-cap, --multiset-cap, or the
-    point cap of `normality`: at most 2,000,000 prefixes per level of the
-    one listing of every degree n <= --n-max, so at most that many points
-    over all those degrees) takes the same way out, as does an OSError
-    while writing outputs (an --out-dir that cannot be made or written)."""
+    A CapExceededError (a size past --word-cap, --multiset-cap, DD_PAIR_CAP
+    or the point cap of `normality`: at most 2,000,000 prefixes per level of
+    the one listing of every degree n <= --n-max, so at most that many points
+    over all those degrees) takes the same way out, as does an OSError while
+    writing outputs (an --out-dir that cannot be made or written)."""
 
 
 def _digest(path: Path) -> str:

@@ -4,18 +4,18 @@ The design matrix for S states at time T has one row per ordered state pair
 (lexicographic) and one column per word of length T (lexicographic); the
 column of a word is its transition-count vector.  The sufficient statistic
 b = A.u of a data multiset is its state graph (`words.state_graph`); the
-matrix also holds the integer lattice ZA of its columns.  The geometry reads
-only the distinct columns (1,704 for 25,165,824 words at T = 24), from
-`column_table`, a DP that lists no words.
+int64 `np_columns` and ZA, the `lattice` of the columns, are cached.  The
+geometry reads only the distinct columns (1,704 for 25,165,824 words at
+T = 24), from `column_table`, a DP that lists no words.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -78,36 +78,27 @@ class DesignMatrix:
             transition_counts(w, S) for w in self.words
         ]
         self.word_index: dict[Word, int] = {w: j for j, w in enumerate(self.words)}
-        self._np: Optional[np.ndarray] = None
-        self._lattice: Optional[IntegerLattice] = None
 
     @property
     def dim(self) -> int:
         return len(self.pairs)
 
-    @property
+    @cached_property
     def np_columns(self) -> np.ndarray:
         """dim x m integer matrix (int64; entries are at most T-1)."""
-        if self._np is None:
-            self._np = np.array(
-                [[col[i] for col in self.columns] for i in range(self.dim)],
-                dtype=np.int64,
-            )
-        return self._np
+        return np.array(self.columns, dtype=np.int64).T
 
     def distinct_columns(self) -> list[tuple[int, ...]]:
         return list(column_table(self.S, self.T))
 
     # -- membership ---------------------------------------------------------
 
-    @property
+    @cached_property
     def lattice(self) -> IntegerLattice:
-        if self._lattice is None:
-            lat = IntegerLattice(self.dim)
-            for col in self.distinct_columns():
-                lat.add(col)
-            self._lattice = lat
-        return self._lattice
+        lat = IntegerLattice(self.dim)
+        for col in self.distinct_columns():
+            lat.add(col)
+        return lat
 
     # -- export -------------------------------------------------------------
 

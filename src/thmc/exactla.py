@@ -5,10 +5,11 @@ matrices are plain lists of rows.  No floating point.  One Gaussian
 elimination, `rref`, answers every question about rank, kernels, independent
 rows and inverses; it scales rows to integers, eliminates fraction-free and
 returns integer rows, each a multiple of its reduced row, so it makes no
-rationals at all.  The one linear program is cone membership, a feasibility
-question answered by `simplex_standard`, phase 1 of a fraction-free integer
-tableau simplex.  The library certifies cone membership by words instead;
-the simplex serves the test oracles and the benchmark harness.
+rationals at all.  Integer lattices keep their Hermite normal form.  The one
+linear program is cone membership, a feasibility question answered by
+`simplex_standard`, phase 1 of a fraction-free integer tableau simplex.  The
+library certifies cone membership by words instead; the simplex serves the
+test oracles and the benchmark harness.
 """
 
 from __future__ import annotations
@@ -113,81 +114,50 @@ def independent_rows(M: Sequence[Vec]) -> list[int]:
 class IntegerLattice:
     """Lattice spanned by integer vectors, with exact membership tests.
 
-    Vectors are folded into a row-echelon basis (integer Hermite-style) as
-    they are added; membership is a divisibility-aware reduction.
+    `rows` is the lattice's Hermite normal form: pivot columns increase, each
+    pivot is positive and every entry above it lies in [0, pivot).  The form
+    is unique, so it does not depend on the order of the `add` calls.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.rows: list[list[int]] = []  # echelon, pivot columns increasing
-
-    def _pivot(self, row: Sequence[int]) -> Optional[int]:
-        return next((c for c, e in enumerate(row) if e), None)
+        self.rows: list[list[int]] = []
 
     def add(self, vec: Sequence[int]) -> None:
+        """Unless vec is a member, rerun the normal form on the rows and vec:
+        column by column, Euclid on the rows that reach the column leaves one
+        pivot row, made positive, and the entries above it go into [0, pivot)."""
         v = list(map(int, vec))
         if len(v) != self.dim:
             raise ValueError("dimension mismatch")
-        i = 0
-        while True:
-            p = self._pivot(v)
-            if p is None:
-                return
-            while i < len(self.rows):
-                rp = self._pivot(self.rows[i])
-                if rp >= p:
-                    break
-                i += 1
-            if i == len(self.rows) or self._pivot(self.rows[i]) > p:
-                self.rows.insert(i, v)
-                self._normalize()
-                return
-            row = self.rows[i]
-            a, b = row[p], v[p]
-            if b % a == 0:
-                q = b // a
-                v = [x - q * y for x, y in zip(v, row)]
-            else:
-                # replace pivot row by gcd combination, continue reducing v
-                x, y, g = _xgcd(a, b)
-                new_row = [x * r + y * s for r, s in zip(row, v)]
-                v = [(-(b // g)) * r + (a // g) * s for r, s in zip(row, v)]
-                self.rows[i] = new_row
-                self._normalize()
-
-    def _normalize(self) -> None:
-        # keep pivots positive; reduce entries above each pivot
-        for i, row in enumerate(self.rows):
-            p = self._pivot(row)
-            if row[p] < 0:
-                self.rows[i] = [-e for e in row]
-        for i in range(len(self.rows) - 1, -1, -1):
-            p = self._pivot(self.rows[i])
-            piv = self.rows[i][p]
-            for j in range(i):
-                q = self.rows[j][p] // piv
-                if q:
-                    self.rows[j] = [a - q * b for a, b in zip(self.rows[j], self.rows[i])]
+        if v in self:
+            return
+        rest, self.rows = [v] + self.rows, []
+        for col in range(self.dim):
+            reach = [r for r in rest if r[col]]
+            while len(reach) > 1:
+                piv = min(reach, key=lambda r: abs(r[col]))
+                rest = [_reduce(r, piv, col) if r[col] and r is not piv else r for r in rest]
+                reach = [r for r in rest if r[col]]
+            if reach:
+                piv = reach[0] if reach[0][col] > 0 else [-a for a in reach[0]]
+                self.rows = [_reduce(r, piv, col) for r in self.rows] + [piv]
+                rest = [r for r in rest if not r[col] and any(r)]
 
     def __contains__(self, vec: Sequence[int]) -> bool:
         v = list(map(int, vec))
         for row in self.rows:
-            p = self._pivot(row)
-            if v[p] % row[p] == 0:
-                q = v[p] // row[p]
-                if q:
-                    v = [a - q * b for a, b in zip(v, row)]
+            p = next(c for c, e in enumerate(row) if e)
+            v = _reduce(v, row, p)
+            if v[p]:
+                return False
         return not any(v)
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    return x, y, g
+def _reduce(r: list[int], piv: list[int], col: int) -> list[int]:
+    """r less q * piv for q = r[col] // piv[col], leaving r[col] between 0 and piv[col]."""
+    q = r[col] // piv[col]
+    return [a - q * b for a, b in zip(r, piv)]
 
 
 # ---------------------------------------------------------------------------

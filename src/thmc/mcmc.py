@@ -26,7 +26,9 @@ Tables and moves stay exact integers; the default Pearson statistic is
 exact against the time-homogeneous fit (empirical transition frequencies
 of the pooled data): a rational for the observed table, one integer over a
 common denominator along the walk.  The likelihood-ratio alternative uses
-floats for its logarithms.
+floats for its logarithms, so its ties are float ties: on a fiber G2 is
+2 sum_j u_j log u_j - 2K, K fixed by the marginal, so tables with equal
+prod_j u_j^u_j (permuted counts, say) tie exactly and rounding breaks them.
 """
 
 from __future__ import annotations
@@ -190,9 +192,9 @@ class _PearsonRun:
 
 
 class _G2Run:
-    """G2 = 2 sum_j u_j log(u_j/e_j) of the walk's counts, in floats: the
-    cached terms summed over the support in ascending word order, in full at
-    every sample.  `observed` is the same sum over the observed table."""
+    """G2 = 2 sum_j u_j log(u_j/e_j) in floats, so exact ties (module
+    docstring) are left to rounding: the cached terms summed over the support
+    in ascending word order at every sample; `observed` sums the observed table."""
 
     def __init__(self, table: tuple[int, ...], A: DesignMatrix, moves: Sequence[Move]):
         self.model = _FittedModel(table, A)

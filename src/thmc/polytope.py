@@ -27,9 +27,13 @@ from operator import mul
 from typing import Sequence
 
 from .exactla import independent_rows, nullspace_int, primitive, rref
+from .words import CapExceededError
 
 IntVec = tuple[int, ...]
 FracVec = tuple[Fraction, ...]
+
+# candidate ray pairs one double description may test: model_hull(6, 4) needs 55.0M
+DD_PAIR_CAP = 60_000_000
 
 
 class InfeasibleSystemError(ValueError):
@@ -140,6 +144,7 @@ def dd_pointed_cone(ineqs: list[IntVec], dim: int) -> list[tuple[IntVec, int]]:
         for j, i in enumerate(base_idx)
     ]
     base_set = set(base_idx)
+    pairs = 0
     for t, a in enumerate(ineqs):
         if t in base_set:
             continue
@@ -154,6 +159,9 @@ def dd_pointed_cone(ineqs: list[IntVec], dim: int) -> list[tuple[IntVec, int]]:
             else:
                 zero.append((r, m | bit))
         if neg:
+            pairs += len(pos) * len(neg)
+            if pairs > DD_PAIR_CAP:
+                raise CapExceededError(f"{pairs} candidate ray pairs exceeds cap {DD_PAIR_CAP}")
             masks = [m for _, m in rays]
             for rp, mp, vp in pos:
                 for rn, mn, vn in neg:

@@ -48,7 +48,8 @@ class Word(bytes):
                 raise ValueError(f"self-loop {a}->{b} in word {w.text}")
         lo, hi = min(w), max(w)
         if lo < 1 or (S is not None and hi > S):
-            raise ValueError(f"state labels of {list(w)} outside 1..{S}")
+            bound = "must be at least 1" if S is None else f"outside 1..{S}"
+            raise ValueError(f"state labels of {list(w)} {bound}")
         return w
 
     @classmethod

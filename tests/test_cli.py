@@ -450,13 +450,25 @@ class TestInputErrors:
         rc, _ = run(tmp_path, "hull", "-T", 2, "--out-dir", tmp_path)
         assert rc == 0 and (tmp_path / "hull-T2.json").exists()
 
-    @pytest.mark.parametrize("text", ["12a21\n", "121\n1212\n", ""])
+    @pytest.mark.parametrize("text", ["12a21\n", "121\n1212\n", "", "1201\n"])
     def test_stats(self, tmp_path, capsys, text):
         data = tmp_path / "data.words"
         data.write_text(text)
         rc, _ = run(tmp_path, "stats", data, "--out-dir", tmp_path)
         err = capsys.readouterr().err
         assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1
+
+    def test_hull_pair_cap_exits_cleanly(self, tmp_path, capsys, monkeypatch):
+        import thmc.polytope
+        from thmc.facets import model_hull
+
+        monkeypatch.setattr(thmc.polytope, "DD_PAIR_CAP", 10)
+        model_hull.cache_clear()
+        rc, _ = run(tmp_path, "normality", "-S", 4, "-T", 4, "--out-dir", tmp_path / "new")
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1
+        assert "ray pairs exceeds cap 10" in err
+        assert not (tmp_path / "new").exists()
 
 
 class TestNewFormats:

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+from thmc.design import column_table
 from thmc.exactla import (
     IntegerLattice,
     independent_rows,
@@ -102,6 +103,47 @@ class TestIntegerLattice:
         assert len(lat.rows) == 1
         lat.add([0, 1, 0])
         assert len(lat.rows) == 2
+
+    @staticmethod
+    def lattices():
+        """(dim, generators): random generator sets and the S = 4 design
+        lattices at T = 3..6."""
+        rng = random.Random(4)
+        for _ in range(40):
+            dim = rng.randint(2, 6)
+            yield dim, [
+                [rng.randint(-6, 6) for _ in range(dim)] for _ in range(rng.randint(1, 8))
+            ]
+        for T in range(3, 7):
+            yield 12, [list(col) for col in column_table(4, T)]
+
+    def test_rows_are_hermite_normal_form(self):
+        for dim, gens in self.lattices():
+            lat = IntegerLattice(dim)
+            for g in gens:
+                lat.add(g)
+            pivots = [next(c for c, e in enumerate(row) if e) for row in lat.rows]
+            assert pivots == sorted(set(pivots))
+            for i, (row, p) in enumerate(zip(lat.rows, pivots)):
+                assert row[p] > 0
+                assert all(0 <= above[p] < row[p] for above in lat.rows[:i]), gens
+
+    def test_rows_ignore_order_and_members(self):
+        rng = random.Random(6)
+        for dim, gens in self.lattices():
+            lat, shuffled = IntegerLattice(dim), IntegerLattice(dim)
+            for g in gens:
+                lat.add(g)
+            for g in rng.sample(gens, len(gens)):
+                shuffled.add(g)
+            assert shuffled.rows == lat.rows
+            rows = [row[:] for row in lat.rows]
+            member = [0] * dim
+            for g in gens:
+                coef = rng.randint(-3, 3)
+                member = [a + coef * b for a, b in zip(member, g)]
+            lat.add(member)
+            assert lat.rows == rows
 
 
 class TestSimplex:

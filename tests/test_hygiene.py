@@ -104,6 +104,21 @@ def test_no_unused_imports():
     assert not unused, "imported but never used: " + ", ".join(unused)
 
 
+def test_package_root_binds_only_version():
+    """Every name is imported from its module; the package root re-exports
+    none and binds only `__version__`."""
+    bound = []
+    for node in ast.parse((SRC / "__init__.py").read_text()).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound += [a.asname or a.name for a in node.names]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    assert bound == ["__version__"], bound
+
+
 def test_no_private_imports_across_modules():
     """A `_`-prefixed name belongs to its own module: no other thmc module
     imports it (dunders such as `__version__` are public)."""

@@ -23,6 +23,7 @@ from thmc.polytope import (
     convex_hull,
     vertex_enumeration,
 )
+from thmc.words import CapExceededError
 
 
 class TestCanonical:
@@ -340,6 +341,14 @@ def _digest(chunks) -> str:
     for chunk in chunks:
         h.update(chunk.encode() + b"\n")
     return h.hexdigest()
+
+
+class TestPairCap:
+    def test_hull_raises_past_the_cap(self, monkeypatch):
+        # the four-state hull at T = 4 tests more than ten candidate pairs
+        monkeypatch.setattr(thmc.polytope, "DD_PAIR_CAP", 10)
+        with pytest.raises(CapExceededError, match="ray pairs exceeds cap 10"):
+            convex_hull(list(column_table(4, 4)))
 
 
 class TestHullRegression:

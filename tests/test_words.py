@@ -43,6 +43,12 @@ class TestWord:
         with pytest.raises(ValueError):
             Word([1, 4], S=3)
 
+    def test_label_error_names_its_bound(self):
+        with pytest.raises(ValueError, match=r"\[1, 2, 0, 1\] must be at least 1$"):
+            Word([1, 2, 0, 1])
+        with pytest.raises(ValueError, match=r"\[1, 2, 0, 1\] outside 1\.\.3$"):
+            Word([1, 2, 0, 1], S=3)
+
     def test_text_roundtrip(self):
         w = Word.from_text("12132")
         assert w.text == "12132"
